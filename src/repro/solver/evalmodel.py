@@ -6,7 +6,7 @@ engine to evaluate candidate strategies against adversary functions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Generator, Tuple, Union
 
 from ..errors import SolverError
 from .smt import Model
@@ -41,22 +41,37 @@ def evaluate(term: Term, model: Model) -> Union[int, bool]:
 
     Unassigned variables take the model's default value; uninterpreted
     function applications are looked up in the model's finite tables, also
-    falling back to the default for unlisted points.
+    falling back to the default for unlisted points.  Connectives
+    short-circuit, so only the subterms that decide the value are evaluated
+    (and only those reach ``model.apply``), left to right.
     """
+    if not term.args:
+        return _eval_leaf(term, model)
     cache: Dict[Term, Union[int, bool]] = {}
+    # explicit stack of suspended node evaluations, so depth is unbounded:
+    # each yields the children it needs, one at a time, and is sent back
+    # their values
+    stack = [(term, _eval_node(term, model))]
+    value: Union[int, bool, None] = None
+    while stack:
+        node, steps = stack[-1]
+        try:
+            child = steps.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = cache[node] = done.value
+            continue
+        if not child.args:
+            value = _eval_leaf(child, model)
+        elif child in cache:
+            value = cache[child]
+        else:
+            stack.append((child, _eval_node(child, model)))
+            value = None
+    return value  # type: ignore[return-value]
 
-    def walk(t: Term) -> Union[int, bool]:
-        cached = cache.get(t)
-        if cached is not None or t in cache:
-            return cache[t]
-        value = _eval_node(t, walk, model)
-        cache[t] = value
-        return value
 
-    return walk(term)
-
-
-def _eval_node(t: Term, walk, model: Model) -> Union[int, bool]:
+def _eval_leaf(t: Term, model: Model) -> Union[int, bool]:
     k = t.kind
     if k is Kind.CONST_INT:
         return int(t.value)  # type: ignore[arg-type]
@@ -66,30 +81,54 @@ def _eval_node(t: Term, walk, model: Model) -> Union[int, bool]:
         if t.sort is Sort.INT:
             return model.ints.get(t.name or "", model.default)
         return model.bools.get(t.name or "", False)
+    raise SolverError(f"cannot evaluate term of kind {k}")
+
+
+def _eval_node(
+    t: Term, model: Model
+) -> Generator[Term, Union[int, bool], Union[int, bool]]:
+    """Evaluate an inner node, yielding each child whose value it needs."""
+    k = t.kind
+    args = t.args
     if k is Kind.APP:
         assert t.fn is not None
-        args = tuple(int(walk(a)) for a in t.args)
-        return model.apply(t.fn, args)
+        values = []
+        for a in args:
+            values.append(int((yield a)))
+        return model.apply(t.fn, tuple(values))
     if k is Kind.ADD:
-        return sum(int(walk(a)) for a in t.args)
+        total = 0
+        for a in args:
+            total += int((yield a))
+        return total
     if k is Kind.NEG:
-        return -int(walk(t.args[0]))
+        return -int((yield args[0]))
     if k is Kind.MUL:
-        return int(walk(t.args[0])) * int(walk(t.args[1]))
+        left = int((yield args[0]))
+        return left * int((yield args[1]))
     if k is Kind.EQ:
-        return walk(t.args[0]) == walk(t.args[1])
+        left = yield args[0]
+        return left == (yield args[1])
     if k is Kind.LE:
-        return int(walk(t.args[0])) <= int(walk(t.args[1]))
+        left = int((yield args[0]))
+        return left <= int((yield args[1]))
     if k is Kind.LT:
-        return int(walk(t.args[0])) < int(walk(t.args[1]))
+        left = int((yield args[0]))
+        return left < int((yield args[1]))
     if k is Kind.NOT:
-        return not walk(t.args[0])
+        return not (yield args[0])
     if k is Kind.AND:
-        return all(bool(walk(a)) for a in t.args)
+        for a in args:
+            if not (yield a):
+                return False
+        return True
     if k is Kind.OR:
-        return any(bool(walk(a)) for a in t.args)
+        for a in args:
+            if (yield a):
+                return True
+        return False
     if k is Kind.IMPLIES:
-        return (not walk(t.args[0])) or bool(walk(t.args[1]))
+        return (not (yield args[0])) or bool((yield args[1]))
     if k is Kind.ITE:
-        return walk(t.args[1]) if walk(t.args[0]) else walk(t.args[2])
+        return (yield args[1]) if (yield args[0]) else (yield args[2])
     raise SolverError(f"cannot evaluate term of kind {k}")

@@ -74,7 +74,7 @@ def _normalize_le(coeffs: Dict[int, int], const: int) -> Tuple[Dict[int, int], i
         g = math.gcd(g, abs(c))
     if g > 1:
         nonzero = {v: c // g for v, c in nonzero.items()}
-        const = math.floor(Fraction(const, g))
+        const //= g
     return nonzero, const
 
 

@@ -47,7 +47,7 @@ from ..obs.metrics import default_registry
 from .budget import current_budget
 from .cnf import CnfConverter
 from .sat import SatSolver
-from .smt import CheckResult, Model, check_theory
+from .smt import CheckResult, Model, check_theory, eliminate_int_ite
 from .terms import FunctionSymbol, Kind, Sort, Term, TermManager
 
 __all__ = ["SolverSession", "PrefixSession"]
@@ -207,7 +207,12 @@ class SolverSession:
         """Rewrite + encode ``formula``; record artifacts; return root literal."""
         if formula.sort is not Sort.BOOL:
             raise SolverError(f"cannot assert non-boolean term {formula}")
-        rewritten, sides = self._eliminate_ites(frame, formula)
+        # one ITE-definition cache session-wide; only non-identity rewrites
+        # are owned by ``frame`` (and evicted with it): an identity entry
+        # means the subtree is ITE-free, which stays true forever
+        rewritten, sides = eliminate_int_ite(
+            self.tm, formula, self._ite_cache, frame.ite_keys
+        )
         for side in sides:
             self._assert_into(frame, side)
         pure = self._ackermannize(frame, rewritten)
@@ -216,42 +221,6 @@ class SolverSession:
         frame.atoms |= _theory_atoms(pure)
         frame.apps |= {t for t in rewritten.iter_dag() if t.is_app}
         return self._cnf.literal_for(pure)
-
-    def _eliminate_ites(self, frame: _Frame, term: Term) -> Tuple[Term, List[Term]]:
-        """Integer-ITE elimination sharing one definition cache session-wide.
-
-        Only non-identity rewrites are owned by ``frame`` (and evicted with
-        it): an identity entry means the subtree is ITE-free, which stays
-        true forever.
-        """
-        sides: List[Term] = []
-        cache = self._ite_cache
-        tm = self.tm
-
-        def walk(t: Term) -> Term:
-            cached = cache.get(t)
-            if cached is not None:
-                return cached
-            if not t.args:
-                cache[t] = t
-                return t
-            new_args = tuple(walk(a) for a in t.args)
-            if t.kind is Kind.ITE and t.sort is Sort.INT:
-                cond, then_t, else_t = new_args
-                fresh = tm.fresh_var("_ite")
-                sides.append(tm.mk_implies(cond, tm.mk_eq(fresh, then_t)))
-                sides.append(tm.mk_implies(tm.mk_not(cond), tm.mk_eq(fresh, else_t)))
-                result = fresh
-            elif new_args == t.args:
-                result = t
-            else:
-                result = tm._rebuild(t, new_args)
-            cache[t] = result
-            if result is not t:
-                frame.ite_keys.append(t)
-            return result
-
-        return walk(term), sides
 
     def _ackermannize(self, frame: _Frame, term: Term) -> Term:
         """Register new UF applications incrementally and purify ``term``.

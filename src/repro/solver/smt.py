@@ -98,39 +98,54 @@ class CheckResult:
     iterations: int = 0
 
 
-def eliminate_int_ite(tm: TermManager, term: Term) -> Tuple[Term, List[Term]]:
+def eliminate_int_ite(
+    tm: TermManager,
+    term: Term,
+    cache: Optional[Dict[Term, Term]] = None,
+    owned: Optional[List[Term]] = None,
+) -> Tuple[Term, List[Term]]:
     """Pull integer-sorted ITE nodes out of ``term``.
 
     Each ``ite(c, a, b) : Int`` becomes a fresh variable ``v`` with side
     conditions ``c => v = a`` and ``not c => v = b``.  Returns the rewritten
     term and the side conditions (which the caller must also assert).
+    ``cache`` may be shared across calls (an incremental session keeps one);
+    when ``owned`` is given, the subterms this call rewrites to something
+    other than themselves are appended to it.
     """
     sides: List[Term] = []
-    cache: Dict[Term, Term] = {}
-
-    def walk(t: Term) -> Term:
-        cached = cache.get(t)
-        if cached is not None:
-            return cached
-        if not t.args:
-            cache[t] = t
-            return t
-        new_args = tuple(walk(a) for a in t.args)
-        if t.kind is Kind.ITE and t.sort is Sort.INT:
-            cond, then_t, else_t = new_args
-            fresh = tm.fresh_var("_ite")
-            sides.append(tm.mk_implies(cond, tm.mk_eq(fresh, then_t)))
-            sides.append(tm.mk_implies(tm.mk_not(cond), tm.mk_eq(fresh, else_t)))
-            result = fresh
-        elif new_args == t.args:
-            result = t
-        else:
-            result = tm._rebuild(t, new_args)
-        cache[t] = result
-        return result
-
-    rewritten = walk(term)
-    return rewritten, sides
+    if cache is None:
+        cache = {}
+    # explicit stack, so depth is unbounded; children are rewritten before
+    # parents and left to right, the order that numbers the fresh variables
+    stack: List[Tuple[Term, bool]] = [(term, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            new_args = tuple(cache[a] for a in t.args)
+            if t.kind is Kind.ITE and t.sort is Sort.INT:
+                cond, then_t, else_t = new_args
+                result = tm.fresh_var("_ite")
+                sides.append(tm.mk_implies(cond, tm.mk_eq(result, then_t)))
+                sides.append(
+                    tm.mk_implies(tm.mk_not(cond), tm.mk_eq(result, else_t))
+                )
+            elif new_args == t.args:
+                result = t
+            else:
+                result = tm._rebuild(t, new_args)
+            cache[t] = result
+            if owned is not None and result is not t:
+                owned.append(t)
+        elif t not in cache:
+            if not t.args:
+                cache[t] = t
+                continue
+            stack.append((t, True))
+            for child in reversed(t.args):
+                if child not in cache:
+                    stack.append((child, False))
+    return cache[term], sides
 
 
 def ackermannize(
@@ -215,29 +230,23 @@ def check_theory(
         max_branches=budget.max_branches, max_pivots=budget.max_pivots
     )
     var_ids: Dict[Term, int] = {}
-
-    def var_id(v: Term) -> int:
-        idx = var_ids.get(v)
-        if idx is None:
-            idx = lia.new_var(v.name or f"t{v.tid}")
-            var_ids[v] = idx
-        return idx
+    new_var = lia.new_var
 
     for atom, pol in literals:
         if atom.kind is Kind.CONST_BOOL:
             if bool(atom.value) != pol:
                 return False, [(atom, pol)], {}
             continue
-        lhs, rhs = atom.args
-        coeffs_l, const_l = tm.linearize(lhs)
-        coeffs_r, const_r = tm.linearize(rhs)
-        # lhs - rhs OP 0  =>  sum coeffs <= / = / != (const_r - const_l)
+        # lhs - rhs = sum(pairs) + offset, so the atom reads
+        # sum(pairs) <= / = / != -offset; leaves are numbered on first sight
+        pairs, offset = tm.linear_atom(atom)
         coeffs: Dict[int, int] = {}
-        for t, c in coeffs_l.items():
-            coeffs[var_id(t)] = coeffs.get(var_id(t), 0) + int(c)
-        for t, c in coeffs_r.items():
-            coeffs[var_id(t)] = coeffs.get(var_id(t), 0) - int(c)
-        const = int(const_r - const_l)
+        for leaf, c in pairs:
+            idx = var_ids.get(leaf)
+            if idx is None:
+                idx = var_ids[leaf] = new_var(leaf.name or f"t{leaf.tid}")
+            coeffs[idx] = c
+        const = -offset
         tag = (atom, pol)
         if atom.kind is Kind.EQ:
             if pol:
@@ -249,13 +258,10 @@ def check_theory(
                 lia.add_le(coeffs, const, tag)
             else:
                 lia.add_gt(coeffs, const, tag)
-        elif atom.kind is Kind.LT:
-            if pol:
-                lia.add_lt(coeffs, const, tag)
-            else:
-                lia.add_ge(coeffs, const, tag)
+        elif pol:  # Kind.LT: linear_atom admits relational atoms only
+            lia.add_lt(coeffs, const, tag)
         else:
-            raise SolverError(f"unsupported theory atom {atom}")
+            lia.add_ge(coeffs, const, tag)
 
     result = lia.check()
     if result.sat:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SortError
@@ -75,6 +74,9 @@ class Kind(Enum):
 _COMMUTATIVE_KINDS = frozenset({Kind.ADD, Kind.MUL, Kind.AND, Kind.OR, Kind.EQ})
 
 _RELATIONAL_KINDS = frozenset({Kind.EQ, Kind.LE, Kind.LT})
+
+#: ``(((leaf, coeff), ...), const)``: the result of :meth:`TermManager.linear_atom`
+LinearForm = Tuple[Tuple[Tuple["Term", int], ...], int]
 
 
 class FunctionSymbol:
@@ -239,6 +241,8 @@ class TermManager:
         self._next_id = 0
         self._vars: Dict[str, Term] = {}
         self._functions: Dict[str, FunctionSymbol] = {}
+        #: relational atom -> memoized :meth:`linear_atom` result
+        self._linear: Dict[Term, LinearForm] = {}
         self.true_ = self._intern(Kind.CONST_BOOL, Sort.BOOL, (), True, None, None)
         self.false_ = self._intern(Kind.CONST_BOOL, Sort.BOOL, (), False, None, None)
 
@@ -539,26 +543,32 @@ class TermManager:
         created terms are not rewritten again.
         """
         cache: Dict[Term, Term] = {}
-
-        def walk(t: Term) -> Term:
-            hit = mapping.get(t)
+        # explicit stack, so depth is unbounded; children are rebuilt before
+        # parents and left to right, the order that numbers new terms (term
+        # ids decide the argument order of commutative nodes)
+        stack: List[Tuple[Term, bool]] = [(term, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                new_args = tuple(cache[a] for a in node.args)
+                if new_args == node.args:
+                    cache[node] = node
+                else:
+                    cache[node] = self._rebuild(node, new_args)
+                continue
+            if node in cache:
+                continue
+            hit = mapping.get(node)
             if hit is not None:
-                return hit
-            cached = cache.get(t)
-            if cached is not None:
-                return cached
-            if not t.args:
-                cache[t] = t
-                return t
-            new_args = tuple(walk(a) for a in t.args)
-            if new_args == t.args:
-                result = t
+                cache[node] = hit
+            elif not node.args:
+                cache[node] = node
             else:
-                result = self._rebuild(t, new_args)
-            cache[t] = result
-            return result
-
-        return walk(term)
+                stack.append((node, True))
+                for child in reversed(node.args):
+                    if child not in cache:
+                        stack.append((child, False))
+        return cache[term]
 
     def _rebuild(self, t: Term, args: Tuple[Term, ...]) -> Term:
         """Re-create a node with new children, re-running canonicalization."""
@@ -636,38 +646,66 @@ class TermManager:
 
     # -- linear normal form ----------------------------------------------------
 
-    def linearize(self, term: Term) -> Tuple[Dict[Term, Fraction], Fraction]:
+    def linearize(self, term: Term) -> Tuple[Dict[Term, int], int]:
         """Normalize an Int term into ``sum(coeff * atom) + constant``.
 
-        Atoms are variables and UF applications (treated opaquely).  Raises
-        :class:`SortError` on non-linear structure (which :meth:`mk_mul`
-        already prevents) and on ITE nodes, which must be eliminated before
+        Atoms are variables and UF applications (treated opaquely), keyed
+        in left-to-right depth-first order of first appearance; atoms whose
+        coefficients cancel are dropped.  Arithmetic is over ``int`` only:
+        :meth:`mk_mul` admits integer constant factors alone.  Raises
+        :class:`SortError` on ITE nodes, which must be eliminated before
         arithmetic reasoning.
         """
         self._check_int(term)
-        coeffs: Dict[Term, Fraction] = {}
-        const = Fraction(0)
-
-        def add(t: Term, scale: Fraction) -> None:
-            nonlocal const
-            if t.kind is Kind.CONST_INT:
+        coeffs: Dict[Term, int] = {}
+        const = 0
+        # explicit stack, so depth is unbounded; children are pushed right
+        # to left, so atoms are met (and keyed) left to right
+        stack: List[Tuple[Term, int]] = [(term, 1)]
+        while stack:
+            t, scale = stack.pop()
+            kind = t.kind
+            if kind is Kind.CONST_INT:
                 const += scale * t.value  # type: ignore[operator]
-            elif t.kind is Kind.ADD:
-                for a in t.args:
-                    add(a, scale)
-            elif t.kind is Kind.NEG:
-                add(t.args[0], -scale)
-            elif t.kind is Kind.MUL:
+            elif kind is Kind.ADD:
+                for a in reversed(t.args):
+                    stack.append((a, scale))
+            elif kind is Kind.NEG:
+                stack.append((t.args[0], -scale))
+            elif kind is Kind.MUL:
                 c, v = t.args
                 assert c.kind is Kind.CONST_INT
-                add(v, scale * c.value)  # type: ignore[operator]
-            elif t.kind in (Kind.VAR, Kind.APP):
-                coeffs[t] = coeffs.get(t, Fraction(0)) + scale
+                stack.append((v, scale * c.value))  # type: ignore[operator]
+            elif kind is Kind.VAR or kind is Kind.APP:
+                coeffs[t] = coeffs.get(t, 0) + scale
             else:
                 raise SortError(f"cannot linearize term of kind {t.kind}: {t}")
-
-        add(term, Fraction(1))
         return {a: c for a, c in coeffs.items() if c != 0}, const
+
+    def linear_atom(self, atom: Term) -> LinearForm:
+        """``lhs - rhs`` of an ``=``/``<=``/``<`` atom as ``(pairs, const)``.
+
+        ``pairs`` holds each leaf once with its coefficient: the lhs leaves
+        in :meth:`linearize` order, then the rhs leaves not already seen.
+        A leaf whose lhs and rhs coefficients cancel keeps a 0 entry, so a
+        caller numbering leaves in pair order allocates the same variables
+        whether or not the sides cancel.  The result is memoized per atom:
+        terms are immutable and interned per manager, so an entry stays
+        valid for the manager's lifetime.
+        """
+        hit = self._linear.get(atom)
+        if hit is not None:
+            return hit
+        if atom.kind not in _RELATIONAL_KINDS:
+            raise SortError(f"not a relational atom: {atom}")
+        lhs, rhs = atom.args
+        coeffs, const_l = self.linearize(lhs)
+        coeffs_r, const_r = self.linearize(rhs)
+        for leaf, c in coeffs_r.items():
+            coeffs[leaf] = coeffs.get(leaf, 0) - c
+        entry = (tuple(coeffs.items()), const_l - const_r)
+        self._linear[atom] = entry
+        return entry
 
 
 class CanonicalQuery:
