@@ -84,11 +84,11 @@ def _run_once(spec: CampaignSpec, telemetry: bool) -> tuple[float, str]:
     if telemetry:
         with tempfile.TemporaryDirectory(prefix="repro-obs-gate-") as tele:
             start = time.perf_counter()
-            report = api.run_campaign(spec, telemetry=tele)
+            report = api.Client(telemetry=tele).submit(spec).wait()
             elapsed = time.perf_counter() - start
     else:
         start = time.perf_counter()
-        report = api.run_campaign(spec)
+        report = api.Client().submit(spec).wait()
         elapsed = time.perf_counter() - start
     assert not report.failed_jobs, "gate campaign had failed jobs"
     return elapsed, report.campaign_digest

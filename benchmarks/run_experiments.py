@@ -30,13 +30,7 @@ from repro.solver import TermManager
 from repro.solver.cache import QueryCache, use_cache
 from repro.symbolic import ConcolicEngine, ConcretizationMode
 
-#: worker threads for speculative flip planning (set by --jobs; the
-#: generated suites are identical at any value)
-JOBS = 1
-
-
 def _config(**kwargs):
-    kwargs.setdefault("jobs", JOBS)
     return SearchConfig.from_options(**kwargs)
 
 
@@ -257,7 +251,7 @@ def campaign_bench(path, workers=2, repeats=3):
     import statistics
     import tempfile
 
-    from repro.api import CampaignSpec, run_campaign
+    from repro.api import CampaignSpec, Client
 
     spec = CampaignSpec.paper_suite(
         strategies=["higher_order", "unsound", "sound"], max_runs=40
@@ -265,7 +259,7 @@ def campaign_bench(path, workers=2, repeats=3):
 
     def measure(**kwargs):
         start = time.perf_counter()
-        report = run_campaign(spec, **kwargs)
+        report = Client(**kwargs).submit(spec).wait()
         return time.perf_counter() - start, report
 
     rounds = {"serial": [], "pooled": [], "disk_cold": [], "disk_warm": []}
@@ -456,11 +450,8 @@ def scheduler_bench(path, repeats=3):
 def exec_backend_bench(path, repeats=3):
     """PR 7 execution-core benchmark: tree walker vs bytecode VM.
 
-    Measures three things and writes ``BENCH_pr7.json``:
+    Measures two things and writes ``BENCH_pr7.json``:
 
-    - **end-to-end campaign** — the paper-example campaign under each
-      ``exec_backend``; the campaign digests must be byte-identical
-      (the VM is answer-preserving) while the bytecode arm is faster.
     - **concrete throughput** — a branch-dense mixed workload (the same
       shape ``benchmarks/exec_backend_gate.py`` gates on) interpreted
       under each backend; this isolates raw dispatch cost from solver
@@ -475,7 +466,6 @@ def exec_backend_bench(path, repeats=3):
     """
     import statistics
 
-    from repro.api import CampaignSpec, run_campaign
     from repro.lang import (
         Interpreter,
         clear_compile_cache,
@@ -483,9 +473,6 @@ def exec_backend_bench(path, repeats=3):
         parse_program,
     )
 
-    spec = CampaignSpec.paper_suite(
-        strategies=["higher_order", "unsound"], max_runs=40
-    )
     mixed = parse_program(
         """
         int twist(int x) { return x * 2 + 1; }
@@ -510,22 +497,15 @@ def exec_backend_bench(path, repeats=3):
     sources = [ex.program() for ex in PAPER_EXAMPLES.values()]
 
     rounds = {
-        "campaign_tree": [], "campaign_bytecode": [],
         "exec_tree": [], "exec_bytecode": [],
         "compile_cold": [], "compile_warm": [],
     }
-    digests = {}
     exec_outcomes = set()
     for round_index in range(repeats):
         backends = (
             ("tree", "bytecode") if round_index % 2 == 0
             else ("bytecode", "tree")
         )
-        for backend in backends:
-            start = time.perf_counter()
-            report = run_campaign(spec, exec_backend=backend)
-            rounds[f"campaign_{backend}"].append(time.perf_counter() - start)
-            digests[backend] = report.campaign_digest
         for backend in backends:
             interp = Interpreter(
                 mixed, step_budget=100_000_000, backend=backend
@@ -547,27 +527,16 @@ def exec_backend_bench(path, repeats=3):
             compile_program(program)
         rounds["compile_warm"].append(time.perf_counter() - start)
 
-    assert len(set(digests.values())) == 1, (
-        f"campaign digests diverged across execution backends: {digests}"
-    )
     assert len(exec_outcomes) == 1, (
         f"mixed-workload outcomes diverged across backends: {exec_outcomes}"
     )
     payload = {
         "generator": "benchmarks/run_experiments.py --pr7",
-        "suite": "paper examples x (higher_order, unsound)",
         "repeats": repeats,
-        "campaign_digest": digests["bytecode"],
-        "digests_identical": True,
         "cpu_count": os.cpu_count(),
     }
     for label, samples in rounds.items():
         payload[f"{label}_seconds"] = round(statistics.median(samples), 6)
-    payload["campaign_speedup"] = round(
-        payload["campaign_tree_seconds"]
-        / max(payload["campaign_bytecode_seconds"], 1e-9),
-        3,
-    )
     payload["exec_speedup"] = round(
         payload["exec_tree_seconds"]
         / max(payload["exec_bytecode_seconds"], 1e-9),
@@ -586,11 +555,6 @@ def exec_backend_bench(path, repeats=3):
     print("| measurement | tree (s) | bytecode (s) | speedup |")
     print("|---|---|---|---|")
     print(
-        f"| paper campaign | {payload['campaign_tree_seconds']:.3f} | "
-        f"{payload['campaign_bytecode_seconds']:.3f} | "
-        f"{payload['campaign_speedup']}x |"
-    )
-    print(
         f"| mixed concrete workload | {payload['exec_tree_seconds']:.3f} | "
         f"{payload['exec_bytecode_seconds']:.3f} | "
         f"{payload['exec_speedup']}x |"
@@ -599,8 +563,7 @@ def exec_backend_bench(path, repeats=3):
     print(
         f"compile cache: cold {payload['compile_cold_seconds']:.4f}s, warm "
         f"{payload['compile_warm_seconds']:.4f}s "
-        f"({payload['compile_warm_vs_cold_speedup']}x); digest "
-        f"{payload['campaign_digest'][:16]}... identical across backends"
+        f"({payload['compile_warm_vs_cold_speedup']}x)"
     )
     print(f"BENCH JSON written to {path}")
 
@@ -612,12 +575,6 @@ def main(argv=None):
         default=None,
         metavar="FILE",
         help="write BENCH JSON (with an aggregated metrics section) to FILE",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads planning branch flips (same results at any value)",
     )
     parser.add_argument(
         "--no-cache",
@@ -660,8 +617,6 @@ def main(argv=None):
         ),
     )
     args = parser.parse_args(argv)
-    global JOBS
-    JOBS = args.jobs
     if args.pr4 is not None:
         campaign_bench(args.pr4, workers=args.workers)
         return
@@ -682,7 +637,6 @@ def main(argv=None):
         report()
     payload = {
         "generator": "benchmarks/run_experiments.py",
-        "jobs": args.jobs,
         "cache": not args.no_cache,
         "cache_hits": cache.hits if cache is not None else 0,
         "cache_misses": cache.misses if cache is not None else 0,

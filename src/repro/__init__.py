@@ -23,7 +23,7 @@ scratch:
   generation, the techniques the paper contrasts against.
 
 The supported library surface is the :mod:`repro.api` facade —
-:func:`generate_tests`, :func:`run_campaign`, :func:`replay` — documented
+:func:`generate_tests`, :class:`~repro.api.Client`, :func:`replay` — documented
 in docs/API.md.  Deeper imports keep working but are not part of the
 compatibility promise.
 
@@ -118,7 +118,6 @@ from .api import (
     SearchJob,
     generate_tests,
     replay,
-    run_campaign,
 )
 
 __version__ = "1.0.0"
@@ -187,7 +186,6 @@ __all__ = [
     # the stable facade (docs/API.md)
     "api",
     "generate_tests",
-    "run_campaign",
     "replay",
     "CampaignReport",
     "CampaignSpec",

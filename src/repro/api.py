@@ -32,12 +32,6 @@ the campaign days later — results are durable)::
     handle = client.submit("paper", priority=2, tenant="ci")
     report = handle.wait(timeout=600)
 
-:func:`run_campaign` — the pre-service one-shot entry point — still
-works and still returns the same byte-identical
-``campaign_digest``, but it is now a thin blocking wrapper over the
-local :class:`Client` and warns :class:`DeprecationWarning` once per
-process.  See docs/API.md for the migration table.
-
 Deep imports (``from repro.search.directed import DirectedSearch``, …)
 keep working, but only the names in :data:`__all__` here are covered by
 the compatibility promise documented in docs/API.md.
@@ -47,7 +41,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from .engine.merger import CampaignReport, ResultMerger
@@ -75,7 +68,6 @@ from .service.state import submission_ticket
 __all__ = [
     # functions
     "generate_tests",
-    "run_campaign",
     "replay",
     # the campaign client surface
     "Client",
@@ -398,8 +390,8 @@ class Client:
 
     Execution-environment knobs (``workers``, ``cache_dir``,
     ``telemetry``, supervision) live on the client; per-campaign
-    choices (the spec, ``scheduler``/``jobs``/``exec_backend``
-    overrides, ``priority``, ``tenant``) live on :meth:`submit`.
+    choices (the spec, the ``scheduler`` override, ``priority``,
+    ``tenant``) live on :meth:`submit`.
     """
 
     def __init__(
@@ -448,8 +440,6 @@ class Client:
         tenant: str = "default",
         checkpoint: Optional[str] = None,
         scheduler: Optional[str] = None,
-        jobs: Optional[int] = None,
-        exec_backend: Optional[str] = None,
         progress: Optional[Callable[[JobResult], None]] = None,
     ) -> CampaignHandle:
         """Submit one campaign; returns its handle.
@@ -457,19 +447,19 @@ class Client:
         ``spec`` is a :class:`CampaignSpec`, a dict in the same shape, a
         path to a ``.toml``/``.json`` spec file, or ``"paper"`` for the
         built-in paper-example suite.  ``scheduler`` overrides the
-        spec's scheduler list with one frontier scheduler for every job;
-        ``jobs`` sets per-search speculative planning threads;
-        ``exec_backend`` forces the execution core.  The report's
-        ``campaign_digest`` is byte-identical at every ``workers`` (and
-        ``jobs``) value, across both execution backends, under retries,
-        and — because job results are pure functions of the job and the
-        solver cache — whether the campaign ran alone or interleaved
-        with others on a service fleet.
+        spec's scheduler list with one frontier scheduler for every job.
+        The report's ``campaign_digest`` is byte-identical at every
+        ``workers`` value, under retries, and — because job results are
+        pure functions of the job and the solver cache — whether the
+        campaign ran alone or interleaved with others on a service
+        fleet.
 
-        Local mode validates and plans synchronously: a bad spec raises
-        here, not from the handle.  ``checkpoint`` and ``progress`` are
-        local-only (the service checkpoints every campaign in its own
-        state-dir slot and streams progress via the handle);
+        Local mode validates and plans synchronously: a bad spec —
+        including an unknown or out-of-range ``config`` option — raises
+        :class:`~repro.errors.ReproError` here, not from the handle.
+        ``checkpoint`` and ``progress`` are local-only (the service
+        checkpoints every campaign in its own state-dir slot and
+        streams progress via the handle);
         ``priority`` and ``tenant`` only schedule anything in service
         mode, but always participate in the content-addressed ticket.
         """
@@ -489,8 +479,6 @@ class Client:
                 priority=priority,
                 tenant=tenant,
                 scheduler=scheduler,
-                jobs=jobs,
-                exec_backend=exec_backend,
                 job_deadline=self.job_deadline,
             )
             return _RemoteHandle(inner)
@@ -499,8 +487,6 @@ class Client:
             tenant=tenant,
             checkpoint=checkpoint,
             scheduler=scheduler,
-            jobs=jobs,
-            exec_backend=exec_backend,
             progress=progress,
         )
 
@@ -524,17 +510,10 @@ class Client:
         tenant: str,
         checkpoint: Optional[str],
         scheduler: Optional[str],
-        jobs: Optional[int],
-        exec_backend: Optional[str],
         progress: Optional[Callable[[JobResult], None]],
     ) -> CampaignHandle:
-        campaign = resolve_spec(spec)
-        if scheduler is not None:
-            campaign = campaign.with_overrides(scheduler=scheduler)
-        campaign = campaign.with_overrides(
-            jobs=jobs,
-            exec_backend=exec_backend,
-            job_deadline=self.job_deadline,
+        campaign = resolve_spec(spec).with_overrides(
+            scheduler=scheduler, job_deadline=self.job_deadline
         )
         planned_jobs = BatchPlanner().expand(campaign)
         # supervision policy: the spec's job_deadline (possibly
@@ -563,10 +542,6 @@ class Client:
         options: Dict[str, object] = {}
         if scheduler is not None:
             options["scheduler"] = scheduler
-        if jobs is not None:
-            options["jobs"] = jobs
-        if exec_backend is not None:
-            options["exec_backend"] = exec_backend
         if self.job_deadline is not None:
             options["job_deadline"] = self.job_deadline
         ticket = submission_ticket(campaign.as_payload(), options, tenant)
@@ -678,70 +653,6 @@ class Client:
             # is recomputed to byte-identical content on the next run
             ContentStore(self.store_dir).gc(self.store_max_bytes)
         return report
-
-
-#: functions that have already warned this process (one-shot warnings)
-_DEPRECATED_ONCE: set = set()
-
-
-def _warn_deprecated(name: str, instead: str) -> None:
-    if name in _DEPRECATED_ONCE:
-        return
-    _DEPRECATED_ONCE.add(name)
-    warnings.warn(
-        f"{name}() is deprecated; use {instead}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_campaign(
-    spec: Union[str, CampaignSpec, Dict[str, object]],
-    *,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    checkpoint: Optional[str] = None,
-    fault_plan: str = "",
-    scheduler: Optional[str] = None,
-    jobs: Optional[int] = None,
-    exec_backend: Optional[str] = None,
-    telemetry: Optional[str] = None,
-    job_deadline: Optional[float] = None,
-    max_attempts: Optional[int] = None,
-    stall_timeout: Optional[float] = None,
-    progress: Optional[Callable[[JobResult], None]] = None,
-) -> CampaignReport:
-    """Plan, execute, and merge a batch campaign (deprecated spelling).
-
-    .. deprecated::
-        Use ``Client(...).submit(spec, ...).wait()`` — same semantics,
-        same byte-identical ``campaign_digest``, plus a handle you can
-        stream, cancel, or point at a ``repro serve`` fleet.  This
-        wrapper warns :class:`DeprecationWarning` once per process and
-        will keep working for the foreseeable future.
-
-    All parameters mean exactly what they always did; see
-    :meth:`Client.submit` and docs/API.md for the new spellings.
-    """
-    _warn_deprecated("run_campaign", "Client(...).submit(...).wait()")
-    client = Client(
-        workers=workers,
-        cache_dir=cache_dir,
-        telemetry=telemetry,
-        fault_plan=fault_plan,
-        job_deadline=job_deadline,
-        max_attempts=max_attempts,
-        stall_timeout=stall_timeout,
-    )
-    handle = client.submit(
-        spec,
-        checkpoint=checkpoint,
-        scheduler=scheduler,
-        jobs=jobs,
-        exec_backend=exec_backend,
-        progress=progress,
-    )
-    return handle.wait()
 
 
 def replay(

@@ -58,17 +58,10 @@ class RandomFuzzer:
     ranges: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     default_range: Tuple[int, int] = (-1000, 1000)
     seed: int = 0
-    #: execution core ("bytecode" | "tree"); results are identical, the
-    #: compiled backend just runs the blackbox loop faster
-    exec_backend: str = "bytecode"
 
     def run(self, max_runs: int = 1000, stop_on_first_error: bool = False) -> FuzzResult:
         rng = random.Random(self.seed)
-        interp = Interpreter(self.program, self.natives, backend=self.exec_backend)
-        if self.exec_backend == "bytecode":
-            from ..lang.bytecode import compile_program
-
-            compile_program(self.program)  # compile once, not per input
+        interp = Interpreter(self.program, self.natives)
         params = self.program.function(self.entry).params
         result = FuzzResult(coverage=BranchCoverage(self.program))
         seen_paths = set()

@@ -1,7 +1,7 @@
 """Command-line interface: test a MiniC program from the shell.
 
 Every subcommand is a thin wrapper over the :mod:`repro.api` facade
-(:func:`repro.api.generate_tests`, :func:`repro.api.run_campaign`,
+(:func:`repro.api.generate_tests`, :class:`repro.api.Client`,
 :func:`repro.api.replay`), so library and shell users hit identical code
 paths.  One module per subcommand:
 
@@ -21,7 +21,6 @@ Usage::
     python -m repro run program.minic --entry main --seed x=1,y=2
     python -m repro run program.minic --mode unsound --max-runs 50
     python -m repro run program.minic --trace events.jsonl --profile
-    python -m repro run program.minic --jobs 4            # speculative planning
     python -m repro run program.minic --scheduler coverage  # guided frontier
     python -m repro run program.minic --checkpoint ck/    # interrupt-safe search
     python -m repro run program.minic --resume ck/        # continue after a kill
@@ -29,9 +28,9 @@ Usage::
     python -m repro fuzz program.minic --runs 500 --range -100:100
     python -m repro modes program.minic --seed x=1,y=2   # compare engines
     python -m repro stats program.minic --seed x=1,y=2   # observability report
-    python -m repro bench program.minic --jobs 2          # perf + suite digest
+    python -m repro bench program.minic                   # perf + suite digest
     python -m repro campaign paper --workers 4            # batch engine
-    python -m repro campaign paper --scheduler generational --jobs 2
+    python -m repro campaign paper --scheduler generational
     python -m repro campaign suite.toml --cache-dir .repro-cache
 
 Observability flags (``run`` and ``stats``):
@@ -56,22 +55,3 @@ from __future__ import annotations
 from .main import build_parser, main
 
 __all__ = ["main", "build_parser"]
-
-
-def __getattr__(name: str):
-    # suite_digest lived here through PR 3; it is library functionality
-    # and moved to repro.search.report with the facade work
-    if name == "suite_digest":
-        import warnings
-
-        from ..search.report import suite_digest
-
-        warnings.warn(
-            "repro.cli.suite_digest moved to repro.search.report.suite_digest "
-            "(also exported as repro.api.suite_digest); the repro.cli alias "
-            "will be removed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return suite_digest
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,10 +37,7 @@ def cmd_bench(args) -> int:
             seed=seed,
             obs=obs,
             config=SearchConfig.from_options(
-                max_runs=args.max_runs,
-                jobs=args.jobs,
-                exec_backend=args.exec_backend,
-                **common.scheduler_option(args),
+                max_runs=args.max_runs, scheduler=args.scheduler
             ),
         )
 
@@ -51,8 +48,6 @@ def cmd_bench(args) -> int:
     payload = {
         "program": os.path.basename(args.program),
         "mode": args.mode,
-        "jobs": args.jobs,
-        "exec_backend": args.exec_backend,
         "cache": not args.no_cache,
         "cache_dir": getattr(args, "cache_dir", None),
         "disk_hits": disk.hits if disk is not None else 0,
@@ -124,24 +119,6 @@ def register(sub) -> None:
         default="dfs",
         choices=list(scheduler_names()),
         help="frontier scheduler (see 'run --scheduler')",
-    )
-    bench.add_argument(
-        "--frontier",
-        default=None,
-        choices=["fifo", "coverage"],
-        help="deprecated alias for --scheduler (fifo=dfs, coverage=generational)",
-    )
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads planning branch flips (same suite at any value)",
-    )
-    bench.add_argument(
-        "--exec-backend",
-        default="bytecode",
-        choices=["tree", "bytecode"],
-        help="execution core (see 'run --exec-backend')",
     )
     bench.add_argument(
         "--no-cache",

@@ -41,8 +41,6 @@ def cmd_campaign(args) -> int:
             args.spec,
             checkpoint=args.checkpoint,
             scheduler=args.scheduler,
-            jobs=args.jobs,
-            exec_backend=args.exec_backend,
             progress=_progress,
         )
         report = handle.wait()
@@ -134,24 +132,6 @@ def register(sub) -> None:
         help=(
             "override the spec's scheduler list with one frontier "
             "scheduler for every job"
-        ),
-    )
-    campaign.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=(
-            "per-search speculative planning threads (suite digests are "
-            "identical at any value)"
-        ),
-    )
-    campaign.add_argument(
-        "--exec-backend",
-        default=None,
-        choices=["tree", "bytecode"],
-        help=(
-            "override the execution core for every job (default: the "
-            "spec's config, else bytecode); digests are identical"
         ),
     )
     common.add_cache_dir_flag(campaign)

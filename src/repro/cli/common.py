@@ -30,7 +30,6 @@ __all__ = [
     "natives",
     "default_entry",
     "seed_for",
-    "scheduler_option",
     "CliObservability",
     "null_context",
     "print_profile_tables",
@@ -325,20 +324,6 @@ def default_entry(program, requested: Optional[str]) -> str:
 def seed_for(program, entry: str, seed: Dict[str, int]) -> Dict[str, int]:
     params = program.function(entry).params
     return {p: seed.get(p, 0) for p in params}
-
-
-def scheduler_option(args) -> Dict[str, object]:
-    """The frontier-scheduler option the flags ask for.
-
-    ``--frontier`` is the deprecated spelling; when given it is passed
-    through as the ``frontier`` alias so SearchConfig.from_options owns
-    both the deprecation warning and the fifo->dfs / coverage->
-    generational value mapping.  Otherwise ``--scheduler`` wins.
-    """
-    frontier = getattr(args, "frontier", None)
-    if frontier:
-        return {"frontier": frontier}
-    return {"scheduler": getattr(args, "scheduler", "dfs")}
 
 
 class CliObservability:

@@ -54,14 +54,12 @@ def cmd_run(args) -> int:
                 obs=cli_obs.obs,
                 config=SearchConfig.from_options(
                     max_runs=args.max_runs,
-                    jobs=args.jobs,
+                    scheduler=args.scheduler,
                     checkpoint_dir=checkpoint_dir,
                     checkpoint_every=args.checkpoint_every,
                     resume_from=args.resume,
-                    exec_backend=args.exec_backend,
                     job_deadline=args.job_deadline,
                     seed_corpus=seed_corpus,
-                    **common.scheduler_option(args),
                 ),
                 _search_hook=_capture_store,
             )
@@ -119,27 +117,6 @@ def register(sub) -> None:
         help=(
             "frontier scheduler: dfs (paper order), generational "
             "(SAGE-style), coverage (flip-target guided); see docs/SEARCH.md"
-        ),
-    )
-    run.add_argument(
-        "--frontier",
-        default=None,
-        choices=["fifo", "coverage"],
-        help="deprecated alias for --scheduler (fifo=dfs, coverage=generational)",
-    )
-    run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads planning branch flips (same suite at any value)",
-    )
-    run.add_argument(
-        "--exec-backend",
-        default="bytecode",
-        choices=["tree", "bytecode"],
-        help=(
-            "execution core: bytecode (compiled register VM, default) or "
-            "tree (recursive AST walk); suites are byte-identical"
         ),
     )
     run.add_argument("--corpus", default=None, help="save generated tests to JSON")

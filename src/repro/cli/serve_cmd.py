@@ -103,8 +103,6 @@ def cmd_submit(args) -> int:
         priority=args.priority,
         tenant=args.tenant,
         scheduler=args.scheduler,
-        jobs=args.jobs,
-        exec_backend=args.exec_backend,
         job_deadline=args.job_deadline,
     )
     record = handle.record()
@@ -284,18 +282,6 @@ def register(sub) -> None:
         default=None,
         choices=list(scheduler_names()),
         help="override the spec's scheduler list for every job",
-    )
-    submit.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="per-search speculative planning threads (digest-neutral)",
-    )
-    submit.add_argument(
-        "--exec-backend",
-        default=None,
-        choices=["tree", "bytecode"],
-        help="override the execution core for every job (digest-neutral)",
     )
     submit.add_argument(
         "--wait",

@@ -234,8 +234,6 @@ def _queued_jobs(state, record) -> int:
 
         spec = CampaignSpec.from_payload(record.spec).with_overrides(
             scheduler=record.options.get("scheduler"),
-            jobs=record.options.get("jobs"),
-            exec_backend=record.options.get("exec_backend"),
             job_deadline=record.options.get("job_deadline"),
         )
         return len(BatchPlanner().expand(spec))

@@ -45,10 +45,10 @@ def plan_validity(
 
     Deterministic in (the structure of) ``request`` and ``samples``: no
     probe runs, no store access, no shared mutable state — which is what
-    lets the parallel frontier expander speculate it on worker threads
-    against an imported copy of the request.  ``budget`` scopes a
-    :class:`~repro.solver.budget.SolverBudget` over the validity check
-    (the degradation ladder escalates it for deferred retries).
+    lets the search kernel solve it against an imported copy of the
+    request (:func:`repro.search.kernel.generate_imported`).  ``budget``
+    scopes a :class:`~repro.solver.budget.SolverBudget` over the validity
+    check (the degradation ladder escalates it for deferred retries).
     """
     alt = alternate_constraint(tm, request.conditions, request.index)
     checker = ValidityChecker(

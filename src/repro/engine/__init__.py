@@ -1,13 +1,13 @@
 """The batch engine: multi-process campaigns over many search jobs.
 
-PR 2's frontier expander parallelized *within* one search, but Python
-threads cannot beat serial wall time on CPU-bound solver work; campaigns
-over many programs are embarrassingly parallel *across* searches, so this
-package distributes whole search jobs over worker **processes** instead —
-the standard recipe for scaling concolic testing to program suites.
+Python threads cannot beat serial wall time on CPU-bound solver work, so
+one search runs serially; campaigns over many programs are
+embarrassingly parallel *across* searches, so this package distributes
+whole search jobs over worker **processes** — the standard recipe for
+scaling concolic testing to program suites, and the only parallel axis.
 
 Three stages, composable or driven together by
-:func:`repro.api.run_campaign` / ``repro campaign``:
+:class:`repro.api.Client` / ``repro campaign``:
 
 - :class:`~repro.engine.planner.BatchPlanner` expands a declarative
   :class:`~repro.engine.planner.CampaignSpec` (TOML/JSON file, the

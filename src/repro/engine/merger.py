@@ -4,8 +4,8 @@ The merge is **order-insensitive by construction**: whatever order the
 pool finished jobs in, :class:`ResultMerger` sorts them by job key before
 folding, so the merged corpus, crash buckets, ladder stats, aggregated
 metrics, and above all the **campaign digest** are byte-identical at any
-``--workers`` value — the same determinism discipline PR 2 established
-for ``--jobs`` and PR 3 for checkpoint/resume, one level up.
+``--workers`` value — the same determinism discipline checkpoint/resume
+holds within one search, one level up.
 
 The campaign digest is a SHA-256 over ``(key, ok, suite_digest | error)``
 per job in sorted-key order.  It deliberately excludes timings, cache

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..errors import ReproError
 from ..lang.parser import parse_program
+from ..search.directed import SearchConfig
 from ..search.scheduler import SCHEDULERS, scheduler_names
 from ..symbolic.concolic import ConcretizationMode
 
@@ -216,29 +217,18 @@ class CampaignSpec:
     def with_overrides(
         self,
         scheduler: Optional[str] = None,
-        jobs: Optional[int] = None,
-        exec_backend: Optional[str] = None,
         job_deadline: Optional[float] = None,
     ) -> "CampaignSpec":
         """A copy with CLI-style overrides folded in; never mutates self.
 
-        ``scheduler`` replaces the scheduler list wholesale; the rest
-        land in ``config`` where every job's SearchConfig picks them up
-        (``job_deadline`` is also what the supervisor's parent-side
-        defensive timeout keys off).
+        ``scheduler`` replaces the scheduler list wholesale;
+        ``job_deadline`` lands in ``config`` where every job's
+        SearchConfig picks it up (it is also what the supervisor's
+        parent-side defensive timeout keys off).
         """
-        if (
-            scheduler is None
-            and jobs is None
-            and exec_backend is None
-            and job_deadline is None
-        ):
+        if scheduler is None and job_deadline is None:
             return self
         overrides: Dict[str, object] = {}
-        if jobs:
-            overrides["jobs"] = jobs
-        if exec_backend is not None:
-            overrides["exec_backend"] = exec_backend
         if job_deadline is not None:
             overrides["job_deadline"] = float(job_deadline)
         return CampaignSpec(
@@ -301,6 +291,16 @@ class BatchPlanner:
             raise ReproError(
                 f"campaign schedulers {spec.schedulers!r} repeat an entry"
             )
+        base_config = dict(spec.config)
+        base_config.setdefault("max_runs", spec.max_runs)
+        try:
+            # every job's config is this plus its scheduler: a bad option
+            # fails the whole submission here, not each job at run time
+            SearchConfig.from_options(
+                **dict(base_config, scheduler=schedulers[0])
+            )
+        except (ReproError, TypeError, ValueError) as exc:
+            raise ReproError(f"campaign config: {exc}") from None
         jobs: List[SearchJob] = []
         seen_names: set = set()
         for prog in spec.programs:
@@ -335,8 +335,6 @@ class BatchPlanner:
                 param: given_seed.get(param, 0)
                 for param in program.function(entry).params
             }
-            base_config = dict(spec.config)
-            base_config.setdefault("max_runs", spec.max_runs)
             for strategy in strategies:
                 for scheduler in schedulers:
                     config = dict(base_config)

@@ -14,8 +14,6 @@ solver     :class:`~repro.errors.ResourceLimitError` at the start of an
            exercises the degradation ladder
 interp     :class:`~repro.errors.StepBudgetExceeded` at the start of a
            concolic run — exercises crash containment
-worker     ``RuntimeError`` inside a speculative flip plan on a worker
-           thread — exercises the serial-recompute fallback
 scheduler  ``RuntimeError`` when the frontier scheduler picks the next
            pending run — exercises the kernel's FIFO containment
            fallback (see :meth:`repro.search.kernel.SearchKernel.schedule`)
@@ -47,7 +45,7 @@ service    :class:`~repro.errors.SearchInterrupted` inside the campaign
 
 A plan is a set of per-site rules, parsed from a compact spec string::
 
-    solver:rate=0.2,seed=7;interp:at=3;worker:at=1;journal:at=2;kill:at=25
+    solver:rate=0.2,seed=7;interp:at=3;journal:at=2;kill:at=25
 
 Rule forms (per site, exactly one):
 
@@ -97,7 +95,6 @@ __all__ = [
 SITES = (
     "solver",
     "interp",
-    "worker",
     "worker-proc",
     "scheduler",
     "journal",
@@ -160,7 +157,7 @@ def _fault_error(site: str) -> Exception:
         return ResourceLimitError(marker)
     if site == "interp":
         return StepBudgetExceeded(marker)
-    if site in ("worker", "worker-proc", "scheduler", "pool"):
+    if site in ("worker-proc", "scheduler", "pool"):
         return RuntimeError(marker)
     if site == "hang":
         # never raised in practice: the hang site wedges instead of
@@ -176,8 +173,8 @@ def _fault_error(site: str) -> Exception:
 class FaultPlan:
     """A seeded set of :class:`FaultRule` objects plus per-site counters.
 
-    Counters are lock-protected (the solver site is hit from worker
-    threads) and snapshot/restorable so an interrupted search can resume
+    Counters are lock-protected (a plan may be consulted from more than
+    one thread) and snapshot/restorable so an interrupted search can resume
     with its fault sequence intact.
     """
 

@@ -85,8 +85,8 @@ class RunJournal:
         self._flush_every = max(1, int(flush_every))
         self._seq = 0
         self._closed = False
-        #: solver layers emit from worker threads during speculative flip
-        #: planning; the lock keeps seq assignment and line writes whole
+        #: a journal may be shared by several threads; the lock keeps seq
+        #: assignment and line writes whole
         self._lock = threading.Lock()
 
     # -- emission ----------------------------------------------------------

@@ -45,9 +45,10 @@ __all__ = [
 class Counter:
     """A monotonically increasing integer metric.
 
-    Increments are lock-protected: the parallel frontier expander records
-    solver metrics from worker threads, and ``+=`` on an attribute is not
-    atomic under the interpreter.
+    Increments are lock-protected: a registry may be shared by several
+    threads (a local campaign runs on a background thread next to its
+    caller), and ``+=`` on an attribute is not atomic under the
+    interpreter.
     """
 
     __slots__ = ("name", "value", "_lock")
@@ -141,7 +142,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     # -- instrument access -------------------------------------------------
-    # create-on-first-use is lock-protected so two worker threads racing on
+    # create-on-first-use is lock-protected so two threads racing on
     # a new name cannot each create (and partially lose) an instrument
 
     def counter(self, name: str) -> Counter:

@@ -20,7 +20,6 @@ from .directed import (
 )
 from .kernel import SearchKernel, SearchState
 from .minimize import MinimizationResult, minimize_error_inputs
-from .parallel import FrontierExpander
 from .report import render_report, suite_digest
 from .scheduler import (
     CoverageScheduler,
@@ -37,7 +36,6 @@ __all__ = [
     "CheckpointWriter",
     "ReplayCursor",
     "CrashReport",
-    "FrontierExpander",
     "FrontierItem",
     "FrontierScheduler",
     "DfsScheduler",

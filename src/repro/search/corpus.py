@@ -143,7 +143,6 @@ class TestCorpus:
         program: Program,
         entry_fn: str,
         natives: Optional[NativeRegistry] = None,
-        exec_backend: str = "bytecode",
     ) -> ReplayReport:
         """Re-execute every stored test; report outcome drift.
 
@@ -152,11 +151,7 @@ class TestCorpus:
         executor is built (and the program compiled) once, outside the
         per-entry loop.
         """
-        interp = Interpreter(program, natives, backend=exec_backend)
-        if exec_backend == "bytecode":
-            from ..lang.bytecode import compile_program
-
-            compile_program(program)  # compile once, not per entry
+        interp = Interpreter(program, natives)
         report = ReplayReport()
         for entry in self._entries:
             run = interp.run(entry_fn, entry.input_dict())

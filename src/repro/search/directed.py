@@ -39,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError, SearchInterrupted
 from ..faults import current_fault_plan
@@ -86,9 +86,6 @@ class SearchConfig:
     #: new branch outcomes first), or "coverage" (prefer flips whose
     #: branch targets are still uncovered)
     scheduler: str = "dfs"
-    #: worker threads planning branch flips speculatively; the generated
-    #: suite is identical for every value (see :mod:`repro.search.parallel`)
-    jobs: int = 1
     #: directory to persist checkpoints into (None disables checkpointing)
     checkpoint_dir: Optional[str] = None
     #: flush the advisory checkpoint snapshots every N runs (the decision
@@ -104,12 +101,6 @@ class SearchConfig:
     #: :class:`~repro.errors.SearchInterrupted`), so the partial suite is
     #: salvaged and — under a campaign supervisor — the job is retried
     job_deadline: float = 0.0
-    #: execution core: "bytecode" compiles the program once and runs both
-    #: the concrete and symbolic sides off a flat instruction stream
-    #: (:mod:`repro.lang.bytecode`); "tree" keeps the recursive AST walk
-    #: as the differential reference.  Suites and digests are byte-
-    #: identical between the two (CI-gated).
-    exec_backend: str = "bytecode"
     #: extra seed input vectors executed right after the primary seed,
     #: before any flipping (cross-campaign corpus seeding: the engine
     #: fills this from the shared store's ``corpus/`` namespace when
@@ -118,24 +109,6 @@ class SearchConfig:
     #: default) reproduces the classic single-seed search exactly.
     seed_corpus: Tuple[Dict[str, int], ...] = ()
 
-    #: legacy keyword spellings accepted (once, with a warning) by
-    #: :meth:`from_options` — kept so pre-facade call sites don't break
-    _OPTION_ALIASES = {
-        "stop_on_error": "stop_on_first_error",
-        "threads": "jobs",
-        "frontier": "scheduler",
-        "frontier_policy": "scheduler",
-        "checkpoint": "checkpoint_dir",
-        "resume": "resume_from",
-    }
-
-    #: legacy *values* of the frontier/frontier_policy aliases, mapped onto
-    #: the scheduler that reproduces their behaviour exactly
-    _SCHEDULER_VALUE_ALIASES = {
-        "fifo": "dfs",
-        "coverage": "generational",
-    }
-
     @classmethod
     def from_options(cls, **options: object) -> "SearchConfig":
         """Build a validated config from keyword options.
@@ -143,43 +116,16 @@ class SearchConfig:
         This is the one supported constructor for callers outside the
         package (the :mod:`repro.api` facade, the CLI, and the benchmark
         drivers all go through it): unknown keys raise :class:`TypeError`
-        instead of being silently dropped, values are range-checked, and
-        the legacy keyword aliases that drifted into ad-hoc call sites
-        (``stop_on_error``, ``threads``, ``frontier``, ``frontier_policy``,
-        ``checkpoint``, ``resume``) keep working behind a one-shot
-        :class:`DeprecationWarning`.  The old ``frontier`` *values* map
-        onto the scheduler with identical behaviour: ``fifo`` → ``dfs``,
-        ``coverage`` → ``generational``.
+        instead of being silently dropped, and values are range-checked.
         """
-        import warnings
-
-        known = {f.name for f in dataclasses.fields(cls) if not f.name.startswith("_")}
-        resolved: Dict[str, object] = {}
-        for key, value in options.items():
-            canonical = cls._OPTION_ALIASES.get(key, key)
-            if canonical != key:
-                if key not in _WARNED_ALIASES:
-                    _WARNED_ALIASES.add(key)
-                    warnings.warn(
-                        f"SearchConfig option {key!r} is deprecated; "
-                        f"use {canonical!r}",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
-                if key in ("frontier", "frontier_policy"):
-                    value = cls._SCHEDULER_VALUE_ALIASES.get(str(value), value)
-            if canonical not in known:
+        known = {f.name for f in dataclasses.fields(cls)}
+        for key in options:
+            if key not in known:
                 raise TypeError(
                     f"unknown SearchConfig option {key!r} "
                     f"(known: {', '.join(sorted(known))})"
                 )
-            if canonical in resolved:
-                raise TypeError(
-                    f"SearchConfig option {canonical!r} given twice "
-                    f"(alias collision)"
-                )
-            resolved[canonical] = value
-        config = cls(**resolved)  # type: ignore[arg-type]
+        config = cls(**options)  # type: ignore[arg-type]
         config.validate()
         return config
 
@@ -187,8 +133,6 @@ class SearchConfig:
         """Range-check the tunables; returns self for chaining."""
         if self.max_runs < 1:
             raise ReproError(f"max_runs must be >= 1 (got {self.max_runs})")
-        if self.jobs < 1:
-            raise ReproError(f"jobs must be >= 1 (got {self.jobs})")
         if self.scheduler not in SCHEDULERS:
             raise ReproError(
                 f"unknown scheduler {self.scheduler!r} "
@@ -213,11 +157,6 @@ class SearchConfig:
             raise ReproError(
                 f"job_deadline must be >= 0 (got {self.job_deadline})"
             )
-        if self.exec_backend not in ("tree", "bytecode"):
-            raise ReproError(
-                f"unknown exec_backend {self.exec_backend!r} "
-                "(allowed: tree, bytecode)"
-            )
         try:
             self.seed_corpus = tuple(
                 {str(k): int(v) for k, v in dict(vector).items()}
@@ -229,10 +168,6 @@ class SearchConfig:
                 f"(got {self.seed_corpus!r})"
             )
         return self
-
-
-#: aliases already warned about this process (one warning per spelling)
-_WARNED_ALIASES: Set[str] = set()
 
 
 @dataclass
@@ -438,13 +373,7 @@ class DirectedSearch:
         from ..core.hotg import HigherOrderBackend
 
         tm = manager if manager is not None else TermManager()
-        engine = ConcolicEngine(
-            program,
-            natives,
-            mode,
-            tm,
-            exec_backend=(config or SearchConfig()).exec_backend,
-        )
+        engine = ConcolicEngine(program, natives, mode, tm)
         store = store if store is not None else SampleStore()
         if mode is ConcretizationMode.HIGHER_ORDER:
             backend: TestGenBackend = HigherOrderBackend(

@@ -24,9 +24,9 @@ snapshot is written into every checkpoint's advisory ``state.json``.
 Stage boundaries are refactoring seams, not behaviour changes: under the
 ``dfs`` scheduler the kernel reproduces the pre-kernel monolith's suite
 byte-for-byte (CI gates the paper-suite digest on it), and the
-determinism contracts of the parallel expander (any ``--jobs``), the
-checkpoint replay (kill → resume), and the degradation ladder all hold
-for every scheduler (docs/SEARCH.md spells out the contract).
+determinism contracts of the checkpoint replay (kill → resume) and the
+degradation ladder hold for every scheduler (docs/SEARCH.md spells out
+the contract).
 
 Every stage is also a **profiling span**: the kernel opens a tracer span
 per stage (labels ``execute``, ``derive``, ``schedule``, ``generate``,
@@ -66,6 +66,7 @@ from ..symbolic.concolic import ConcolicResult, PathCondition
 from ..core.post import negatable_indices
 from ..core.samples import SampleStore
 from .backends import (
+    ExistentialBackend,
     GeneratedTest,
     GenerationRequest,
     QuantifierFreeBackend,
@@ -73,10 +74,9 @@ from .backends import (
 )
 from .checkpoint import CheckpointWriter, ReplayCursor
 from .directed import CrashReport, ErrorReport, ExecutionRecord, SearchResult
-from .parallel import FrontierExpander, PlannedRecord
 from .scheduler import FrontierItem, FrontierScheduler
 
-__all__ = ["SearchKernel", "SearchState"]
+__all__ = ["SearchKernel", "SearchState", "generate_imported", "import_request"]
 
 #: sentinel: the flip was queued for the end-of-search retry phase
 _DEFERRED = object()
@@ -110,6 +110,88 @@ def _var_names(term: Term) -> Set[str]:
             names.add(t.name)
         stack.extend(t.args)
     return names
+
+
+def import_request(
+    request: GenerationRequest,
+    local: Optional[TermManager] = None,
+    cache: Optional[Dict[Term, Term]] = None,
+) -> Tuple[TermManager, GenerationRequest]:
+    """Deep-copy ``request`` into ``local`` (a fresh :class:`TermManager`
+    by default).
+
+    Path-condition terms and input variables are imported (function symbols
+    stay shared — they are immutable and identity-keyed everywhere), so
+    term ids in the copy depend only on the request's structure, never on
+    what the engine's manager interned before.  Subterms already in
+    ``cache`` (mapping to terms of ``local``) are replaced, not imported.
+    """
+    local = local if local is not None else TermManager()
+    cache = cache if cache is not None else {}
+    conditions = [
+        dataclasses.replace(pc, term=local.import_term(pc.term, cache))
+        for pc in request.conditions
+    ]
+    input_vars = {
+        name: local.import_term(var, cache)
+        for name, var in request.input_vars.items()
+    }
+    return local, GenerationRequest(
+        conditions=conditions,
+        index=request.index,
+        input_vars=input_vars,
+        defaults=dict(request.defaults),
+    )
+
+
+def generate_imported(
+    backend: TestGenBackend, request: GenerationRequest
+) -> Optional[GeneratedTest]:
+    """Full-strength generation for one flip, solved on a private manager.
+
+    The three known backends solve an :func:`import_request` copy, so
+    solver term ids — and with them SAT variable order and the models
+    found — are a function of the request alone (the pinned digests
+    depend on it):
+
+    - quantifier-free and existential backends are rebuilt on the copy's
+      manager without a prefix session;
+    - the higher-order backend plans validity on the copy against the
+      live sample store, then finishes on itself (records the verdict,
+      concretizes, probes).
+
+    Matching is by exact type: a subclass may override ``generate`` with
+    logic this dispatch would skip, so it — like any other backend —
+    runs ``generate`` on the shared manager.
+    """
+    from ..core import hotg  # deferred: core imports search
+
+    kind = type(backend)
+    if kind is hotg.HigherOrderBackend:
+        local_tm, local_request = import_request(request)
+        # called through the module so a rebinding of hotg.plan_validity
+        # (instrumentation) sees every call
+        verdict = hotg.plan_validity(
+            local_tm,
+            local_request,
+            backend.store.samples(),
+            use_antecedent=backend.use_antecedent,
+            max_candidates=backend.max_candidates,
+        )
+        return backend.apply_plan(request, verdict)
+    if kind is QuantifierFreeBackend:
+        local_tm, local_request = import_request(request)
+        solver = QuantifierFreeBackend(
+            local_tm, retain_defaults=backend.retain_defaults, use_session=False
+        )
+    elif kind is ExistentialBackend:
+        local_tm, local_request = import_request(request)
+        solver = ExistentialBackend(local_tm, use_session=False)
+    else:
+        return backend.generate(request)
+    generated = solver.generate(local_request)
+    backend.solver_calls += solver.solver_calls
+    return generated
 
 
 @dataclass
@@ -250,24 +332,15 @@ class SearchKernel:
 
     def search(self, seed_inputs: Dict[str, int]) -> None:
         """Run the staged pipeline from the seed until the frontier drains."""
-        result = self.result
         if self.config.job_deadline:
             self._deadline = time.monotonic() + self.config.job_deadline
         self._begin_replay()
-        expander = FrontierExpander(
-            self.backend,
-            self.config.jobs,
-            scheduler=self.state.scheduler.name,
-        )
         try:
-            self._expand(seed_inputs, expander)
+            self._expand(seed_inputs)
         finally:
             self._end_replay()
-            expander.shutdown()
 
-    def _expand(
-        self, seed_inputs: Dict[str, int], expander: FrontierExpander
-    ) -> None:
+    def _expand(self, seed_inputs: Dict[str, int]) -> None:
         result = self.result
         state = self.state
         scheduler = state.scheduler
@@ -292,26 +365,20 @@ class SearchKernel:
                     f"kernel.iterations.{scheduler.name}"
                 ).inc()
             item = self.schedule()
-            record, start = item.record, item.start
+            record = item.record
             flip_order = scheduler.order_flips(record, item.indices)
             conditions = record.result.path_conditions
-            requests = [
-                GenerationRequest(
+            for i in flip_order:
+                if result.runs >= self.config.max_runs:
+                    break
+                request = GenerationRequest(
                     conditions=list(conditions),
                     index=i,
                     input_vars=dict(record.result.input_vars),
                     defaults=dict(record.result.inputs),
                 )
-                for i in flip_order
-            ]
-            # replay skips all solving, so speculative planning would only
-            # burn worker time (and fault-site counters) for nothing
-            planned = expander.plan_record(requests, speculate=self._replay is None)
-            for k, i in enumerate(flip_order):
-                if result.runs >= self.config.max_runs:
-                    break
                 with self.obs.tracer.span("generate") as gen_span:
-                    outcome = self.solve_flip(planned, k, requests[k], record, i)
+                    outcome = self.solve_flip(request, record)
                 result.time_generating += gen_span.elapsed
                 self._observe_stage("generate", gen_span.elapsed)
                 self._observe_cache()
@@ -422,14 +489,7 @@ class SearchKernel:
 
     # -- stage 4: solve (replay + degradation ladder) ------------------------
 
-    def solve_flip(
-        self,
-        planned: PlannedRecord,
-        k: int,
-        request: GenerationRequest,
-        record: ExecutionRecord,
-        i: int,
-    ):
+    def solve_flip(self, request: GenerationRequest, record: ExecutionRecord):
         """Inputs for one flip, via the decision log (resume) or the ladder.
 
         Returns a :class:`GeneratedTest`, None (no test for this flip),
@@ -437,6 +497,7 @@ class SearchKernel:
         (the run budget is exhausted; end the search gracefully).
         """
         result = self.result
+        i = request.index
         if self._replay is not None:
             entry = self._replay.take(record.index, i)
             if entry is not None:
@@ -448,7 +509,7 @@ class SearchKernel:
         result.solver_calls += 1
         self._probe_log = []
         try:
-            generated, rung = self._run_ladder(planned, k, request, record, i)
+            generated, rung = self._run_ladder(request, record.index)
         except RunBudgetExhausted:
             # a multi-step probe ran out of execution budget: the strategy
             # is over, but everything produced so far stands
@@ -465,12 +526,7 @@ class SearchKernel:
         return generated
 
     def _run_ladder(
-        self,
-        planned: PlannedRecord,
-        k: int,
-        request: GenerationRequest,
-        record: ExecutionRecord,
-        i: int,
+        self, request: GenerationRequest, parent: int
     ) -> Tuple[Optional[GeneratedTest], str]:
         """The solver degradation ladder for one flip.
 
@@ -480,13 +536,13 @@ class SearchKernel:
         or with UNSAT — ends the ladder.
         """
         try:
-            return planned.produce(k), "full"
+            return generate_imported(self.backend, request), "full"
         except RunBudgetExhausted:
             raise
         except ResourceLimitError:
             pass
         for rung, pin in (("sound", True), ("unsound", False)):
-            self._count_downgrade(rung, record.index, i)
+            self._count_downgrade(rung, parent, request.index)
             try:
                 with use_budget(DEGRADED_BUDGET):
                     generated = self._degraded_generate(request, pin=pin)
@@ -539,16 +595,9 @@ class SearchKernel:
                 if pin:
                     for arg in app.args:
                         pin_names.update(_var_names(arg))
-        conditions = [
-            dataclasses.replace(pc, term=local.import_term(pc.term, cache))
-            for pc in request.conditions
-        ]
-        input_vars = {
-            name: local.import_term(var, cache)
-            for name, var in request.input_vars.items()
-        }
-        index = request.index
+        _, degraded = import_request(request, local, cache)
         if pin:
+            input_vars = degraded.input_vars
             pins = [
                 PathCondition(
                     term=local.mk_eq(
@@ -559,14 +608,8 @@ class SearchKernel:
                 for name in sorted(pin_names)
                 if name in input_vars and name in request.defaults
             ]
-            conditions = pins + conditions
-            index += len(pins)
-        degraded = GenerationRequest(
-            conditions=conditions,
-            index=index,
-            input_vars=input_vars,
-            defaults=dict(request.defaults),
-        )
+            degraded.conditions = pins + degraded.conditions
+            degraded.index += len(pins)
         solver = QuantifierFreeBackend(local, retain_defaults=True, use_session=False)
         generated = solver.generate(degraded)
         if generated is None:

@@ -44,7 +44,6 @@ def minimize_error_inputs(
     natives: Optional[NativeRegistry] = None,
     targets: Optional[Dict[str, int]] = None,
     max_runs: int = 200,
-    exec_backend: str = "bytecode",
 ) -> MinimizationResult:
     """Shrink ``inputs`` while preserving the error they trigger.
 
@@ -53,11 +52,7 @@ def minimize_error_inputs(
     one bug for another.  One executor is built (and the program
     compiled) once for the whole shrink loop.
     """
-    interp = Interpreter(program, natives, backend=exec_backend)
-    if exec_backend == "bytecode":
-        from ..lang.bytecode import compile_program
-
-        compile_program(program)  # compile once, not per trial run
+    interp = Interpreter(program, natives)
     baseline = interp.run(entry, dict(inputs))
     if not baseline.error:
         raise ValueError("minimize_error_inputs requires error-triggering inputs")

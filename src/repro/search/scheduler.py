@@ -29,7 +29,7 @@ Three schedulers ship:
 
 Every scheduler is deterministic — selection is a pure function of the
 pushed items and (for ``coverage``) the coverage set, both of which
-evolve identically at any ``--jobs`` value — and serializable:
+evolve identically on every run of the same search — and serializable:
 :meth:`~FrontierScheduler.state` snapshots the pending queue for the
 checkpoint's advisory ``state.json``, and :meth:`~FrontierScheduler.restore`
 rebuilds it.  Checkpoint *replay* does not need the snapshot (replaying
@@ -86,8 +86,8 @@ class FrontierScheduler:
     as a position into the insertion-ordered queue) and optionally
     :meth:`order_flips` (the order to attempt one record's candidate
     flips).  Both must be deterministic functions of scheduler state —
-    no wall clock, no RNG — so suites stay byte-identical across
-    ``--jobs`` values and checkpoint resumes.
+    no wall clock, no RNG — so suites stay byte-identical across reruns
+    and checkpoint resumes.
     """
 
     name = "base"

@@ -150,13 +150,11 @@ class ServiceClient:
         priority: int = 0,
         tenant: str = "default",
         scheduler: Optional[str] = None,
-        jobs: Optional[int] = None,
-        exec_backend: Optional[str] = None,
         job_deadline: Optional[float] = None,
     ) -> ServiceHandle:
         """Enqueue a campaign; returns its handle immediately.
 
-        ``spec`` accepts everything :func:`repro.api.run_campaign` did:
+        ``spec`` accepts everything :meth:`repro.api.Client.submit` does:
         a :class:`~repro.engine.planner.CampaignSpec`, a payload dict,
         the literal ``"paper"``, or a spec-file path.  Identical
         submissions (same spec, options, tenant) dedup onto the
@@ -166,10 +164,6 @@ class ServiceClient:
         options: Dict[str, object] = {}
         if scheduler is not None:
             options["scheduler"] = scheduler
-        if jobs is not None:
-            options["jobs"] = jobs
-        if exec_backend is not None:
-            options["exec_backend"] = exec_backend
         if job_deadline is not None:
             options["job_deadline"] = job_deadline
         record, _created = self.state.submit(

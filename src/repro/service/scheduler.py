@@ -143,10 +143,11 @@ class ServiceScheduler(JobLeaseSource):
         """Plan a queued/recovered submission onto the fleet."""
         directory = self.state.campaign_dir(record.ticket)
         try:
+            # only these two options are read: records written by older
+            # versions may carry the removed thread-count and
+            # execution-core options, which were digest-neutral
             spec = CampaignSpec.from_payload(record.spec).with_overrides(
                 scheduler=record.options.get("scheduler"),  # type: ignore[arg-type]
-                jobs=record.options.get("jobs"),  # type: ignore[arg-type]
-                exec_backend=record.options.get("exec_backend"),  # type: ignore[arg-type]
                 job_deadline=record.options.get("job_deadline"),  # type: ignore[arg-type]
             )
             jobs = BatchPlanner().expand(spec)

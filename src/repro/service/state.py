@@ -118,7 +118,7 @@ class SubmissionRecord:
     status: str = "queued"
     #: CampaignSpec payload (see CampaignSpec.as_payload)
     spec: Dict[str, object] = field(default_factory=dict)
-    #: per-submission overrides: scheduler, jobs, exec_backend, job_deadline
+    #: per-submission overrides: scheduler, job_deadline
     options: Dict[str, object] = field(default_factory=dict)
     #: why a failed submission failed (planning error, bad spec, ...)
     error: str = ""

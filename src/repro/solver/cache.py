@@ -16,8 +16,8 @@ Only **stateless** solves are cached: a fresh :class:`~repro.solver.smt.Solver`
 re-encodes its query from scratch, so its answer is a pure function of the
 canonical key.  A hit therefore returns exactly what a cold solve would
 have computed, which makes cache *population order* unobservable — the
-property the parallel frontier expander relies on for reproducible output
-regardless of worker count.  Incremental sessions
+property campaigns rely on for reproducible output regardless of worker
+count and of what a shared disk cache already holds.  Incremental sessions
 (:mod:`repro.solver.session`) carry solver state across queries and are
 deliberately **not** routed through this cache.
 

@@ -1,5 +1,5 @@
 """Tests for the stable API surface (repro.api), the batch engine behind
-``repro campaign``, the persistent disk cache, and the deprecation shims.
+``repro campaign``, the persistent disk cache, and the surface snapshots.
 
 These are contract tests: they pin the facade's ``__all__``, the campaign
 CLI flag set, and the determinism/robustness promises documented in
@@ -9,7 +9,6 @@ reaches a user.
 
 import json
 import os
-import warnings
 
 import pytest
 
@@ -21,7 +20,6 @@ from repro.engine import BatchPlanner, CampaignSpec
 from repro.errors import ReproError
 from repro.search import SearchConfig
 from repro.search.corpus import TestCorpus as Corpus
-from repro.search.report import suite_digest
 from repro.solver.cache import CachedResult, QueryCache
 from repro.solver.diskcache import DISKCACHE_FORMAT, DiskCache
 
@@ -111,8 +109,8 @@ class TestGenerateTests:
 class TestRunCampaign:
     def test_digest_identical_across_worker_counts(self):
         spec = _tiny_spec()
-        serial = api.run_campaign(spec, workers=1)
-        pooled = api.run_campaign(spec, workers=2)
+        serial = api.Client(workers=1).submit(spec).wait()
+        pooled = api.Client(workers=2).submit(spec).wait()
         assert len(serial.jobs) == 4
         assert serial.campaign_digest == pooled.campaign_digest
         assert [j.key for j in serial.jobs] == [j.key for j in pooled.jobs]
@@ -120,8 +118,8 @@ class TestRunCampaign:
     def test_disk_cache_warm_run_hits(self, tmp_path):
         spec = _tiny_spec()
         cache_dir = str(tmp_path / "cache")
-        cold = api.run_campaign(spec, workers=1, cache_dir=cache_dir)
-        warm = api.run_campaign(spec, workers=1, cache_dir=cache_dir)
+        cold = api.Client(workers=1, cache_dir=cache_dir).submit(spec).wait()
+        warm = api.Client(workers=1, cache_dir=cache_dir).submit(spec).wait()
         assert cold.campaign_digest == warm.campaign_digest
         assert cold.cache_totals()["disk_stores"] > 0
         totals = warm.cache_totals()
@@ -130,8 +128,10 @@ class TestRunCampaign:
 
     def test_worker_proc_kill_is_contained_and_digest_stable(self):
         spec = _tiny_spec()
-        clean = api.run_campaign(spec, workers=1)
-        chaotic = api.run_campaign(spec, workers=1, fault_plan="worker-proc:at=1")
+        clean = api.Client(workers=1).submit(spec).wait()
+        chaotic = api.Client(workers=1, fault_plan="worker-proc:at=1").submit(
+            spec,
+        ).wait()
         assert chaotic.killed_workers == 1
         assert sum(1 for j in chaotic.jobs if j.killed_worker) == 1
         assert chaotic.campaign_digest == clean.campaign_digest
@@ -139,9 +139,9 @@ class TestRunCampaign:
     def test_checkpoint_resume_skips_finished_jobs(self, tmp_path):
         spec = _tiny_spec()
         ckpt = str(tmp_path / "ckpt")
-        first = api.run_campaign(spec, workers=1, checkpoint=ckpt)
+        first = api.Client(workers=1).submit(spec, checkpoint=ckpt).wait()
         assert first.resumed_jobs == 0
-        second = api.run_campaign(spec, workers=1, checkpoint=ckpt)
+        second = api.Client(workers=1).submit(spec, checkpoint=ckpt).wait()
         assert second.resumed_jobs == len(first.jobs)
         assert second.campaign_digest == first.campaign_digest
 
@@ -232,14 +232,13 @@ class TestDiskCache:
         assert cache.hits == 2
 
 
-# -- surface snapshots and deprecation shims --------------------------------
+# -- surface snapshots --------------------------------------------------------
 
 
 class TestSurfaceContracts:
     def test_api_all_snapshot(self):
         assert api.__all__ == [
             "generate_tests",
-            "run_campaign",
             "replay",
             "Client",
             "CampaignHandle",
@@ -259,8 +258,9 @@ class TestSurfaceContracts:
         ]
         for name in api.__all__:
             assert getattr(api, name) is not None
-        for name in ("generate_tests", "run_campaign", "replay", "api"):
+        for name in ("generate_tests", "replay", "api"):
             assert hasattr(repro, name)
+        assert not hasattr(api, "run_campaign")
 
     def test_campaign_help_flag_snapshot(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -284,34 +284,30 @@ class TestSurfaceContracts:
         with pytest.raises(TypeError, match="not_an_option"):
             SearchConfig.from_options(not_an_option=1)
 
-    def test_from_options_resolves_deprecated_aliases(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # the one-shot warning may have fired already in this process;
-            # force a fresh alias so the DeprecationWarning is observable
-            from repro.search import directed
+    @pytest.mark.parametrize("option", ["jobs", "exec_backend", "threads"])
+    def test_from_options_rejects_removed_options(self, option):
+        with pytest.raises(TypeError, match=option):
+            SearchConfig.from_options(**{option: 2})
 
-            directed._WARNED_ALIASES.discard("stop_on_error")
-            with pytest.raises(DeprecationWarning):
-                SearchConfig.from_options(stop_on_error=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            config = SearchConfig.from_options(stop_on_error=True, max_runs=3)
-        assert config.stop_on_first_error is True
-        assert config.max_runs == 3
-
-    def test_cli_suite_digest_alias_warns_but_works(self):
-        import repro.cli as cli
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            alias = cli.suite_digest
-        assert alias is suite_digest
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        with pytest.raises(AttributeError):
-            cli.no_such_attribute
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "prog.minic", "--jobs", "2"],
+            ["run", "prog.minic", "--exec-backend", "tree"],
+            ["run", "prog.minic", "--frontier", "fifo"],
+            ["bench", "prog.minic", "--jobs", "2"],
+            ["bench", "prog.minic", "--frontier", "fifo"],
+            ["campaign", "paper", "--jobs", "2"],
+            ["campaign", "paper", "--exec-backend", "tree"],
+            ["submit", "--state-dir", "svc", "paper", "--jobs", "2"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_removed_cli_flags_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_campaign_cli_end_to_end(self, tmp_path, capsys):
         code = main(["campaign", "paper", "--quiet", "--expect-errors"])

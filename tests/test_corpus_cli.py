@@ -157,11 +157,3 @@ class TestCli:
 
     def test_default_entry_is_main(self, program_file, capsys):
         assert main(["run", program_file, "--seed", "x=33,y=42"]) == 0
-
-    def test_coverage_frontier_flag(self, program_file):
-        assert main(
-            [
-                "run", program_file, "--seed", "x=33,y=42",
-                "--frontier", "coverage",
-            ]
-        ) == 0

@@ -1,4 +1,4 @@
-"""The PR-2 solver performance layer: sessions, query cache, parallel planner.
+"""The solver performance layer: sessions, query cache, flip solving.
 
 Three cooperating pieces, each with a determinism obligation:
 
@@ -6,8 +6,8 @@ Three cooperating pieces, each with a determinism obligation:
    what a fresh solver would (same sat/unsat; verified models);
 2. :mod:`repro.solver.cache` — canonical-key hits must be indistinguishable
    from cold solves, so cache population order is unobservable;
-3. :mod:`repro.search.parallel` — the directed search must generate a
-   byte-identical suite at every ``--jobs`` value.
+3. :func:`repro.search.kernel.generate_imported` — each flip is solved on
+   a private term manager whose ids depend only on the request.
 """
 
 import random
@@ -19,7 +19,7 @@ from repro.lang import NativeRegistry, parse_program
 from repro.lang.randprog import generate_program
 from repro.obs import MetricsRegistry, use_registry
 from repro.search import DirectedSearch, SearchConfig
-from repro.search.parallel import FrontierExpander, import_request
+from repro.search.kernel import generate_imported, import_request
 from repro.search.request import GeneratedTest, GenerationRequest
 from repro.solver import (
     PrefixSession,
@@ -227,7 +227,7 @@ class TestSolverSession:
         assert counters["solver.session.pop"] >= 1
 
 
-# -- the parallel frontier expander ------------------------------------------
+# -- flip solving on an imported request --------------------------------------
 
 FOO = """
 int main(int x, int y) {
@@ -241,11 +241,11 @@ int main(int x, int y) {
 """
 
 
-def _suite(source, entry, natives, seed_inputs, mode, jobs, cache=True, max_runs=60):
+def _suite(source, entry, natives, seed_inputs, mode, cache=True, max_runs=60):
     with use_cache(QueryCache() if cache else None):
         search = DirectedSearch.for_mode(
             parse_program(source), entry, natives, mode,
-            SearchConfig(max_runs=max_runs, jobs=jobs),
+            SearchConfig(max_runs=max_runs),
         )
         res = search.run(dict(seed_inputs))
     return (
@@ -277,32 +277,6 @@ class TestParallelDeterminism:
         local_app = local.mk_app(h, [copy.input_vars["y"]])
         assert local_app.fn is h  # symbols shared, terms private
 
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_foo_suite_identical_across_jobs(self, jobs):
-        base = _suite(
-            FOO, "main", natives_with_hash(), {"x": 3, "y": 5},
-            ConcretizationMode.HIGHER_ORDER, 1,
-        )
-        other = _suite(
-            FOO, "main", natives_with_hash(), {"x": 3, "y": 5},
-            ConcretizationMode.HIGHER_ORDER, jobs,
-        )
-        assert base == other
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_program_suite_identical_across_jobs(self, seed):
-        rp = generate_program(3000 + seed)
-        seeds = rp.random_inputs(random.Random(seed))
-        base = _suite(
-            rp.source, rp.entry, rp.natives(), seeds,
-            ConcretizationMode.HIGHER_ORDER, 1,
-        )
-        other = _suite(
-            rp.source, rp.entry, rp.natives(), dict(seeds),
-            ConcretizationMode.HIGHER_ORDER, 2,
-        )
-        assert base == other
-
     # seed band hand-picked to avoid generated programs whose *cold*
     # searches hit multi-minute solver queries (the cache exists for a
     # reason, but tier-1 must stay fast)
@@ -315,11 +289,11 @@ class TestParallelDeterminism:
         # reason), and this property only needs agreement, not depth
         cold = _suite(
             rp.source, rp.entry, rp.natives(), seeds,
-            ConcretizationMode.HIGHER_ORDER, 1, cache=False, max_runs=12,
+            ConcretizationMode.HIGHER_ORDER, cache=False, max_runs=12,
         )
         warm = _suite(
             rp.source, rp.entry, rp.natives(), dict(seeds),
-            ConcretizationMode.HIGHER_ORDER, 1, cache=True, max_runs=12,
+            ConcretizationMode.HIGHER_ORDER, cache=True, max_runs=12,
         )
         assert cold == warm
 
@@ -336,18 +310,12 @@ class TestParallelDeterminism:
                 return GeneratedTest(inputs={"x": request.index})
 
         backend = OddBackend()
-        expander = FrontierExpander(backend, jobs=4)
-        try:
-            assert expander._pool is None  # nothing to speculate safely
-            request = GenerationRequest(
-                conditions=[], index=7, input_vars={}, defaults={}
-            )
-            planned = expander.plan_record([request])
-            test = planned.produce(0)
-            assert test.inputs == {"x": 7}
-            assert backend.calls == [7]
-        finally:
-            expander.shutdown()
+        request = GenerationRequest(
+            conditions=[], index=7, input_vars={}, defaults={}
+        )
+        test = generate_imported(backend, request)
+        assert test.inputs == {"x": 7}
+        assert backend.calls == [7]
 
 
 class TestProbeDedupe:

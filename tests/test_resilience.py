@@ -108,10 +108,9 @@ int f(int x, int y) {
 """
 
 
-def chain_search(checkpoint_dir=None, resume_from=None, jobs=1, max_runs=60):
+def chain_search(checkpoint_dir=None, resume_from=None, max_runs=60):
     config = SearchConfig(
         max_runs=max_runs,
-        jobs=jobs,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=2,
         resume_from=resume_from,
@@ -139,6 +138,9 @@ class TestFaultPlanParsing:
     def test_unknown_site_rejected(self):
         with pytest.raises(FaultPlanError):
             FaultPlan.parse("disk:at=1")
+        # the speculative-planning site went with threaded flip planning
+        with pytest.raises(FaultPlanError):
+            FaultPlan.parse("worker:at=1")
 
     def test_bad_option_rejected(self):
         with pytest.raises(FaultPlanError):
@@ -182,7 +184,6 @@ class TestFaultPlanFiring:
         cases = [
             ("solver", ResourceLimitError),
             ("interp", StepBudgetExceeded),
-            ("worker", RuntimeError),
             ("journal", OSError),
             ("checkpoint", OSError),
             ("kill", SearchInterrupted),
@@ -425,26 +426,25 @@ class TestCheckpointWriteTolerance:
 
 
 class TestResumeDeterminism:
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("kill_at", [2, 5])
-    def test_resumed_suite_matches_uninterrupted(self, tmp_path, jobs, kill_at):
-        baseline = chain_search(jobs=jobs).run(dict(CHAIN_SEED))
+    def test_resumed_suite_matches_uninterrupted(self, tmp_path, kill_at):
+        baseline = chain_search().run(dict(CHAIN_SEED))
         expected = suite_digest(baseline)
 
         ckpt = str(tmp_path / "ckpt")
         spec = f"kill:at={kill_at}"
         with use_fault_plan(FaultPlan.parse(spec)):
             with pytest.raises(SearchInterrupted) as info:
-                chain_search(checkpoint_dir=ckpt, jobs=jobs).run(dict(CHAIN_SEED))
+                chain_search(checkpoint_dir=ckpt).run(dict(CHAIN_SEED))
         assert info.value.checkpoint_dir == ckpt
         assert isinstance(info.value.partial_result, SearchResult)
 
         # resuming under the *same* plan must not re-fire the one-shot
         # kill: the checkpoint restored its invocation counters
         with use_fault_plan(FaultPlan.parse(spec)):
-            resumed = chain_search(
-                checkpoint_dir=ckpt, resume_from=ckpt, jobs=jobs
-            ).run(dict(CHAIN_SEED))
+            resumed = chain_search(checkpoint_dir=ckpt, resume_from=ckpt).run(
+                dict(CHAIN_SEED)
+            )
         assert resumed.replayed_decisions > 0
         assert suite_digest(resumed) == expected
 

@@ -124,7 +124,7 @@ class TestServiceState:
         payload = _spec().as_payload()
         base = submission_ticket(payload, {}, "t")
         assert submission_ticket(payload, {}, "t") == base
-        assert submission_ticket(payload, {"jobs": 2}, "t") != base
+        assert submission_ticket(payload, {"scheduler": "coverage"}, "t") != base
         assert submission_ticket(payload, {}, "u") != base
 
 
@@ -206,6 +206,17 @@ class TestSchedulerPolicy:
         assert bad.status == "failed"
         assert bad.error
 
+    @pytest.mark.parametrize("config", [{"bogus": 2}, {"max_runs": 0}])
+    def test_bad_config_fails_the_submission_not_its_jobs(
+        self, tmp_path, config
+    ):
+        state, sched = _scheduler(tmp_path)
+        bad, _ = state.submit(CampaignSpec.paper_suite(config=config).as_payload())
+        assert sched.lease() is None
+        record = [r for r in state.records() if r.ticket == bad.ticket][0]
+        assert record.status == "failed"
+        assert "campaign config" in record.error
+
 
 # -- end to end: shared fleet, byte-identical digests ------------------------
 
@@ -235,6 +246,24 @@ class TestServiceEndToEnd:
         assert _serve_until_idle(str(tmp_path / "state")) == 0
         fresh = ServiceClient(str(tmp_path / "state"))
         assert fresh.handle(handle.ticket[:10]).result().campaign_digest == digest
+
+    def test_legacy_record_options_still_activate(self, tmp_path):
+        """A submission persisted before ``jobs``/``exec_backend`` were
+        removed (killed mid-campaign, so still "running") activates on a
+        restarted server and reproduces the standalone paper digest."""
+        state_dir = str(tmp_path / "state")
+        state = ServiceState(state_dir)
+        record, _ = state.submit(
+            CampaignSpec.paper_suite().as_payload(),
+            options={"jobs": 2, "exec_backend": "tree"},
+        )
+        record.status = "running"
+        state.update(record)
+        standalone = api.Client().submit("paper").wait()
+        assert _serve_until_idle(state_dir) == len(standalone.jobs)
+        handle = ServiceClient(state_dir).handle(record.ticket)
+        assert handle.status() == "done"
+        assert handle.result().campaign_digest == standalone.campaign_digest
 
     def test_cancel_before_serve_finalizes_cancelled(self, tmp_path):
         client = ServiceClient(str(tmp_path / "state"))
@@ -320,24 +349,11 @@ class TestClientApi:
         with pytest.raises(ReproError):
             api.Client().handle("f" * 64)
 
-    def test_run_campaign_is_deprecated_thin_wrapper(self):
-        import warnings
-
-        api._DEPRECATED_ONCE.discard("run_campaign")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = api.run_campaign(_spec(max_runs=10))
-            api.run_campaign(_spec(max_runs=10))
-        assert (
-            sum(
-                issubclass(w.category, DeprecationWarning)
-                and "run_campaign" in str(w.message)
-                for w in caught
-            )
-            == 1  # one-shot per process
-        )
-        direct = api.Client().submit(_spec(max_runs=10)).wait()
-        assert legacy.campaign_digest == direct.campaign_digest
+    @pytest.mark.parametrize("config", [{"bogus": 2}, {"max_runs": 0}])
+    def test_local_bad_config_raises_synchronously(self, config):
+        spec = CampaignSpec.paper_suite(config=config)
+        with pytest.raises(ReproError, match="campaign config"):
+            api.Client(workers=1).submit(spec)
 
     def test_client_checkpoint_resume_skips_finished_jobs(self, tmp_path):
         ckpt = str(tmp_path / "ckpt")

@@ -211,15 +211,14 @@ class TestAttemptLedger:
 class TestRetry:
     def test_hang_retry_digest_identical_across_workers(self):
         spec = _spec()
-        clean = api.run_campaign(spec, workers=1)
+        clean = api.Client(workers=1).submit(spec).wait()
         for workers in (1, 2):
-            chaotic = api.run_campaign(
-                spec,
+            chaotic = api.Client(
                 workers=workers,
                 fault_plan="hang:at=1",
                 job_deadline=2.0,
                 max_attempts=2,
-            )
+            ).submit(spec).wait()
             assert chaotic.campaign_digest == clean.campaign_digest
             assert chaotic.retried_jobs == 1
             assert not chaotic.quarantined_jobs
@@ -228,35 +227,35 @@ class TestRetry:
         spec = _spec()
         deadline = 2.0
         start = time.monotonic()
-        report = api.run_campaign(
-            spec,
+        report = api.Client(
             workers=1,
             fault_plan="hang:at=1",
             job_deadline=deadline,
             max_attempts=2,
-        )
+        ).submit(spec).wait()
         elapsed = time.monotonic() - start
         assert elapsed < len(report.jobs) * deadline + 10.0
         assert not report.quarantined_jobs
 
     def test_pool_break_recovers_with_identical_digest(self):
         spec = _spec()
-        clean = api.run_campaign(spec, workers=1)
+        clean = api.Client(workers=1).submit(spec).wait()
         for workers in (1, 2):
-            chaotic = api.run_campaign(
-                spec, workers=workers, fault_plan="pool:at=2", max_attempts=2
-            )
+            chaotic = api.Client(
+                workers=workers,
+                fault_plan="pool:at=2",
+                max_attempts=2,
+            ).submit(spec).wait()
             assert chaotic.campaign_digest == clean.campaign_digest
             assert chaotic.retried_jobs == 1
 
     def test_retried_job_reports_attempts(self):
-        report = api.run_campaign(
-            _spec(),
+        report = api.Client(
             workers=1,
             fault_plan="hang:at=1",
             job_deadline=1.0,
             max_attempts=2,
-        )
+        ).submit(_spec()).wait()
         retried = [j for j in report.jobs if j.attempts > 1]
         assert len(retried) == 1
         assert retried[0].attempts == 2
@@ -277,13 +276,12 @@ class TestRetry:
 
 class TestQuarantine:
     def test_exhausted_attempts_quarantine_not_crash(self):
-        report = api.run_campaign(
-            _spec(),
+        report = api.Client(
             workers=1,
             fault_plan="hang:at=1",
             job_deadline=0.5,
             max_attempts=1,
-        )
+        ).submit(_spec()).wait()
         assert len(report.quarantined_jobs) == 1
         poisoned = [j for j in report.jobs if j.quarantined]
         assert len(poisoned) == 1
@@ -305,9 +303,10 @@ class TestQuarantine:
         ckpt.record_attempt(
             jobs[0].key, 2, "stalled", error="no heartbeat for 1s"
         )
-        report = api.run_campaign(
-            spec, workers=1, checkpoint=ckpt_dir, max_attempts=2
-        )
+        report = api.Client(workers=1, max_attempts=2).submit(
+            spec,
+            checkpoint=ckpt_dir,
+        ).wait()
         assert report.quarantined_jobs == [jobs[0].key]
         poisoned = [j for j in report.jobs if j.quarantined]
         assert "stalled" in poisoned[0].error
@@ -355,28 +354,27 @@ class TestWatchdog:
         # without shards to tail the watchdog would silently never arm;
         # the flag the operator asked for must not be inert
         with pytest.raises(ReproError, match="telemetry"):
-            api.run_campaign(
-                _spec(n_programs=1), workers=2, stall_timeout=1.0
-            )
+            api.Client(workers=2, stall_timeout=1.0).submit(
+                _spec(n_programs=1),
+            ).wait()
 
     def test_stall_timeout_zero_without_telemetry_is_fine(self):
         # an explicit 0 means "watchdog off" — nothing to reject
-        report = api.run_campaign(
-            _spec(n_programs=1), workers=1, stall_timeout=0.0
-        )
+        report = api.Client(workers=1, stall_timeout=0.0).submit(
+            _spec(n_programs=1),
+        ).wait()
         assert report.jobs
 
     def test_stall_watchdog_reclaims_wedged_worker(self, tmp_path):
         spec = _spec()
-        clean = api.run_campaign(spec, workers=1)
-        report = api.run_campaign(
-            spec,
+        clean = api.Client(workers=1).submit(spec).wait()
+        report = api.Client(
             workers=2,
             fault_plan="hang:at=1",  # no deadline: only the watchdog helps
             stall_timeout=1.5,
             max_attempts=2,
             telemetry=str(tmp_path / "telemetry"),
-        )
+        ).submit(spec).wait()
         assert report.campaign_digest == clean.campaign_digest
         assert report.stalled_jobs == 1
         assert report.pool_rebuilds >= 1
@@ -463,7 +461,10 @@ class TestGracefulShutdown:
         request_interrupt("SIGTERM")
         try:
             with pytest.raises(SearchInterrupted) as excinfo:
-                api.run_campaign(_spec(), workers=1, checkpoint=ckpt_dir)
+                api.Client(workers=1).submit(
+                    _spec(),
+                    checkpoint=ckpt_dir,
+                ).wait()
         finally:
             clear_interrupt()
         assert "SIGTERM" in str(excinfo.value)
@@ -484,7 +485,9 @@ class TestGracefulShutdown:
     def test_sigterm_campaign_exits_3_and_resume_matches(self, tmp_path):
         spec_path = _write_spec(tmp_path)
         ckpt_dir = str(tmp_path / "ckpt")
-        clean = api.run_campaign(CampaignSpec.load(spec_path), workers=1)
+        clean = api.Client(workers=1).submit(
+            CampaignSpec.load(spec_path),
+        ).wait()
         # second job wedges on an injected hang with a long deadline, so
         # the campaign is alive when SIGTERM lands
         proc = subprocess.Popen(
@@ -518,9 +521,10 @@ class TestGracefulShutdown:
         assert "resume with:" in stderr
         assert "--checkpoint" in stderr
         # resume (the hang was transient) completes with the clean digest
-        resumed = api.run_campaign(
-            CampaignSpec.load(spec_path), workers=1, checkpoint=ckpt_dir
-        )
+        resumed = api.Client(workers=1).submit(
+            CampaignSpec.load(spec_path),
+            checkpoint=ckpt_dir,
+        ).wait()
         assert resumed.campaign_digest == clean.campaign_digest
         assert resumed.resumed_jobs >= 1
 
@@ -528,7 +532,9 @@ class TestGracefulShutdown:
     def test_parent_sigkill_resume_digest_identical(self, tmp_path, workers):
         spec_path = _write_spec(tmp_path)
         ckpt_dir = str(tmp_path / f"ckpt-{workers}")
-        clean = api.run_campaign(CampaignSpec.load(spec_path), workers=1)
+        clean = api.Client(workers=1).submit(
+            CampaignSpec.load(spec_path),
+        ).wait()
         proc = subprocess.Popen(
             REPRO
             + [
@@ -557,12 +563,10 @@ class TestGracefulShutdown:
                 proc.wait()
         # resume without the fault: remaining jobs run, finished jobs are
         # skipped, and the digest matches an uninterrupted campaign
-        resumed = api.run_campaign(
+        resumed = api.Client(workers=workers, max_attempts=2).submit(
             CampaignSpec.load(spec_path),
-            workers=workers,
             checkpoint=ckpt_dir,
-            max_attempts=2,
-        )
+        ).wait()
         assert resumed.campaign_digest == clean.campaign_digest
         # no double counting: at most one result line per key, and no
         # job burned more attempts than the budget allows
@@ -588,9 +592,10 @@ class TestGracefulShutdown:
         CampaignCheckpoint(ckpt_dir).record_attempt(
             jobs[0].key, 1, "deadline", error="deadline exceeded after 2 runs"
         )
-        report = api.run_campaign(
-            spec, workers=1, checkpoint=ckpt_dir, max_attempts=2
-        )
+        report = api.Client(workers=1, max_attempts=2).submit(
+            spec,
+            checkpoint=ckpt_dir,
+        ).wait()
         done = {j.key: j for j in report.jobs}
         assert done[jobs[0].key].ok
         assert done[jobs[0].key].attempts == 2  # continued, not restarted

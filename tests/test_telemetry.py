@@ -178,8 +178,10 @@ class TestShardShipping:
 class TestCampaignTelemetry:
     def test_digest_identical_with_telemetry_on_and_off(self, tmp_path):
         spec = _tiny_spec()
-        plain = api.run_campaign(spec)
-        shipped = api.run_campaign(spec, telemetry=str(tmp_path / "t1"))
+        plain = api.Client().submit(spec).wait()
+        shipped = api.Client(telemetry=str(tmp_path / "t1")).submit(
+            spec,
+        ).wait()
         assert shipped.campaign_digest == plain.campaign_digest
         assert shipped.telemetry_dir == str(tmp_path / "t1")
         assert shipped.journal_events > 0
@@ -190,7 +192,9 @@ class TestCampaignTelemetry:
         streams = {}
         for workers in (1, 2):
             d = str(tmp_path / f"w{workers}")
-            report = api.run_campaign(spec, workers=workers, telemetry=d)
+            report = api.Client(workers=workers, telemetry=d).submit(
+                spec,
+            ).wait()
             events = load_journal(os.path.join(d, CAMPAIGN_JOURNAL))
             # the deterministic skeleton: ordering and content, not timings
             streams[workers] = [
@@ -201,7 +205,10 @@ class TestCampaignTelemetry:
 
     def test_rollup_folds_shards_and_checkpoint(self, tmp_path):
         d = str(tmp_path / "camp")
-        report = api.run_campaign(_tiny_spec(), checkpoint=d, telemetry=d)
+        report = api.Client(telemetry=d).submit(
+            _tiny_spec(),
+            checkpoint=d,
+        ).wait()
         stats = CampaignStats()
         assert stats.fold_checkpoint(d) == len(report.jobs)
         for job, event in ShardReader(d).poll():
@@ -216,8 +223,8 @@ class TestCampaignTelemetry:
 
     def test_disk_cache_rollup_in_report_payload(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        api.run_campaign(_tiny_spec(), cache_dir=cache_dir)  # warm
-        report = api.run_campaign(_tiny_spec(), cache_dir=cache_dir)  # hit
+        api.Client(cache_dir=cache_dir).submit(_tiny_spec()).wait()  # warm
+        report = api.Client(cache_dir=cache_dir).submit(_tiny_spec()).wait()  # hit
         disk = report.disk_cache_stats()
         assert disk["hits"] > 0
         assert disk["hit_rate"] == pytest.approx(
@@ -235,14 +242,11 @@ class TestCampaignTelemetry:
         self, tmp_path
     ):
         spec = _tiny_spec()
-        baseline = api.run_campaign(spec)
+        baseline = api.Client().submit(spec).wait()
         d = str(tmp_path / "faulty")
-        report = api.run_campaign(
-            spec,
-            workers=2,
-            telemetry=d,
-            fault_plan="journal:at=2",
-        )
+        report = api.Client(
+            workers=2, telemetry=d, fault_plan="journal:at=2"
+        ).submit(spec).wait()
         assert report.campaign_digest == baseline.campaign_digest
         assert all(j.ok for j in report.jobs)
         # every job's journal hit the injected OSError, disabled itself,
@@ -340,7 +344,7 @@ class TestExporters:
 
     def test_chrome_trace_round_trip(self, tmp_path):
         d = str(tmp_path)
-        api.run_campaign(_tiny_spec(max_runs=6), telemetry=d)
+        api.Client(telemetry=d).submit(_tiny_spec(max_runs=6)).wait()
         events = load_journal(os.path.join(d, CAMPAIGN_JOURNAL))
         trace = journal_to_chrome_trace(events)
         text = json.dumps(trace)  # must be JSON-serializable
@@ -386,7 +390,10 @@ class TestStatsCli:
     @pytest.fixture()
     def campaign_dir(self, tmp_path):
         d = str(tmp_path / "camp")
-        api.run_campaign(_tiny_spec(max_runs=6), checkpoint=d, telemetry=d)
+        api.Client(telemetry=d).submit(
+            _tiny_spec(max_runs=6),
+            checkpoint=d,
+        ).wait()
         return d
 
     def test_stats_accepts_campaign_directory(self, campaign_dir, capsys):
