@@ -516,14 +516,9 @@ class Client:
             scheduler=scheduler, job_deadline=self.job_deadline
         )
         planned_jobs = BatchPlanner().expand(campaign)
-        # supervision policy: the spec's job_deadline (possibly
-        # overridden above) also drives the parent's defensive timeouts
+        # supervision policy; the parent's defensive timeouts key off
+        # each job's own deadline (the spec's, possibly overridden above)
         policy_kwargs: Dict[str, object] = {}
-        effective_deadline = float(
-            campaign.config.get("job_deadline", 0.0) or 0.0  # type: ignore[arg-type]
-        )
-        if effective_deadline:
-            policy_kwargs["job_deadline"] = effective_deadline
         if self.max_attempts is not None:
             policy_kwargs["max_attempts"] = int(self.max_attempts)
         if self.stall_timeout is not None:
@@ -629,10 +624,6 @@ class Client:
             killed_workers=runner.killed_workers,
             resumed_jobs=len(saved),
             retried_jobs=supervisor.retries if supervisor is not None else 0,
-            quarantined_jobs=(
-                supervisor.quarantined_jobs if supervisor is not None else ()
-            ),
-            stalled_jobs=supervisor.stalled_jobs if supervisor is not None else 0,
             pool_rebuilds=(
                 supervisor.pool_rebuilds if supervisor is not None else 0
             ),

@@ -131,27 +131,31 @@ def add_supervision_flags(
     parser,
     deadline_default: Optional[float] = None,
     retry_flags: bool = True,
+    deadline: bool = True,
 ) -> None:
-    """The supervision policy group: deadline, and (for campaign-style
-    commands) the retry/watchdog knobs.
+    """The supervision policy group: the per-job deadline, and (for
+    commands that run a fleet) the retry/watchdog knobs.
 
-    ``repro run`` supervises a single search, so it only takes the
-    deadline (``retry_flags=False``); campaign-style commands
-    (``campaign``, ``serve``) add ``--max-attempts``/``--stall-timeout``.
+    The deadline belongs to the work, so it is spelled where the work is
+    defined: ``run``, ``campaign`` and ``submit`` take it, ``serve``
+    does not (``deadline=False``).  Fleet-running commands
+    (``campaign``, ``serve``) add ``--max-attempts``/``--stall-timeout``;
+    ``run`` and ``submit`` pass ``retry_flags=False``.
     """
     group = parser.add_argument_group("supervision")
-    group.add_argument(
-        "--job-deadline",
-        type=float,
-        default=deadline_default,
-        metavar="SECONDS",
-        help=(
-            "per-job wall-clock deadline, enforced cooperatively inside "
-            "the search and defensively by the parent; a blown deadline "
-            "salvages the partial suite"
-            + (" and retries the job" if retry_flags else "; exits 3")
-        ),
-    )
+    if deadline:
+        group.add_argument(
+            "--job-deadline",
+            type=float,
+            default=deadline_default,
+            metavar="SECONDS",
+            help=(
+                "per-job wall-clock deadline, enforced cooperatively "
+                "inside the search and defensively by the parent; a "
+                "blown deadline salvages the partial suite"
+                + (" and retries the job" if retry_flags else "; exits 3")
+            ),
+        )
     if not retry_flags:
         return
     group.add_argument(

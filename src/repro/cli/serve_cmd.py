@@ -64,7 +64,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         fault_plan=args.fault_plan or "",
-        job_deadline=args.job_deadline,
         max_attempts=args.max_attempts,
         stall_timeout=args.stall_timeout,
         default_quota=default_quota,
@@ -241,7 +240,7 @@ def register(sub) -> None:
     )
     common.add_cache_dir_flag(serve)
     common.add_store_flags(serve)
-    common.add_supervision_flags(serve)
+    common.add_supervision_flags(serve, deadline=False)
     common.add_fault_plan_flag(
         serve,
         extra=(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .runner import JobResult
 
@@ -262,10 +262,13 @@ class ResultMerger:
         killed_workers: int = 0,
         resumed_jobs: int = 0,
         retried_jobs: int = 0,
-        quarantined_jobs: Optional[Sequence[str]] = None,
-        stalled_jobs: int = 0,
         pool_rebuilds: int = 0,
     ) -> CampaignReport:
+        """Fold ``results`` into one report.
+
+        Quarantines and stalls are read off the results themselves, so
+        a resumed campaign reports the ones its checkpoint carries.
+        """
         ordered = sorted(results, key=lambda r: r.key)
         keys = [r.key for r in ordered]
         if len(set(keys)) != len(keys):
@@ -277,8 +280,8 @@ class ResultMerger:
             killed_workers=killed_workers,
             resumed_jobs=resumed_jobs,
             retried_jobs=retried_jobs,
-            quarantined_jobs=sorted(quarantined_jobs or []),
-            stalled_jobs=stalled_jobs,
+            quarantined_jobs=[r.key for r in ordered if r.quarantined],
+            stalled_jobs=sum(1 for r in ordered if r.stalled),
             pool_rebuilds=pool_rebuilds,
         )
         digest = hashlib.sha256()

@@ -623,8 +623,8 @@ class ProcessPoolRunner:
         self.supervisor_config = supervisor
         #: worker-process kills contained so far (fault-injected or real)
         self.killed_workers = 0
-        #: the supervisor of the most recent :meth:`run` (its tallies —
-        #: retries, quarantines, stalls, rebuilds — feed the merger)
+        #: the supervisor of the most recent :meth:`run` (its retry and
+        #: pool-rebuild tallies feed the merger)
         self.last_supervisor = None
 
     # -- execution ---------------------------------------------------------

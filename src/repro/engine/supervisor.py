@@ -8,19 +8,23 @@ recovery ladder, cheapest reclaim first:
 1. **deadline** — the worker reclaims itself: the search kernel checks
    its wall-clock budget at every run boundary and raises
    :class:`~repro.errors.DeadlineExceeded`, salvaging the partial suite
-   (see :meth:`repro.search.kernel.SearchKernel._check_deadline`);
+   (see :meth:`repro.search.kernel.SearchKernel._check_deadline`).  The
+   deadline is the job's own (``job.config["job_deadline"]``, from
+   ``--job-deadline`` on ``campaign``/``submit``), so the parent always
+   supervises against the budget the worker actually enforces;
 2. **watchdog** — the parent reclaims a non-cooperative worker: it tails
    the telemetry shards' ``run_executed`` heartbeats and declares a job
    *stalled* after ``stall_timeout`` seconds of silence, plus a
    defensive per-future timeout of ``2 × deadline + grace`` for workers
-   wedged past even that;
+   wedged past even that.  Both clocks start when the job starts
+   running in a worker, never while it waits in the pool's queue;
 3. **retry** — a deadline-blown/killed/stalled attempt is retried up to
    ``max_attempts`` with deterministic (no-jitter) backoff.  Every
    failed attempt is persisted to the campaign checkpoint's attempt
    ledger, so a killed-and-resumed campaign continues the count instead
    of re-firing spent attempts.  Retries are **answer-preserving**: the
    dispatch-time fault decisions (``hang``, ``pool``, ``worker-proc``)
-   are consumed once per *job*, never per attempt, so a retried job
+   are consumed once per *lease*, never per attempt, so a retried job
    reproduces the fault-free result and campaign digests stay
    byte-identical at every ``--workers`` value.  Only *infrastructure*
    failures spend attempts — a job whose search fails deterministically
@@ -37,15 +41,29 @@ poisoned a genuinely broken pool is unknowable) and is re-dispatched
 without spending attempts; only the *injected* ``pool`` fault, decided
 at dispatch time, charges its target's attempt so the retry path stays
 deterministic.  Past the rebuild budget the campaign downgrades to
-in-process execution.  In-process dispatches (worker-proc containment,
-post-kill retries, the downgraded pool) block this supervision loop
-while they run, so they are deferred until nothing is in flight —
-heartbeat and timeout supervision of pooled jobs is never suspended.
+in-process execution.  In-process dispatches (a one-worker fleet,
+worker-proc containment, post-kill retries, the downgraded pool) block
+the dispatch loop while they run, so they are deferred until nothing is
+in flight — heartbeat and timeout supervision of pooled jobs is never
+suspended.
 
-Shutdown: the supervisor polls the process-wide interrupt flag
+**One loop, two entry points.**  Every job reaches the fleet as a
+:class:`JobLease` pulled from a :class:`JobLeaseSource`; how many jobs
+are in flight is the source's policy, not the loop's.
+:meth:`CampaignSupervisor.run` wraps a batch plan in a fixed source that
+leases the whole plan at once, in job order (so a batch pool is fed
+eagerly); :meth:`CampaignSupervisor.serve` takes the campaign service's
+scheduler (:mod:`repro.service`), which leases one job per free fleet
+slot from many campaigns, each lease carrying its own campaign's
+checkpoint, telemetry directory and tenant.  The watchdog tails every
+in-flight lease's telemetry directory through one
+:class:`~repro.obs.shipper.ShardReaderGroup`.
+
+Shutdown: the loop polls the process-wide interrupt flag
 (:mod:`repro.interrupt`) between dispatches.  On SIGINT/SIGTERM it
 drains in-flight jobs for ``drain_timeout`` seconds (completed results
-are checkpointed), abandons the rest, and raises
+are checkpointed), hands un-run leases back to the source
+(:meth:`JobLeaseSource.released`), and raises
 :class:`~repro.errors.SearchInterrupted` so the CLI exits 3 with a
 resume hint.  Partial results produced *by* the shutdown itself are
 discarded, never checkpointed — resume re-runs those jobs and the
@@ -54,18 +72,6 @@ resumed digest matches an uninterrupted run.
 Everything is metered (``engine.supervisor.*`` counters) and journaled
 (``job_retried`` / ``job_stalled`` / ``job_quarantined`` /
 ``pool_rebuilt`` events to the current journal).
-
-Besides the one-shot :meth:`CampaignSupervisor.run` batch mode, the
-supervisor has a **lease-driven** mode (:meth:`CampaignSupervisor.serve`)
-for the campaign service (:mod:`repro.service`): instead of a fixed job
-list it pulls :class:`JobLease` objects from a scheduler one at a time as
-fleet slots free up, so one worker fleet serves jobs interleaved from
-many campaigns, each lease carrying its own campaign's checkpoint and
-telemetry directory.  The whole recovery ladder — deadlines, watchdog
-(via a :class:`~repro.obs.shipper.ShardReaderGroup` over every in-flight
-campaign's shards), retry ledger, quarantine, pool rebuilds, graceful
-shutdown — applies unchanged per job; un-run leases are handed back to
-the scheduler on shutdown (:meth:`JobLeaseSource.released`).
 """
 
 from __future__ import annotations
@@ -102,12 +108,10 @@ class SupervisorConfig:
     #: a random variable for nothing: jobs never thundering-herd a
     #: shared resource the way clients of one server do)
     retry_backoff: float = 0.05
-    #: per-job wall-clock deadline the *parent* supervises against
-    #: (mirrors the jobs' ``SearchConfig.job_deadline``); 0 disables
-    job_deadline: float = 0.0
     #: slack added to the defensive parent-side future timeout
-    #: (``2 * job_deadline + deadline_grace``) so a worker that is
-    #: merely slow to reach its cooperative check is not shot
+    #: (``2 * job_deadline + deadline_grace``, from each job's own
+    #: deadline) so a worker that is merely slow to reach its
+    #: cooperative check is not shot
     deadline_grace: float = 5.0
     #: heartbeat silence (seconds) before the watchdog declares a worker
     #: stalled; 0 disables.  Needs telemetry shards to tail, and should
@@ -128,8 +132,6 @@ class SupervisorConfig:
             raise ReproError(
                 f"retry_backoff must be >= 0 (got {self.retry_backoff})"
             )
-        if self.job_deadline < 0:
-            raise ReproError(f"job_deadline must be >= 0 (got {self.job_deadline})")
         if self.stall_timeout < 0:
             raise ReproError(
                 f"stall_timeout must be >= 0 (got {self.stall_timeout})"
@@ -153,11 +155,12 @@ class SupervisorConfig:
 class JobLease:
     """One job granted to the fleet, with its campaign's surroundings.
 
-    The lease is the unit of the supervisor's serve-mode protocol: the
-    scheduler decides *which* job runs next (priority, fair-share,
-    quotas); the lease pins *where its side effects go* — the owning
-    campaign's attempt ledger and telemetry directory — so jobs from
-    different campaigns interleave on one fleet without sharing state.
+    The lease is the unit of the supervisor's dispatch protocol: the
+    source decides *which* job runs next (plan order, or the service's
+    priority, fair-share and quotas); the lease pins *where its side
+    effects go* — the owning campaign's attempt ledger and telemetry
+    directory — so jobs from different campaigns interleave on one
+    fleet without sharing state.
     """
 
     job: SearchJob
@@ -172,13 +175,14 @@ class JobLease:
 
 
 class JobLeaseSource:
-    """Protocol for :meth:`CampaignSupervisor.serve` schedulers.
+    """Protocol for the sources :class:`CampaignSupervisor` drives.
 
     A duck-typed base (subclassing is optional): the supervisor only
-    calls these four methods.  ``lease`` may raise
-    :class:`~repro.errors.SearchInterrupted` (e.g. the injected
-    ``service`` fault site) — the supervisor tears the fleet down and
-    lets it propagate, exactly like an operator shutdown.
+    calls these four methods.  The loop leases until ``lease`` returns
+    None, so the source alone decides how many jobs are in flight.
+    ``lease`` may raise :class:`~repro.errors.SearchInterrupted` (e.g.
+    the injected ``service`` fault site) — the supervisor tears the
+    fleet down and lets it propagate.
     """
 
     def lease(self) -> Optional[JobLease]:
@@ -186,7 +190,8 @@ class JobLeaseSource:
         raise NotImplementedError
 
     def outstanding(self) -> bool:
-        """Is there (or could there be) more work?  False ends serving."""
+        """Could there be more work to lease?  False ends the loop once
+        nothing leased is still running."""
         raise NotImplementedError
 
     def completed(self, result: JobResult) -> None:
@@ -198,12 +203,45 @@ class JobLeaseSource:
         raise NotImplementedError
 
 
+class _PlanSource(JobLeaseSource):
+    """A batch plan as a lease source: every job at once, in job order.
+
+    Eager leasing keeps a batch pool's queue full (capping it at the
+    fleet size measurably slows the 96-job paper matrix); nothing is
+    ever re-queued, because a shutdown ends a batch and its resume
+    re-plans from the checkpoint.
+    """
+
+    def __init__(self, jobs: List[SearchJob], checkpoint, telemetry_dir) -> None:
+        self.jobs = jobs
+        self._leases = deque(
+            JobLease(job, checkpoint, telemetry_dir) for job in jobs
+        )
+        self._results: Dict[str, JobResult] = {}
+
+    def lease(self) -> Optional[JobLease]:
+        return self._leases.popleft() if self._leases else None
+
+    def outstanding(self) -> bool:
+        return bool(self._leases)
+
+    def completed(self, result: JobResult) -> None:
+        self._results[result.key] = result
+
+    def released(self, job: SearchJob) -> None:
+        pass
+
+    def results(self) -> List[JobResult]:
+        """Settled results in the given job order."""
+        return [self._results[j.key] for j in self.jobs if j.key in self._results]
+
+
 class _JobState:
     """Supervision bookkeeping for one job across its attempts."""
 
     __slots__ = (
         "job",
-        "index",
+        "deadline",
         "killed",
         "kill_counted",
         "hang",
@@ -215,9 +253,8 @@ class _JobState:
         "last_outcome",
         "last_error",
         "last_partial",
-        "dispatched_at",
+        "started_at",
         "last_seen",
-        "limit_at",
         "checkpoint",
         "telemetry",
         "tenant",
@@ -226,7 +263,6 @@ class _JobState:
     def __init__(
         self,
         job: SearchJob,
-        index: int,
         killed: bool,
         hang: bool,
         pool: bool,
@@ -236,7 +272,8 @@ class _JobState:
         tenant: str = "",
     ) -> None:
         self.job = job
-        self.index = index
+        #: the job's own cooperative deadline (0 = none)
+        self.deadline = float(job.config.get("job_deadline", 0.0) or 0.0)
         #: dispatch-time ``worker-proc`` decision (legacy containment)
         self.killed = killed
         self.kill_counted = False
@@ -254,9 +291,9 @@ class _JobState:
         self.last_outcome = ""
         self.last_error = ""
         self.last_partial: Optional[JobResult] = None
-        self.dispatched_at = 0.0
+        #: when the pooled attempt started running (None while queued)
+        self.started_at: Optional[float] = None
         self.last_seen = 0.0
-        self.limit_at: Optional[float] = None
         #: where this job's results/attempts are journaled (its campaign)
         self.checkpoint = checkpoint
         #: where this job's heartbeat shards land (its campaign)
@@ -266,11 +303,11 @@ class _JobState:
 
 
 class CampaignSupervisor:
-    """Drive a batch of jobs to completion under the recovery ladder.
+    """Drive leased jobs to completion under the recovery ladder.
 
-    Built per :meth:`ProcessPoolRunner.run` call; exposes its tallies
-    (``retries``, ``quarantined_jobs``, ``stalled_jobs``,
-    ``pool_rebuilds``) for the merger to surface.
+    Built per :meth:`ProcessPoolRunner.run` / ``.serve`` call; exposes
+    ``retries`` and ``pool_rebuilds`` for the report (quarantines and
+    stalls are read off the job results themselves).
     """
 
     def __init__(
@@ -284,21 +321,22 @@ class CampaignSupervisor:
         self.checkpoint = checkpoint
         #: retry dispatches performed (attempts beyond each job's first)
         self.retries = 0
-        #: keys quarantined this run, in quarantine order
-        self.quarantined_jobs: List[str] = []
-        #: jobs the watchdog declared stalled at least once
-        self.stalled_jobs = 0
         #: pools rebuilt after a break or a wedged worker
         self.pool_rebuilds = 0
+        #: run every dispatch in-process: a one-worker fleet, or a pool
+        #: downgraded after its rebuild budget ran out
         self._serial_only = False
+        self._fleet = 1
         self._executor = None
-        self._njobs = 0
+        self._source: JobLeaseSource = _PlanSource([], None, None)
         self._progress: Optional[Callable[[JobResult], None]] = None
+        #: in-flight jobs by key, for heartbeat routing (a source never
+        #: leases one key twice at a time)
         self._by_key: Dict[str, _JobState] = {}
-        #: jobs settled (finished or quarantined) by a serve() session
+        #: jobs settled (finished or quarantined) by this supervisor
         self._settled = 0
 
-    # -- entry point -------------------------------------------------------
+    # -- entry points ------------------------------------------------------
 
     def run(
         self,
@@ -307,295 +345,69 @@ class CampaignSupervisor:
     ) -> List[JobResult]:
         """Run ``jobs`` to completion; results in the given job order.
 
-        Raises :class:`SearchInterrupted` on a requested shutdown after
-        draining; everything finished by then is checkpointed.
+        A one-worker runner, or a batch of at most one job, runs
+        in-process with no pool.  Raises :class:`SearchInterrupted` on a
+        requested shutdown after draining; everything finished by then
+        is checkpointed.
         """
         jobs = list(jobs)
-        self._njobs = len(jobs)
+        source = _PlanSource(jobs, self.checkpoint, self.runner.telemetry_dir)
         self._progress = progress
-        # dispatch-time fault decisions, one consultation per job per
-        # site in job order: a pure function of the plan, independent of
-        # pool size and attempt count — the order (worker-proc, then
-        # hang, then pool) is frozen so pre-supervisor fault plans keep
-        # firing on exactly the jobs they used to
-        plan = (
-            FaultPlan.parse(self.runner.fault_spec)
-            if self.runner.fault_spec
-            else current_fault_plan()
-        )
-        killed = [plan.should_fire("worker-proc") for _ in jobs]
-        hangs = [plan.should_fire("hang") for _ in jobs]
-        pools = [plan.should_fire("pool") for _ in jobs]
-        states = [
-            _JobState(
-                job,
-                index,
-                killed[index],
-                hangs[index],
-                pools[index],
-                spent=self.checkpoint.attempts(job.key)
-                if self.checkpoint is not None
-                else 0,
-                checkpoint=self.checkpoint,
-                telemetry=self.runner.telemetry_dir,
-            )
-            for index, job in enumerate(jobs)
-        ]
-        self._by_key = {state.job.key: state for state in states}
-        if self.runner.workers == 1 or len(jobs) <= 1:
-            for state in states:
-                self._check_shutdown()
-                self._run_serial(state)
-            return [s.result for s in states if s.result is not None]
-        return self._run_pooled(states)
-
-    # -- lease-driven entry point (the campaign service) -------------------
+        self._drive(source, min(self.runner.workers, len(jobs)))
+        return source.results()
 
     def serve(
         self,
-        source: "JobLeaseSource",
+        source: JobLeaseSource,
         progress: Optional[Callable[[JobResult], None]] = None,
     ) -> int:
         """Serve leases from ``source`` until it has nothing outstanding.
 
-        The counterpart of :meth:`run` for open-ended work: jobs are
-        pulled one :class:`JobLease` at a time as fleet slots free up
-        (which is what makes priority preemption job-granular — a
-        higher-priority campaign submitted mid-run wins the *next*
-        slot, never an occupied one), each carrying its own campaign's
-        checkpoint and telemetry directory.  Finished jobs are handed
-        to ``source.completed`` before ``progress``; a shutdown drains
-        in-flight jobs, hands un-run leases back via
-        ``source.released``, and raises :class:`SearchInterrupted`.
-        Returns the number of jobs settled this session.
+        Finished jobs are handed to ``source.completed`` before
+        ``progress``.  Returns the number of jobs settled.
         """
+        self._progress = progress
+        return self._drive(source, self.runner.workers)
 
-        def _on_result(result: JobResult) -> None:
-            source.completed(result)
-            if progress is not None:
-                progress(result)
+    # -- the dispatch loop -------------------------------------------------
 
-        self._progress = _on_result
-        self._settled = 0
-        # dispatch-time fault decisions are consulted per *lease* in
-        # lease order — the serve-mode analogue of run()'s per-job
-        # consultation (deterministic given a deterministic scheduler)
+    def _drive(self, source: JobLeaseSource, fleet: int) -> int:
+        """Lease, dispatch, collect and watch until ``source`` runs dry."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from ..obs.shipper import ShardReaderGroup
+
+        cfg = self.config
+        # dispatch-time fault decisions, one consultation per lease per
+        # site in lease order (job order for a batch) — independent of
+        # pool size and attempt count
         plan = (
             FaultPlan.parse(self.runner.fault_spec)
             if self.runner.fault_spec
             else current_fault_plan()
         )
-        # size the pool for the fleet, not for the first lease
-        self._njobs = self.runner.workers
-        if self.runner.workers == 1:
-            self._serve_serial(source, plan)
-        else:
-            self._serve_pooled(source, plan)
-        return self._settled
-
-    def _lease_state(self, source, plan) -> Optional[_JobState]:
-        """Pull one lease and wrap it in supervision bookkeeping."""
-        lease = source.lease()
-        if lease is None:
-            return None
-        job = lease.job
-        checkpoint = lease.checkpoint
-        state = _JobState(
-            job,
-            len(self._by_key),
-            plan.should_fire("worker-proc"),
-            plan.should_fire("hang"),
-            plan.should_fire("pool"),
-            spent=checkpoint.attempts(job.key) if checkpoint is not None else 0,
-            checkpoint=checkpoint,
-            telemetry=lease.telemetry_dir,
-            tenant=lease.tenant,
-        )
-        # heartbeat routing for the watchdog; the scheduler guarantees a
-        # key is leased by at most one campaign at a time, so the map is
-        # unambiguous (entries are dropped again once the job settles)
-        self._by_key[job.key] = state
-        return state
-
-    def _settle_hook(self, state: _JobState) -> None:
-        """Bookkeeping common to finish and quarantine: the job no
-        longer needs heartbeat routing, and serve sessions count it."""
-        self._by_key.pop(state.job.key, None)
-        self._settled += 1
-
-    def _serve_serial(self, source, plan) -> None:
-        while True:
-            self._check_shutdown()
-            state = self._lease_state(source, plan)
-            if state is None:
-                if not source.outstanding():
-                    return
-                time.sleep(self.config.poll_interval)
-                continue
-            try:
-                self._run_serial(state)
-            except SearchInterrupted:
-                if state.result is None:
-                    source.released(state.job)
-                raise
-
-    def _serve_pooled(self, source, plan) -> None:
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from ..obs.shipper import ShardReaderGroup
-        from .runner import _ensure_importable_by_children
-
-        _ensure_importable_by_children()
-        cfg = self.config
-        queue: Deque[_JobState] = deque()  # retries only; fresh work is leased
+        self._source = source
+        self._fleet = fleet
+        self._serial_only = fleet <= 1
+        self._settled = 0
+        # leased jobs waiting for a dispatch: fresh leases and retries
+        queue: Deque[_JobState] = deque()
         inflight: Dict[object, _JobState] = {}
-        deferred: List[_JobState] = []
         reader = ShardReaderGroup() if cfg.stall_timeout > 0 else None
         try:
             while True:
+                # every exit from this loop passes through this check: a
+                # shutdown flagged anywhere — including by an in-process
+                # dispatch or a collected shutdown artifact — raises here
+                # instead of falling out with jobs silently dropped
                 if interrupt_requested():
-                    self._shutdown_serve(source, queue, deferred, inflight)
-                # top up the fleet: internal retries first, then fresh
-                # leases, until every worker slot is claimed
-                while len(inflight) < self.runner.workers and (
-                    not interrupt_requested()
-                ):
-                    if queue:
-                        state = queue.popleft()
-                    else:
-                        state = self._lease_state(source, plan)
-                        if state is None:
-                            break
-                    if (state.inprocess or self._serial_only) and inflight:
-                        deferred.append(state)
-                        continue
-                    self._dispatch(state, queue, inflight)
-                queue.extend(deferred)
-                deferred.clear()
-                if interrupt_requested():
-                    self._shutdown_serve(source, queue, deferred, inflight)
-                if reader is not None:
-                    for state in inflight.values():
-                        reader.watch(state.telemetry)
-                if not inflight:
-                    if queue:
-                        continue
-                    if not source.outstanding():
-                        return
-                    time.sleep(cfg.poll_interval)
-                    continue
-                done, _ = wait(
-                    list(inflight),
-                    timeout=cfg.poll_interval,
-                    return_when=FIRST_COMPLETED,
-                )
-                pool_broke = False
-                for future in done:
-                    state = inflight.pop(future, None)
-                    if state is None:
-                        continue
-                    if self._collect(state, future, queue, inflight):
-                        pool_broke = True
-                        break
-                if inflight and not pool_broke:
-                    self._watch(inflight, queue, reader)
-        finally:
-            self._teardown_pool()
-
-    def _shutdown_serve(
-        self,
-        source,
-        queue: Deque[_JobState],
-        deferred: List[_JobState],
-        inflight: Dict[object, _JobState],
-    ) -> None:
-        """Drain, hand un-run leases back to the scheduler, raise."""
-        pending = list(queue) + list(deferred) + list(inflight.values())
-        self._drain(inflight)
-        for state in pending:
-            if state.result is None:
-                source.released(state.job)
-        self._raise_shutdown()
-
-    # -- serial path (workers=1: the reference execution) ------------------
-
-    def _run_serial(self, state: _JobState) -> None:
-        cfg = self.config
-        while state.result is None:
-            self._check_shutdown()
-            if state.attempts >= cfg.max_attempts:
-                self._quarantine(state)
-                return
-            attempt = state.attempts + 1
-            if state.pool:
-                # injected pool break: the attempt dies with the pool
-                # (no pool exists at workers=1; the attempt is spent,
-                # the rebuild path is exercised in the pooled mode)
-                state.pool = False
-                self._fail_attempt(
-                    state, attempt, "pool", "injected pool break (fault plan)"
-                )
-                continue
-            hang = state.hang
-            state.hang = False
-            if hang and state.killed:
-                hang = False  # the worker "died"; its hang is moot
-            if hang and not self._hang_reclaimable(state, pooled=False):
-                # nothing is armed to reclaim a wedged in-process search
-                # (no deadline, no watchdog): spending the attempt without
-                # wedging the whole campaign is the only sane move
-                self._fail_attempt(
-                    state,
-                    attempt,
-                    "hang",
-                    "injected hang with no deadline or watchdog to reclaim it",
-                )
-                continue
-            self._count_legacy_kill(state)
-            self._backoff(attempt)
-            result = run_job(
-                state.job,
-                self.runner.cache_dir,
-                self.runner.fault_spec,
-                state.telemetry,
-                hang=hang,
-                store_dir=self.runner.store_dir,
-                seed_from_store=self.runner.seed_from_store,
-                store_tenant=state.tenant,
-            )
-            if result.interrupted and interrupt_requested():
-                # the salvaged partial is a shutdown artifact, not a
-                # result; resume re-runs this job from scratch
-                self._raise_shutdown()
-            self._settle(state, attempt, result)
-
-    # -- pooled path -------------------------------------------------------
-
-    def _run_pooled(self, states: List[_JobState]) -> List[JobResult]:
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from .runner import _ensure_importable_by_children
-
-        _ensure_importable_by_children()
-        cfg = self.config
-        queue: Deque[_JobState] = deque(states)
-        inflight: Dict[object, _JobState] = {}
-        reader = None
-        if cfg.stall_timeout > 0 and self.runner.telemetry_dir:
-            from ..obs.shipper import ShardReader
-
-            reader = ShardReader(self.runner.telemetry_dir)
-        deferred: List[_JobState] = []
-        try:
-            while True:
-                # every exit from this loop passes through this check:
-                # a shutdown flagged anywhere — including by an
-                # in-process dispatch or a collected shutdown artifact
-                # that emptied the queue — raises here instead of
-                # falling out with jobs silently dropped
-                if interrupt_requested():
-                    self._drain(inflight)
-                    self._raise_shutdown()
-                if not queue and not inflight:
-                    break
+                    self._shutdown(queue, inflight)
+                leased = False
+                lease = source.lease()
+                while lease is not None:
+                    queue.append(self._lease_state(lease, plan))
+                    leased = True
+                    lease = source.lease()
+                deferred: List[_JobState] = []
                 while queue and not interrupt_requested():
                     state = queue.popleft()
                     if (state.inprocess or self._serial_only) and inflight:
@@ -607,12 +419,19 @@ class CampaignSupervisor:
                         continue
                     self._dispatch(state, queue, inflight)
                 queue.extend(deferred)
-                deferred.clear()
                 if interrupt_requested():
-                    self._drain(inflight)
-                    self._raise_shutdown()
+                    self._shutdown(queue, inflight)
                 if not inflight:
+                    if queue:
+                        continue
+                    if not source.outstanding():
+                        return self._settled
+                    if not leased:
+                        time.sleep(cfg.poll_interval)
                     continue
+                if reader is not None:
+                    for state in inflight.values():
+                        reader.watch(state.telemetry)
                 done, _ = wait(
                     list(inflight),
                     timeout=cfg.poll_interval,
@@ -630,7 +449,28 @@ class CampaignSupervisor:
                     self._watch(inflight, queue, reader)
         finally:
             self._teardown_pool()
-        return [s.result for s in states if s.result is not None]
+
+    def _lease_state(self, lease: JobLease, plan: FaultPlan) -> _JobState:
+        """Wrap one lease in supervision bookkeeping.
+
+        The fault sites are consulted in a frozen order (worker-proc,
+        then hang, then pool); each site counts separately, so fault
+        plans fire on the same jobs whatever the leasing pattern.
+        """
+        job = lease.job
+        checkpoint = lease.checkpoint
+        state = _JobState(
+            job,
+            plan.should_fire("worker-proc"),
+            plan.should_fire("hang"),
+            plan.should_fire("pool"),
+            spent=checkpoint.attempts(job.key) if checkpoint is not None else 0,
+            checkpoint=checkpoint,
+            telemetry=lease.telemetry_dir,
+            tenant=lease.tenant,
+        )
+        self._by_key[job.key] = state
+        return state
 
     def _dispatch(
         self,
@@ -649,22 +489,23 @@ class CampaignSupervisor:
             # injected pool break "while the job runs": the attempt dies
             # with the pool, jobs in flight are innocent bystanders —
             # re-dispatched on the fresh pool without spending attempts
+            # (with no pool yet, the attempt is spent and nothing else)
             state.pool = False
             self._fail_attempt(
                 state, attempt, "pool", "injected pool break (fault plan)"
             )
             queue.append(state)
             if self._executor is not None:
-                for other in inflight.values():
-                    queue.append(other)
-                inflight.clear()
-                self._rebuild_pool("injected pool break")
+                self._rebuild_pool("injected pool break", queue, inflight)
             return
-        hang = state.hang
+        inprocess = state.inprocess or self._serial_only
+        # a "killed" worker's hang is moot
+        hang = state.hang and not state.killed
         state.hang = False
-        if hang and state.killed:
-            hang = False
-        if hang and not self._hang_reclaimable(state, pooled=True):
+        if hang and not self._hang_reclaimable(state, inprocess):
+            # nothing is armed to reclaim the wedged search: spending the
+            # attempt without wedging the whole campaign is the only
+            # sane move
             self._fail_attempt(
                 state,
                 attempt,
@@ -675,24 +516,10 @@ class CampaignSupervisor:
             return
         self._count_legacy_kill(state)
         self._backoff(attempt)
-        executor = None if (state.inprocess or self._serial_only) else (
-            self._ensure_executor()
-        )
-        if executor is None:
-            # worker-proc containment / post-kill retry / downgraded
-            # pool: run in the parent, which guarantees completion
-            if hang and cfg.job_deadline <= 0:
-                # in the parent only the deadline can reclaim a wedge
-                # (the watchdog cannot kill its own process); spend the
-                # attempt rather than hang the whole campaign
-                self._fail_attempt(
-                    state,
-                    attempt,
-                    "hang",
-                    "injected hang with no deadline to reclaim it in-process",
-                )
-                queue.append(state)
-                return
+        if inprocess:
+            # one-worker fleet / worker-proc containment / post-kill
+            # retry / downgraded pool: run in the parent, which
+            # guarantees completion
             result = run_job(
                 state.job,
                 self.runner.cache_dir,
@@ -704,12 +531,13 @@ class CampaignSupervisor:
                 store_tenant=state.tenant,
             )
             if result.interrupted and interrupt_requested():
-                # shutdown artifact: the dispatch loop stops on the
-                # flag and the pooled loop's post-dispatch check raises
+                # shutdown artifact: the job is un-run, and the loop's
+                # post-dispatch check raises
+                queue.append(state)
                 return
             self._settle(state, attempt, result, queue)
             return
-        future = executor.submit(
+        future = self._ensure_executor().submit(
             run_job,
             state.job,
             self.runner.cache_dir,
@@ -720,14 +548,7 @@ class CampaignSupervisor:
             self.runner.seed_from_store,
             state.tenant,
         )
-        now = time.monotonic()
-        state.dispatched_at = now
-        state.last_seen = now
-        state.limit_at = (
-            now + 2.0 * cfg.job_deadline + cfg.deadline_grace
-            if cfg.job_deadline > 0
-            else None
-        )
+        state.started_at = None
         inflight[future] = state
 
     def _collect(
@@ -752,10 +573,7 @@ class CampaignSupervisor:
             # because rebuilds are capped and the downgraded in-process
             # path has no pool to break
             queue.append(state)
-            for other in inflight.values():
-                queue.append(other)
-            inflight.clear()
-            self._rebuild_pool("broken process pool")
+            self._rebuild_pool("broken process pool", queue, inflight)
             return True
         except Exception as exc:  # noqa: BLE001 - per-future containment
             # the worker died or its result could not cross the process
@@ -769,9 +587,9 @@ class CampaignSupervisor:
             queue.append(state)
             return False
         if result.interrupted and interrupt_requested():
-            # shutdown artifact: not settled, and the pooled loop's
-            # top-of-iteration check raises even when this was the last
-            # in-flight future
+            # shutdown artifact: un-run, and the loop's top-of-iteration
+            # check raises even when this was the last in-flight future
+            queue.append(state)
             return False
         self._settle(state, attempt, result, queue)
         return False
@@ -792,10 +610,20 @@ class CampaignSupervisor:
                     seen.last_seen = now
         wedged = []
         for future, state in inflight.items():
-            silent_for = now - max(state.dispatched_at, state.last_seen)
-            if reader is not None and silent_for > cfg.stall_timeout > 0:
+            watched = reader is not None and bool(state.telemetry)
+            if not (watched or state.deadline > 0) or future.done():
+                continue
+            if state.started_at is None:
+                # queued behind busy workers is not silence: both clocks
+                # start when the job starts running
+                if future.running():
+                    state.started_at = state.last_seen = now
+                continue
+            if watched and now - state.last_seen > cfg.stall_timeout:
                 wedged.append((future, state, "stalled"))
-            elif state.limit_at is not None and now > state.limit_at:
+            elif state.deadline > 0 and now > (
+                state.started_at + self._time_limit(state)
+            ):
                 wedged.append((future, state, "timeout"))
         if not wedged:
             return
@@ -807,7 +635,6 @@ class CampaignSupervisor:
             future.cancel()
             if outcome == "stalled":
                 state.stalled = True
-                self.stalled_jobs += 1
                 self._count("engine.supervisor.stalled")
                 self._emit(
                     "job_stalled",
@@ -820,26 +647,24 @@ class CampaignSupervisor:
             else:
                 detail = (
                     "worker overran the defensive deadline "
-                    f"({2 * cfg.job_deadline + cfg.deadline_grace:g}s); killed"
+                    f"({self._time_limit(state):g}s); killed"
                 )
             self._fail_attempt(state, state.attempts + 1, outcome, detail)
             queue.append(state)
-        for other in inflight.values():
-            queue.append(other)
-        inflight.clear()
-        self._rebuild_pool("wedged worker")
+        self._rebuild_pool("wedged worker", queue, inflight)
 
     # -- pool lifecycle ----------------------------------------------------
 
     def _ensure_executor(self):
-        if self._serial_only:
-            return None
         if self._executor is None:
             from concurrent.futures import ProcessPoolExecutor
             import multiprocessing as mp
 
+            from .runner import _ensure_importable_by_children
+
+            _ensure_importable_by_children()
             self._executor = ProcessPoolExecutor(
-                max_workers=min(self.runner.workers, max(1, self._njobs)),
+                max_workers=self._fleet,
                 mp_context=mp.get_context("spawn"),
             )
         return self._executor
@@ -859,7 +684,15 @@ class CampaignSupervisor:
             except Exception:  # noqa: BLE001
                 pass
 
-    def _rebuild_pool(self, reason: str) -> None:
+    def _rebuild_pool(
+        self,
+        reason: str,
+        queue: Deque[_JobState],
+        inflight: Dict[object, _JobState],
+    ) -> None:
+        """Tear the pool down; its in-flight jobs re-dispatch for free."""
+        queue.extend(inflight.values())
+        inflight.clear()
         self._teardown_pool()
         if self.pool_rebuilds >= self.config.max_pool_rebuilds:
             # rebuild budget exhausted: the rest of the campaign runs
@@ -896,7 +729,7 @@ class CampaignSupervisor:
         state: _JobState,
         attempt: int,
         result: JobResult,
-        queue: Optional[Deque[_JobState]] = None,
+        queue: Deque[_JobState],
     ) -> None:
         outcome = self._failure(result)
         if outcome is None:
@@ -908,8 +741,7 @@ class CampaignSupervisor:
         else:
             error = result.error
         self._fail_attempt(state, attempt, outcome, error, partial=result)
-        if queue is not None:
-            queue.append(state)
+        queue.append(state)
 
     def _fail_attempt(
         self,
@@ -944,10 +776,7 @@ class CampaignSupervisor:
         result.stalled = state.stalled
         if state.killed:
             result.killed_worker = True
-        state.result = result
-        self._settle_hook(state)
-        if self._progress is not None:
-            self._progress(result)
+        self._land(state, result)
 
     def _quarantine(self, state: _JobState) -> None:
         """Exhausted attempts: record the poison job and move on."""
@@ -981,9 +810,6 @@ class CampaignSupervisor:
             + (f": {error}" if error else "")
             + ")"
         )
-        state.result = result
-        self._settle_hook(state)
-        self.quarantined_jobs.append(state.job.key)
         self._count("engine.supervisor.quarantined")
         self._emit(
             "job_quarantined",
@@ -992,16 +818,29 @@ class CampaignSupervisor:
             outcome=outcome,
             error=result.error,
         )
+        self._land(state, result)
+
+    def _land(self, state: _JobState, result: JobResult) -> None:
+        """Settle a job for good: hand its result to the source, then
+        to ``progress``."""
+        state.result = result
+        self._by_key.pop(state.job.key, None)
+        self._settled += 1
+        self._source.completed(result)
         if self._progress is not None:
             self._progress(result)
 
     # -- shutdown ----------------------------------------------------------
 
-    def _check_shutdown(self) -> None:
-        if interrupt_requested():
-            self._raise_shutdown()
-
-    def _raise_shutdown(self) -> None:
+    def _shutdown(
+        self, queue: Deque[_JobState], inflight: Dict[object, _JobState]
+    ) -> None:
+        """Drain, hand un-run leases back to the source, raise."""
+        pending = list(queue) + list(inflight.values())
+        self._drain(inflight)
+        for state in pending:
+            if state.result is None:
+                self._source.released(state.job)
         reason = interrupt_requested() or "signal"
         self._count("engine.supervisor.shutdowns")
         directory = (
@@ -1039,12 +878,18 @@ class CampaignSupervisor:
 
     # -- small helpers -----------------------------------------------------
 
-    def _hang_reclaimable(self, state: _JobState, pooled: bool) -> bool:
+    def _hang_reclaimable(self, state: _JobState, inprocess: bool) -> bool:
         """Can *anything* reclaim a wedged search for this dispatch?"""
-        cfg = self.config
-        if cfg.job_deadline > 0:
-            return True  # the kernel reclaims itself at the deadline
-        return bool(pooled and cfg.stall_timeout > 0 and state.telemetry)
+        if state.deadline > 0:
+            return True  # the kernel reclaims itself at the job's deadline
+        # the watchdog kills pool workers, never the parent process
+        return bool(
+            not inprocess and self.config.stall_timeout > 0 and state.telemetry
+        )
+
+    def _time_limit(self, state: _JobState) -> float:
+        """The defensive timeout of a running attempt (deadline > 0)."""
+        return 2.0 * state.deadline + self.config.deadline_grace
 
     def _count_legacy_kill(self, state: _JobState) -> None:
         """The dispatch-time ``worker-proc`` kill, counted once per job."""

@@ -2,20 +2,23 @@
 
 :class:`ServiceScheduler` is the
 :class:`~repro.engine.supervisor.JobLeaseSource` behind ``repro
-serve``.  Each :meth:`lease` call re-scans the durable queue (new
-submissions and cancel markers are picked up between any two leases),
-then grants one job under the policy:
+serve``.  Each :meth:`lease` call made while a fleet slot is free
+re-scans the durable queue (new submissions and cancel markers are
+picked up between any two leases), then grants one job under the
+policy:
 
-1. **quota** — a tenant at its concurrent-lease quota is skipped;
-2. **priority** — among eligible campaigns, highest priority wins;
-3. **fair share** — ties go to the tenant with the fewest jobs
+1. **fleet** — nothing is granted while every worker of the fleet
+   holds a lease (leases are returned by completion or release);
+2. **quota** — a tenant at its concurrent-lease quota is skipped;
+3. **priority** — among eligible campaigns, highest priority wins;
+4. **fair share** — ties go to the tenant with the fewest jobs
    currently leased (a tenant flooding the queue cannot starve the
    others: each of its finished jobs hands the comparison back);
-4. **FIFO** — remaining ties go to the earliest submission, then jobs
+5. **FIFO** — remaining ties go to the earliest submission, then jobs
    in sorted key order within a campaign.
 
-Preemption is **job-granular by construction**: the supervisor only
-asks for a lease when a fleet slot is free, so a higher-priority
+Preemption is **job-granular by construction**: the fleet throttle
+grants a lease only when a fleet slot is free, so a higher-priority
 submission wins the *next* slot, never a running job.
 
 Everything the scheduler decides is recoverable: activation plans jobs
@@ -105,8 +108,12 @@ class ServiceScheduler(JobLeaseSource):
         fault_plan=None,
         idle_exit: bool = False,
         log: Optional[Callable[[str], None]] = None,
+        workers: int = 0,
     ) -> None:
         self.state = state
+        #: fleet size: max jobs leased at once across every tenant
+        #: (0 = unlimited)
+        self.workers = int(workers)
         #: max jobs a tenant may have leased at once (0 = unlimited)
         self.default_quota = int(default_quota)
         #: per-tenant quota overrides
@@ -199,6 +206,8 @@ class ServiceScheduler(JobLeaseSource):
     # -- the JobLeaseSource protocol ---------------------------------------
 
     def lease(self) -> Optional[JobLease]:
+        if 0 < self.workers <= len(self._leased_keys):
+            return None  # every fleet slot is taken
         self.refresh()
         campaign, job = self._pick()
         if campaign is None or job is None:
@@ -295,8 +304,6 @@ class ServiceScheduler(JobLeaseSource):
             killed_workers=sum(1 for r in results if r.killed_worker),
             resumed_jobs=campaign.resumed,
             retried_jobs=sum(max(0, r.attempts - 1) for r in results),
-            quarantined_jobs=[r.key for r in results if r.quarantined],
-            stalled_jobs=sum(1 for r in results if r.stalled),
         )
         try:
             _, report.journal_events = merge_shards(campaign.directory)

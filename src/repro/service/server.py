@@ -39,7 +39,6 @@ class CampaignService:
         workers: int = 1,
         cache_dir: Optional[str] = None,
         fault_plan: str = "",
-        job_deadline: Optional[float] = None,
         max_attempts: Optional[int] = None,
         stall_timeout: Optional[float] = None,
         default_quota: int = 0,
@@ -54,8 +53,6 @@ class CampaignService:
     ) -> None:
         self.state = ServiceState(state_dir)
         policy: Dict[str, object] = {}
-        if job_deadline is not None:
-            policy["job_deadline"] = job_deadline
         if max_attempts is not None:
             policy["max_attempts"] = max_attempts
         if stall_timeout is not None:
@@ -87,6 +84,7 @@ class CampaignService:
             fault_plan=plan,
             idle_exit=idle_exit,
             log=log,
+            workers=workers,
         )
         self._progress = progress
 

@@ -25,10 +25,9 @@ concurrent writers across processes and machines), corrupt-entry
 quarantine, eviction, and the access journal; this module owns the
 solver-specific payload schema and the digesting of canonical keys.
 **Content digests and payloads are unchanged** from the pre-store flat
-layout — only the fanout moved under ``solver/`` — and a directory still
-holding the old flat layout is imported once, transparently, on first
-open (old files left intact; see
-:meth:`~repro.store.ContentStore.migrate_flat_solver_cache`).
+layout — only the fanout moved under ``solver/``.  A directory still
+holding the old flat layout is not read: it opens cold, which is
+answer-neutral (every verdict is recomputed to the same answer).
 
 Invalidation
 ------------
@@ -123,9 +122,6 @@ class DiskCache:
     def __init__(self, directory: str) -> None:
         self.directory = os.path.abspath(directory)
         self._store = ContentStore(self.directory)
-        # one-shot import of a pre-store flat cache layout (old files
-        # left intact; no-op on already-migrated or fresh directories)
-        self._store.migrate_flat_solver_cache()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0

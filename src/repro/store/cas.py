@@ -440,8 +440,8 @@ class ContentStore:
         eviction counts (empty when nothing had to go).
 
         Recency comes from the journal; entries never journaled (e.g.
-        imported by migration and never since read) rank oldest, ties
-        break by path so two gcs over identical state agree.
+        copied in by hand and never since read) rank oldest, ties break
+        by path so two gcs over identical state agree.
         """
         totals, tenants, order = self.read_journal()
         entries = list(self._walk_entries())
@@ -582,77 +582,3 @@ class ContentStore:
                 continue
             count += 1
         return count
-
-    # -- migration ---------------------------------------------------------
-
-    def migrate_flat_solver_cache(self) -> int:
-        """One-shot import of a pre-store flat solver-cache layout.
-
-        The old :class:`~repro.solver.diskcache.DiskCache` kept entries
-        directly under its root (``<root>/ab/<digest>.json``).  When such
-        directories exist beside the new namespaces, hard-link (copy on
-        link failure) every entry into ``solver/`` so the warm cache is
-        not thrown away.  Old files are left intact; a marker file makes
-        the migration run once per store, and only the process that wins
-        the marker race performs (and logs) it.
-        """
-        marker = os.path.join(self.root, ".migrated-flat-solver")
-        candidates: List[Tuple[str, str]] = []
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return 0
-        for name in names:
-            if len(name) != 2 or name in NAMESPACES:
-                continue
-            try:
-                int(name, 16)
-            except ValueError:
-                continue
-            fanout = os.path.join(self.root, name)
-            if not os.path.isdir(fanout):
-                continue
-            try:
-                files = os.listdir(fanout)
-            except OSError:
-                continue
-            for entry in files:
-                if entry.endswith(".json") and not entry.startswith(".tmp-"):
-                    candidates.append(
-                        (os.path.join(fanout, entry), entry[: -len(".json")])
-                    )
-        if not candidates:
-            return 0
-        try:
-            fd = os.open(marker, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            os.close(fd)
-        except FileExistsError:
-            return 0  # another process (or an earlier run) migrated
-        except OSError:
-            return 0
-        imported = 0
-        for src, digest in sorted(candidates):
-            dest = self.path_for("solver", digest)
-            try:
-                os.makedirs(os.path.dirname(dest), exist_ok=True)
-                try:
-                    os.link(src, dest)
-                except (OSError, NotImplementedError):
-                    import shutil
-
-                    if not os.path.exists(dest):
-                        shutil.copyfile(src, dest)
-            except OSError:
-                continue
-            imported += 1
-        if imported:
-            self._count("solver", "migrated", imported)
-            import sys
-
-            print(
-                f"[store] migrated {imported} flat solver-cache entries "
-                f"into {os.path.join(self.root, 'solver')} "
-                f"(originals left intact)",
-                file=sys.stderr,
-            )
-        return imported

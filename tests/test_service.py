@@ -18,7 +18,7 @@ import pytest
 
 from repro import api
 from repro.engine.planner import BatchPlanner, CampaignSpec
-from repro.engine.runner import JobResult
+from repro.engine.runner import CampaignCheckpoint, JobResult
 from repro.errors import ReproError, SearchInterrupted
 from repro.service import (
     CampaignService,
@@ -187,6 +187,17 @@ class TestSchedulerPolicy:
         assert second.job.key == first.job.key
         assert sched._leased_keys[second.job.key] == b.ticket
 
+    def test_fleet_size_throttles_leases(self, tmp_path):
+        state, sched = _scheduler(tmp_path, workers=1)
+        state.submit(_spec(max_runs=10).as_payload())
+        first = sched.lease()
+        assert first is not None
+        # the one fleet slot is taken: the next job waits for it
+        assert sched.lease() is None and sched.outstanding()
+        sched.completed(JobResult(key=first.job.key, ok=True))
+        second = sched.lease()
+        assert second is not None and second.job.key != first.job.key
+
     def test_released_job_is_leasable_again(self, tmp_path):
         state, sched = _scheduler(tmp_path)
         state.submit(_spec(max_runs=10, n_programs=1).as_payload())
@@ -295,6 +306,39 @@ class TestServiceEndToEnd:
         assert handle.status() == "running"  # durable record, not lost
         _serve_until_idle(str(tmp_path / "state"))
         assert handle.result().campaign_digest == baseline.campaign_digest
+
+
+# -- per-job deadlines on a served fleet --------------------------------------
+
+
+class TestServedJobDeadline:
+    def test_submission_deadline_reclaims_inprocess_hang(self, tmp_path):
+        # the job's own deadline (`submit --job-deadline`) is what the
+        # supervisor checks: at one worker the injected hang runs
+        # in-process and the search reclaims itself at the deadline
+        spec = _spec(max_runs=10)
+        standalone = api.Client().submit(spec).wait()
+        state_dir = str(tmp_path / "state")
+        handle = ServiceClient(state_dir).submit(spec, job_deadline=0.5)
+        _serve_until_idle(state_dir, workers=1, fault_plan="hang:at=1")
+        report = handle.result()
+        assert report.campaign_digest == standalone.campaign_digest
+        assert not report.quarantined_jobs
+        retried = [j.key for j in report.jobs if j.attempts > 1]
+        assert len(retried) == 1
+        ledger = CampaignCheckpoint(
+            ServiceState(state_dir).campaign_dir(handle.ticket)
+        ).last_attempt(retried[0])
+        assert ledger is not None and ledger["outcome"] == "deadline"
+
+    def test_serve_rejects_job_deadline(self, tmp_path):
+        from repro.cli.main import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["serve", "--state-dir", str(tmp_path), "--job-deadline", "10"]
+            )
+        assert excinfo.value.code == 2
 
 
 # -- the Client / CampaignHandle object model --------------------------------
@@ -513,12 +557,13 @@ class TestServeCliSurface:
             "--idle-exit",
             "--tenant-quota",
             "--cache-dir",
-            "--job-deadline",
             "--max-attempts",
             "--stall-timeout",
             "--fault-plan",
         ):
             assert flag in helptext, f"serve --help lost {flag}"
+        # the deadline belongs to the submission (`submit --job-deadline`)
+        assert "--job-deadline" not in helptext
 
     def test_submit_serve_status_results_cancel_roundtrip(
         self, tmp_path, capsys

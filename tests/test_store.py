@@ -302,44 +302,6 @@ class TestEviction:
         assert tenants == {"alpha": 1, "beta": 2}
 
 
-class TestFlatMigration:
-    def _flat_entry(self, root, key=("q",)) -> str:
-        """Plant one entry in the pre-store flat DiskCache layout."""
-        import hashlib
-
-        from repro.solver.diskcache import _encode
-
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-        flat = os.path.join(root, digest[:2])
-        os.makedirs(flat, exist_ok=True)
-        path = os.path.join(flat, digest + ".json")
-        entry = CachedResult(
-            sat=True, iterations=1, int_values={0: 7},
-            bool_values={}, tables={}, default=0,
-        )
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(_encode(entry), handle)
-        return path
-
-    def test_flat_layout_imported_once_originals_intact(self, tmp_path, capfd):
-        original = self._flat_entry(str(tmp_path))
-        cache = DiskCache(str(tmp_path))
-        # the old entry answers through the new layout
-        hit = cache.lookup(("q",))
-        assert hit is not None and hit.int_values == {0: 7}
-        assert os.path.exists(original), "migration must not consume originals"
-        assert "migrated 1 flat solver-cache entries" in capfd.readouterr().err
-        # a second open is silent: the marker makes migration one-shot
-        DiskCache(str(tmp_path))
-        assert "migrated" not in capfd.readouterr().err
-
-    def test_migration_marker_race_single_winner(self, tmp_path):
-        self._flat_entry(str(tmp_path))
-        first = ContentStore(str(tmp_path)).migrate_flat_solver_cache()
-        second = ContentStore(str(tmp_path)).migrate_flat_solver_cache()
-        assert first == 1 and second == 0
-
-
 class TestDiskCacheAdapter:
     def test_digests_and_payloads_unchanged_from_flat_layout(self, tmp_path):
         """The adapter moves only the fanout: same digest, same payload."""

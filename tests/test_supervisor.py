@@ -313,6 +313,23 @@ class TestQuarantine:
         # spent attempts were honored, not re-fired
         assert CampaignCheckpoint(ckpt_dir).attempts(jobs[0].key) == 2
 
+    def test_resumed_report_keeps_checkpointed_quarantine(self, tmp_path):
+        # regression: the local report read quarantines off the
+        # supervisor's per-session tally, so a resume — which re-runs
+        # nothing — reported none while the job stayed quarantined
+        spec = _spec()
+        ckpt_dir = str(tmp_path / "ckpt")
+        client = api.Client(
+            workers=1, fault_plan="hang:at=1", job_deadline=0.5, max_attempts=1
+        )
+        first = client.submit(spec, checkpoint=ckpt_dir).wait()
+        resumed = client.submit(spec, checkpoint=ckpt_dir).wait()
+        assert resumed.resumed_jobs == len(first.jobs)
+        assert resumed.campaign_digest == first.campaign_digest
+        assert first.quarantined_jobs == [first.jobs[0].key]
+        assert resumed.quarantined_jobs == first.quarantined_jobs
+        assert "quarantined=1" in resumed.summary()
+
 
 # -- pool breakage: innocent bystanders --------------------------------------
 
@@ -329,8 +346,8 @@ class TestPoolBreakBlame:
 
         supervisor = CampaignSupervisor(ProcessPoolRunner(workers=2))
         jobs = BatchPlanner().expand(_spec())
-        first = _JobState(jobs[0], 0, False, False, False, spent=0)
-        second = _JobState(jobs[1], 1, False, False, False, spent=0)
+        first = _JobState(jobs[0], False, False, False, spent=0)
+        second = _JobState(jobs[1], False, False, False, spent=0)
 
         class _BrokenFuture:
             def result(self):
@@ -344,6 +361,85 @@ class TestPoolBreakBlame:
         assert not inflight
         assert supervisor.retries == 0
         assert supervisor.pool_rebuilds == 1  # bounded by rebuilds instead
+
+
+# -- the watchdog's clocks ---------------------------------------------------
+
+
+class _FakeFuture:
+    """A pool future the test starts by hand; never finishes."""
+
+    def __init__(self):
+        self.started = False
+
+    def running(self):
+        return self.started
+
+    def done(self):
+        return False
+
+    def cancel(self):
+        return False
+
+
+class _FakeExecutor:
+    def __init__(self, future):
+        self.future = future
+
+    def submit(self, *args):
+        return self.future
+
+    def shutdown(self, **kwargs):
+        pass
+
+
+class _SilentReader:
+    """A shard tail that never sees a heartbeat."""
+
+    def poll(self):
+        return []
+
+
+class TestWatchdogClock:
+    def _dispatched(self, telemetry):
+        from repro.engine.supervisor import CampaignSupervisor, _JobState
+
+        supervisor = CampaignSupervisor(
+            ProcessPoolRunner(workers=2), SupervisorConfig(stall_timeout=0.05)
+        )
+        state = _JobState(
+            _job(), False, False, False, spent=0, telemetry=telemetry
+        )
+        future = _FakeFuture()
+        supervisor._executor = _FakeExecutor(future)
+        queue, inflight = deque(), {}
+        supervisor._dispatch(state, queue, inflight)
+        assert inflight == {future: state}
+        return supervisor, state, future, queue, inflight
+
+    def test_queue_time_is_not_silence(self):
+        # regression: a batch submits every job at once, and each job's
+        # silence clock used to start at submit time — jobs queued behind
+        # busy workers were declared stalled before they ever ran
+        supervisor, state, future, queue, inflight = self._dispatched("tel")
+        time.sleep(0.1)  # queued for twice the stall timeout
+        supervisor._watch(inflight, queue, _SilentReader())
+        assert inflight and not state.stalled
+        future.started = True
+        supervisor._watch(inflight, queue, _SilentReader())  # clock starts
+        assert inflight and not state.stalled
+        time.sleep(0.1)  # now running, and silent past the timeout
+        supervisor._watch(inflight, queue, _SilentReader())
+        assert state.stalled
+        assert not inflight and list(queue) == [state]
+
+    def test_job_without_telemetry_never_stalls(self):
+        supervisor, state, future, queue, inflight = self._dispatched(None)
+        future.started = True
+        supervisor._watch(inflight, queue, _SilentReader())
+        time.sleep(0.1)
+        supervisor._watch(inflight, queue, _SilentReader())
+        assert inflight and not state.stalled
 
 
 # -- heartbeat watchdog ------------------------------------------------------
