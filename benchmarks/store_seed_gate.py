@@ -8,8 +8,9 @@ only if three claims hold, and this gate measures all of them:
 
 - **answer neutrality** — the paper campaign's digest is byte-identical
   with the store off, cold, warm, and at ``--workers 1`` and ``2``; a
-  warm run must also report disk-cache hits (the store is actually
-  *used*, not just harmless).
+  warm run must also report disk-cache hits and no disk-cache misses
+  (the store is actually *used*, not just harmless, and it holds every
+  verdict the campaign needs).
 - **eviction safety** — after ``gc`` under a zero-byte budget evicts
   every entry, the campaign still reproduces the same digest.  Store
   entries are pure functions of their digests; losing one may cost a
@@ -96,9 +97,12 @@ def main() -> int:
     if len(set(digests.values())) != 1:
         failures.append("the store changed the campaign digest")
     disk_hits = warm.cache_totals().get("disk_hits", 0)
-    print(f"warm run: {disk_hits} disk-cache hits")
+    disk_misses = warm.cache_totals().get("disk_misses", 0)
+    print(f"warm run: {disk_hits} disk-cache hits, {disk_misses} misses")
     if disk_hits <= 0:
         failures.append("warm run reported no disk-cache hits")
+    if disk_misses != 0:
+        failures.append(f"warm run missed {disk_misses} cached queries")
     corpus_hits = ContentStore(store_dir).stats()["hits"].get("corpus", 0)
 
     # -- eviction safety: gc to zero, digest must still reproduce -----------
@@ -151,6 +155,7 @@ def main() -> int:
     payload = {
         "digests": digests,
         "disk_hits": disk_hits,
+        "disk_misses": disk_misses,
         "corpus_hits": corpus_hits,
         "evicted": evicted,
         "digest_after_gc": after_gc.campaign_digest,

@@ -17,7 +17,7 @@ The campaign model is *submit → handle*::
 
     from repro.api import Client
 
-    client = Client(workers=4, cache_dir=".repro-cache")
+    client = Client(workers=4, store_dir=".repro-store")
     handle = client.submit("paper")
     for event in handle.stream_events():   # optional: watch it run
         ...
@@ -388,7 +388,7 @@ class Client:
       fair-share, and quotas apply), and the handle observes by
       reading the state dir — even across server restarts.
 
-    Execution-environment knobs (``workers``, ``cache_dir``,
+    Execution-environment knobs (``workers``, ``store_dir``,
     ``telemetry``, supervision) live on the client; per-campaign
     choices (the spec, the ``scheduler`` override, ``priority``,
     ``tenant``) live on :meth:`submit`.
@@ -399,7 +399,6 @@ class Client:
         state_dir: Optional[str] = None,
         *,
         workers: int = 1,
-        cache_dir: Optional[str] = None,
         telemetry: Optional[str] = None,
         fault_plan: str = "",
         job_deadline: Optional[float] = None,
@@ -410,15 +409,13 @@ class Client:
         seed_from_store: bool = False,
     ) -> None:
         self.workers = workers
-        self.cache_dir = cache_dir
         self.telemetry = telemetry
         self.fault_plan = fault_plan
         self.job_deadline = job_deadline
         self.max_attempts = max_attempts
         self.stall_timeout = stall_timeout
-        #: shared content-addressed store: corpora and crash buckets are
-        #: persisted there, and it doubles as the solver disk cache when
-        #: ``cache_dir`` is unset
+        #: shared content-addressed store: the solver disk cache, and
+        #: where corpora and crash buckets are persisted
         self.store_dir = store_dir
         #: when set, the store is gc'd to this budget after each local
         #: campaign finishes
@@ -579,7 +576,6 @@ class Client:
                 pending.append(job)
         runner = ProcessPoolRunner(
             workers=self.workers,
-            cache_dir=self.cache_dir,
             fault_spec=self.fault_plan,
             telemetry_dir=self.telemetry,
             supervisor=(

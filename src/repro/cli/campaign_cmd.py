@@ -27,7 +27,6 @@ def cmd_campaign(args) -> int:
     with trap_signals():
         client = api.Client(
             workers=args.workers,
-            cache_dir=args.cache_dir,
             telemetry=telemetry,
             fault_plan=args.fault_plan or "",
             job_deadline=args.job_deadline,
@@ -134,7 +133,6 @@ def register(sub) -> None:
             "scheduler for every job"
         ),
     )
-    common.add_cache_dir_flag(campaign)
     common.add_store_flags(campaign)
     campaign.add_argument(
         "--checkpoint",

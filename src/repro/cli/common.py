@@ -2,14 +2,18 @@
 
 Nothing here parses arguments — these are the bits that turn parsed
 ``argparse`` namespaces into library objects (programs, seeds, fault
-plans, caches, observability bundles) plus the shared report-printing
-helpers.  Each ``*_cmd`` module imports what it needs; the CLI stays a
-thin wrapper over :mod:`repro.api`.
+plans, stores, observability bundles) plus the shared report-printing
+and artifact-export helpers.  Each ``*_cmd`` module imports what it
+needs; the CLI stays a thin wrapper over :mod:`repro.api`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import contextlib
+import json
+import os
+import tempfile
+from typing import Dict, List, Optional
 
 from ..apps.hashes import standard_registry
 from ..errors import ReproError
@@ -22,6 +26,12 @@ from ..obs import (
     Tracer,
     set_default_registry,
 )
+from ..obs.export import (
+    journal_to_chrome_trace,
+    load_journal,
+    render_prometheus,
+    snapshot_to_json,
+)
 
 __all__ = [
     "parse_seed",
@@ -31,19 +41,16 @@ __all__ = [
     "default_entry",
     "seed_for",
     "CliObservability",
-    "null_context",
-    "print_profile_tables",
     "fault_plan",
-    "query_cache",
     "print_cache",
     "print_resilience",
-    "add_cache_dir_flag",
+    "add_export_flags",
     "add_fault_plan_flag",
     "add_store_flags",
     "add_supervision_flags",
     "add_telemetry_flag",
     "open_store",
-    "persist_to_store",
+    "write_exports",
 ]
 
 
@@ -56,25 +63,13 @@ __all__ = [
 # one subcommand means the same thing on the others.
 
 
-def add_cache_dir_flag(parser) -> None:
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "persistent on-disk solver query cache shared by all workers "
-            "and future runs"
-        ),
-    )
-
-
-def add_store_flags(parser, seeding: bool = True) -> None:
+def add_store_flags(parser) -> None:
     """The shared content-addressed store group (see docs/STORAGE.md).
 
-    ``--store-dir`` persists corpora and crash buckets (and hosts the
-    solver cache when ``--cache-dir`` is not given); ``--store-max-bytes``
-    gc's it back under budget after the run; ``--seed-from-store`` seeds
-    new searches from prior corpora (campaign-style commands only).
+    ``--store-dir`` hosts the persistent solver cache and persists
+    corpora and crash buckets; ``--store-max-bytes`` gc's it back under
+    budget after the run; ``--seed-from-store`` seeds new searches from
+    prior corpora.
     """
     group = parser.add_argument_group("content store")
     group.add_argument(
@@ -82,9 +77,9 @@ def add_store_flags(parser, seeding: bool = True) -> None:
         default=None,
         metavar="DIR",
         help=(
-            "shared content-addressed store: persists generated corpora "
-            "and crash buckets, and doubles as the solver cache when "
-            "--cache-dir is not given"
+            "shared content-addressed store: the persistent solver query "
+            "cache (shared by all workers and future runs), plus generated "
+            "corpora and crash buckets"
         ),
     )
     group.add_argument(
@@ -98,8 +93,6 @@ def add_store_flags(parser, seeding: bool = True) -> None:
             "byte-identical content)"
         ),
     )
-    if not seeding:
-        return
     group.add_argument(
         "--seed-from-store",
         action="store_true",
@@ -109,6 +102,51 @@ def add_store_flags(parser, seeding: bool = True) -> None:
             "state; off by default, which reproduces classic digests)"
         ),
     )
+
+
+def add_export_flags(parser) -> None:
+    """``--trace-out``/``--metrics-out``/``--prom-out``, written by
+    :func:`write_exports` (``repro run``, ``repro stats``/``top``)."""
+    parser.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="FILE",
+        help="export the journal as Chrome trace-event JSON (chrome://tracing)",
+    )
+    parser.add_argument(
+        "--metrics-out",
+        default=None,
+        metavar="FILE",
+        help="export the metrics snapshot as JSON",
+    )
+    parser.add_argument(
+        "--prom-out",
+        default=None,
+        metavar="FILE",
+        help="export the metrics snapshot in Prometheus text format",
+    )
+
+
+def write_exports(
+    args, snapshot: Dict[str, object], events: Optional[List[dict]]
+) -> None:
+    """Write the artifacts the export flags ask for: the metrics
+    ``snapshot`` as JSON and/or Prometheus text, and the journal
+    ``events`` as a Chrome trace."""
+    if args.metrics_out:
+        with open(args.metrics_out, "w", encoding="utf-8") as handle:
+            handle.write(snapshot_to_json(snapshot))
+        print(f"  metrics json -> {args.metrics_out}")
+    if args.prom_out:
+        with open(args.prom_out, "w", encoding="utf-8") as handle:
+            handle.write(render_prometheus(snapshot))
+        print(f"  prometheus metrics -> {args.prom_out}")
+    if args.trace_out:
+        events = events or []
+        with open(args.trace_out, "w", encoding="utf-8") as handle:
+            json.dump(journal_to_chrome_trace(events), handle)
+            handle.write("\n")
+        print(f"  chrome trace: {len(events)} events -> {args.trace_out}")
 
 
 def add_fault_plan_flag(parser, extra: str = "") -> None:
@@ -201,92 +239,17 @@ def open_store(args, program_path: str, entry: str):
     the program's source digest, and the stored seed vectors for this
     program+entry when ``--seed-from-store`` was given (else ``()``).
     """
-    store_dir = getattr(args, "store_dir", None)
-    if not store_dir:
+    if not args.store_dir:
         return None, "", ()
-    from ..store import (
-        CORPUS_ENTRY_FORMAT,
-        ContentStore,
-        corpus_group,
-        source_sha,
-    )
+    from ..store import ContentStore, source_sha, stored_seed_vectors
 
     with open(program_path, "r", encoding="utf-8") as handle:
         src_sha = source_sha(handle.read())
-    store = ContentStore(store_dir)
+    store = ContentStore(args.store_dir)
     seeds = ()
-    if getattr(args, "seed_from_store", False):
-        stored = store.load_group(
-            "corpus",
-            corpus_group(src_sha, entry),
-            expected_format=CORPUS_ENTRY_FORMAT,
-        )
-        seeds = tuple(
-            {str(k): int(v) for k, v in dict(payload["inputs"]).items()}
-            for _digest, payload in stored
-            if isinstance(payload.get("inputs"), dict)
-        )
+    if args.seed_from_store:
+        seeds = tuple(stored_seed_vectors(store, src_sha, entry))
     return store, src_sha, seeds
-
-
-def persist_to_store(store, src_sha: str, entry: str, result) -> None:
-    """Record a finished search's corpus and crash buckets in the store.
-
-    The CLI twin of the engine's per-job persistence: same namespaces,
-    same grouping, same keys — a ``repro run`` and a campaign job over
-    the same program land on the same entries.
-    """
-    import os as _os
-
-    from ..search.corpus import TestCorpus
-    from ..store import (
-        CORPUS_ENTRY_FORMAT,
-        CRASH_RECORD_FORMAT,
-        corpus_group,
-        crash_group,
-        input_digest,
-        source_sha,
-    )
-
-    corpus = TestCorpus()
-    corpus.add_from_search(result)
-    group = corpus_group(src_sha, entry)
-    for test in corpus:
-        inputs = test.input_dict()
-        path = store.group_path("corpus", group, input_digest(inputs))
-        if _os.path.exists(path):
-            continue
-        store.save(
-            "corpus",
-            path,
-            {
-                "format": CORPUS_ENTRY_FORMAT,
-                "source_sha": src_sha,
-                "entry": entry,
-                "inputs": {str(k): int(v) for k, v in inputs.items()},
-                "returned": test.returned,
-                "error": test.error,
-                "error_message": test.error_message,
-            },
-        )
-    group = crash_group(src_sha)
-    for crash in result.crashes:
-        bucket = str(crash.bucket)
-        path = store.group_path("crashes", group, source_sha(bucket))
-        if _os.path.exists(path):
-            continue
-        store.save(
-            "crashes",
-            path,
-            {
-                "format": CRASH_RECORD_FORMAT,
-                "source_sha": src_sha,
-                "entry": entry,
-                "bucket": bucket,
-                "message": str(crash.message),
-                "count": int(crash.count),
-            },
-        )
 
 
 def parse_seed(text: str) -> Dict[str, int]:
@@ -298,13 +261,22 @@ def parse_seed(text: str) -> Dict[str, int]:
         if "=" not in piece:
             raise ReproError(f"bad seed assignment {piece!r} (want name=int)")
         name, _, value = piece.partition("=")
-        out[name.strip()] = int(value.strip())
+        try:
+            out[name.strip()] = int(value.strip())
+        except ValueError:
+            raise ReproError(
+                f"bad seed value {piece!r} (want name=int)"
+            ) from None
     return out
 
 
 def parse_range(text: str):
+    """Parse ``lo:hi`` into an int pair."""
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ReproError(f"bad range {text!r} (want lo:hi)") from None
 
 
 def load_program(path: str):
@@ -319,6 +291,11 @@ def natives() -> NativeRegistry:
 
 def default_entry(program, requested: Optional[str]) -> str:
     if requested:
+        if requested not in program.functions:
+            raise ReproError(
+                f"no entry function {requested!r} "
+                f"(have: {', '.join(program.functions)})"
+            )
         return requested
     if "main" in program.functions:
         return "main"
@@ -333,20 +310,39 @@ def seed_for(program, entry: str, seed: Dict[str, int]) -> Dict[str, int]:
 class CliObservability:
     """The journal/registry/obs bundle requested by the CLI flags.
 
-    When collection is on, a fresh :class:`MetricsRegistry` is installed
-    as the process default (so the solver layers record into it) for the
+    ``--profile``, ``--trace`` and any export flag turn collection on.
+    When it is on, a fresh :class:`MetricsRegistry` is installed as the
+    process default (so the solver layers record into it) for the
     lifetime of the ``with`` block; the previous default is restored and
-    the journal closed on exit.
+    the journal closed on exit.  ``--trace-out`` renders from the
+    journal, so without ``--trace`` it journals to a scratch file that
+    is read back into :attr:`trace_events` on exit and then deleted.
     """
 
-    def __init__(self, args, force: bool = False) -> None:
-        trace = getattr(args, "trace", None)
-        profile = force or getattr(args, "profile", False)
-        self.journal = RunJournal(trace) if trace else None
+    def __init__(self, args) -> None:
+        self._trace_out = args.trace_out
+        self._scratch: Optional[str] = None
+        target = args.trace
+        if args.trace_out and not target:
+            fd, self._scratch = tempfile.mkstemp(
+                prefix="repro-trace-", suffix=".jsonl"
+            )
+            os.close(fd)
+            target = self._scratch
+        self._trace_path = target
+        self.journal = RunJournal(target) if target else None
+        #: the journal read back on exit when ``--trace-out`` asks for it
+        self.trace_events: Optional[List[dict]] = None
         self.registry: Optional[MetricsRegistry] = None
         self.obs: Optional[Observability] = None
         self._old_registry: Optional[MetricsRegistry] = None
-        if profile or self.journal is not None:
+        collect = (
+            args.profile
+            or args.metrics_out
+            or args.prom_out
+            or self.journal is not None
+        )
+        if collect:
             self.registry = MetricsRegistry()
             self.obs = Observability(
                 tracer=Tracer(journal=self.journal),
@@ -359,51 +355,21 @@ class CliObservability:
             self._old_registry = set_default_registry(self.registry)
         return self
 
-    def __exit__(self, *exc_info: object) -> None:
+    def __exit__(self, exc_type, *exc_info: object) -> None:
         if self.registry is not None:
             set_default_registry(self._old_registry)
         if self.journal is not None:
             self.journal.close()
-
-
-def null_context():
-    from contextlib import nullcontext
-
-    return nullcontext()
-
-
-def print_profile_tables(obs, registry) -> None:
-    print()
-    print("== span profile ==")
-    print(obs.tracer.render_table())
-    print()
-    print("== metrics ==")
-    print(registry.render_table())
+            if self._trace_out and exc_type is None:
+                self.trace_events = load_journal(self._trace_path)
+        if self._scratch is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(self._scratch)
 
 
 def fault_plan(args):
-    spec = getattr(args, "fault_plan", None)
+    spec = args.fault_plan
     return FaultPlan.parse(spec) if spec else NULL_PLAN
-
-
-def query_cache(args, enabled: bool = True):
-    """The query cache the flags ask for (disk-backed with --cache-dir).
-
-    ``--store-dir`` doubles as the cache directory when ``--cache-dir``
-    is not given: the store's ``solver/`` namespace *is* the disk cache.
-    """
-    from ..solver.cache import QueryCache
-
-    if not enabled:
-        return None
-    cache_dir = getattr(args, "cache_dir", None) or getattr(
-        args, "store_dir", None
-    )
-    if cache_dir:
-        from ..solver.diskcache import DiskCache
-
-        return QueryCache(disk=DiskCache(cache_dir))
-    return QueryCache()
 
 
 def print_cache(cache) -> None:

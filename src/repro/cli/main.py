@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from ..errors import ReproError, SearchInterrupted
 from . import (
-    bench_cmd,
     campaign_cmd,
     fuzz_cmd,
     modes_cmd,
@@ -31,7 +30,6 @@ __all__ = ["build_parser", "main"]
 _COMMANDS = (
     run_cmd,
     stats_cmd,
-    bench_cmd,
     campaign_cmd,
     serve_cmd,
     store_cmd,

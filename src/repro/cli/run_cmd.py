@@ -1,8 +1,10 @@
-"""``repro run`` — directed search with one engine."""
+"""``repro run`` — one directed search: the suite, its digest, and
+(with ``--profile`` or an export flag) where the time went."""
 
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 
 from .. import api
 from ..faults import use_fault_plan
@@ -17,7 +19,7 @@ __all__ = ["register", "cmd_run"]
 
 
 def cmd_run(args) -> int:
-    from ..solver.cache import use_cache
+    from ..solver.cache import QueryCache, use_cache
 
     program = common.load_program(args.program)
     entry = common.default_entry(program, args.entry)
@@ -26,11 +28,12 @@ def cmd_run(args) -> int:
     if args.resume and not checkpoint_dir:
         # resuming continues checkpointing into the same directory
         checkpoint_dir = args.resume
-    cache = (
-        common.query_cache(args)
-        if (args.cache_dir or args.store_dir)
-        else None
-    )
+    cache = None
+    if args.store_dir:
+        from ..solver.diskcache import DiskCache
+
+        # the store's solver/ namespace is the persistent query cache
+        cache = QueryCache(disk=DiskCache(args.store_dir))
     content_store, src_sha, seed_corpus = common.open_store(
         args, args.program, entry
     )
@@ -44,7 +47,7 @@ def cmd_run(args) -> int:
     # the resume hint (a second signal aborts hard)
     with trap_signals(), common.CliObservability(args) as cli_obs, \
             use_fault_plan(common.fault_plan(args)):
-        with use_cache(cache) if cache is not None else common.null_context():
+        with use_cache(cache) if cache is not None else nullcontext():
             result = api.generate_tests(
                 program,
                 entry=entry,
@@ -64,16 +67,28 @@ def cmd_run(args) -> int:
                 _search_hook=_capture_store,
             )
     if content_store is not None:
-        common.persist_to_store(content_store, src_sha, entry, result)
+        from ..engine.runner import search_outputs
+        from ..store import record_search_outputs
+
+        record_search_outputs(
+            content_store, src_sha, entry, *search_outputs(result)
+        )
         if args.store_max_bytes is not None:
             content_store.gc(args.store_max_bytes)
     print(f"[{args.mode}] {result.summary()}")
     for error in result.errors:
         print(f"  {error}")
     common.print_resilience(result)
+    if args.profile:
+        print(
+            f"  wall time: {result.time_total:.3f}s "
+            f"(executing {result.time_executing:.3f}s, "
+            f"generating {result.time_generating:.3f}s)"
+        )
     if cache is not None:
         common.print_cache(cache)
-    if cli_obs.journal is not None:
+    print(f"  suite digest: {api.suite_digest(result)}")
+    if args.trace:
         print(
             f"  trace: {cli_obs.journal.events_written} events written "
             f"to {args.trace}"
@@ -93,13 +108,25 @@ def cmd_run(args) -> int:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"  report written to {args.report}")
-    if args.profile and cli_obs.registry is not None:
-        common.print_profile_tables(cli_obs.obs, cli_obs.registry)
+    if args.profile:
+        print()
+        print("== span profile ==")
+        print(cli_obs.obs.tracer.render_table())
+        print()
+        print("== metrics ==")
+        print(cli_obs.registry.render_table())
+    if cli_obs.registry is not None:
+        common.write_exports(
+            args, cli_obs.registry.snapshot(), cli_obs.trace_events
+        )
     return 1 if (args.expect_error and not result.found_error) else 0
 
 
 def register(sub) -> None:
-    run = sub.add_parser("run", help="directed search with one engine")
+    run = sub.add_parser(
+        "run",
+        help="one directed search: its suite, digest and (--profile) profile",
+    )
     run.add_argument("program", help="MiniC source file")
     run.add_argument("--entry", default=None, help="entry function (default: main)")
     run.add_argument("--seed", default="", help="seed inputs, e.g. x=1,y=2")
@@ -135,10 +162,13 @@ def register(sub) -> None:
     run.add_argument(
         "--profile",
         action="store_true",
-        help="print span profile and metrics tables after the search",
+        help=(
+            "print the wall-time split, span profile and metrics tables "
+            "after the search"
+        ),
     )
+    common.add_export_flags(run)
     common.add_fault_plan_flag(run)
-    common.add_cache_dir_flag(run)
     common.add_store_flags(run)
     run.add_argument(
         "--checkpoint",

@@ -62,7 +62,6 @@ def cmd_serve(args) -> int:
     service = CampaignService(
         args.state_dir,
         workers=args.workers,
-        cache_dir=args.cache_dir,
         fault_plan=args.fault_plan or "",
         max_attempts=args.max_attempts,
         stall_timeout=args.stall_timeout,
@@ -238,7 +237,6 @@ def register(sub) -> None:
     serve.add_argument(
         "--quiet", action="store_true", help="suppress per-job progress lines"
     )
-    common.add_cache_dir_flag(serve)
     common.add_store_flags(serve)
     common.add_supervision_flags(serve, deadline=False)
     common.add_fault_plan_flag(

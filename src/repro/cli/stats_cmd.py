@@ -1,39 +1,29 @@
-"""``repro stats`` — observability reports for runs and campaigns.
+"""``repro stats`` — observability reports for campaigns and services.
 
-Two modes, selected by the positional argument:
+The positional argument is a directory:
 
-- a **program file** runs one directed search with full observability
-  (span profile, metrics table, optional JSONL trace) — the original
-  ``repro stats`` behaviour;
 - a **campaign directory** (checkpoint and/or telemetry dir) renders a
   per-job rollup table from the checkpointed results plus any journal
   shards.  ``--follow`` keeps tailing the shards and redrawing — a live
-  view over a *running* campaign (``repro top`` is an alias).
+  view over a *running* campaign (``repro top`` is an alias);
+- a **service state dir** renders the scheduler queue per tenant plus
+  each running campaign's rollup.
 
-Either mode can export artifacts: ``--metrics-out`` (JSON snapshot),
-``--prom-out`` (Prometheus text exposition), ``--trace-out`` (Chrome
-trace-event JSON loadable in chrome://tracing / Perfetto).
+One search's profile is ``repro run PROGRAM --profile``.  The rollup can
+export artifacts: ``--metrics-out`` (JSON snapshot), ``--prom-out``
+(Prometheus text exposition), ``--trace-out`` (Chrome trace-event JSON
+loadable in chrome://tracing / Perfetto).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-import tempfile
 from typing import List, Optional, Tuple
 
-from .. import api
-from ..faults import use_fault_plan
-from ..obs.export import (
-    journal_to_chrome_trace,
-    load_journal,
-    render_prometheus,
-    snapshot_to_json,
-)
+from ..errors import ReproError
+from ..obs.export import load_journal
 from ..obs.shipper import CAMPAIGN_JOURNAL, CampaignStats, ShardReader, merge_shards
-from ..search import SearchConfig
-from ..symbolic import ConcretizationMode
 from . import common
 
 __all__ = [
@@ -242,7 +232,7 @@ def _queued_jobs(state, record) -> int:
 
 
 def _service_stats(args, directory: str) -> int:
-    if not getattr(args, "follow", False):
+    if not args.follow:
         print(render_service_view(directory))
         return 0
     import time as time_mod
@@ -287,25 +277,14 @@ def _campaign_journal_path(directory: str) -> str:
 
 
 def _export_campaign(args, directory: str, stats: CampaignStats) -> None:
-    if getattr(args, "metrics_out", None) or getattr(args, "prom_out", None):
-        # campaign-level metrics are the counters aggregated across all
-        # finished jobs (per-job registries live in the checkpoint)
-        snapshot = {"counters": dict(stats.counters), "gauges": {}, "histograms": {}}
-        if getattr(args, "metrics_out", None):
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(snapshot_to_json(snapshot))
-            print(f"  metrics json -> {args.metrics_out}")
-        if getattr(args, "prom_out", None):
-            with open(args.prom_out, "w", encoding="utf-8") as handle:
-                handle.write(render_prometheus(snapshot))
-            print(f"  prometheus metrics -> {args.prom_out}")
-    if getattr(args, "trace_out", None):
+    # campaign-level metrics are the counters aggregated across all
+    # finished jobs (per-job registries live in the checkpoint)
+    snapshot = {"counters": dict(stats.counters), "gauges": {}, "histograms": {}}
+    events = None
+    if args.trace_out:
         path = _campaign_journal_path(directory)
         events = load_journal(path) if os.path.exists(path) else []
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            json.dump(journal_to_chrome_trace(events), handle)
-            handle.write("\n")
-        print(f"  chrome trace: {len(events)} events -> {args.trace_out}")
+    common.write_exports(args, snapshot, events)
 
 
 def _follow(args, directory: str) -> int:
@@ -342,8 +321,8 @@ def _follow(args, directory: str) -> int:
 
 
 def _campaign_stats(args) -> int:
-    directory = args.program
-    if getattr(args, "follow", False):
+    directory = args.directory
+    if args.follow:
         return _follow(args, directory)
     stats = _campaign_snapshot(directory)
     print(render_campaign_view(stats, directory))
@@ -351,116 +330,28 @@ def _campaign_stats(args) -> int:
     return 0
 
 
-def _single_run_stats(args) -> int:
-    """Run a search with full observability and render the stats report."""
-    from ..solver.cache import use_cache
-
-    program = common.load_program(args.program)
-    entry = common.default_entry(program, args.entry)
-    seed = common.seed_for(program, entry, common.parse_seed(args.seed))
-    cache = common.query_cache(args) if getattr(args, "cache_dir", None) else None
-    tmp_trace: Optional[str] = None
-    if getattr(args, "trace_out", None) and not args.trace:
-        # the Chrome trace is rendered from the journal; route it to a
-        # scratch file when the user didn't ask to keep the JSONL
-        fd, tmp_trace = tempfile.mkstemp(prefix="repro-trace-", suffix=".jsonl")
-        os.close(fd)
-        args.trace = tmp_trace
-    try:
-        with common.CliObservability(args, force=True) as cli_obs, use_fault_plan(
-            common.fault_plan(args)
-        ):
-            with use_cache(cache) if cache is not None else common.null_context():
-                result = api.generate_tests(
-                    program,
-                    entry=entry,
-                    strategy=args.mode,
-                    natives=common.natives(),
-                    seed=seed,
-                    obs=cli_obs.obs,
-                    config=SearchConfig.from_options(max_runs=args.max_runs),
-                )
-        print(f"[{args.mode}] {result.summary()}")
-        common.print_resilience(result)
-        print(
-            f"  wall time: {result.time_total:.3f}s "
-            f"(executing {result.time_executing:.3f}s, "
-            f"generating {result.time_generating:.3f}s)"
-        )
-        if cache is not None:
-            common.print_cache(cache)
-        if cli_obs.journal is not None and tmp_trace is None:
-            print(
-                f"  trace: {cli_obs.journal.events_written} events written "
-                f"to {args.trace}"
-            )
-        common.print_profile_tables(cli_obs.obs, cli_obs.registry)
-        snapshot = cli_obs.registry.snapshot() if cli_obs.registry else {}
-        if getattr(args, "metrics_out", None):
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(snapshot_to_json(snapshot))
-            print(f"  metrics json -> {args.metrics_out}")
-        if getattr(args, "prom_out", None):
-            with open(args.prom_out, "w", encoding="utf-8") as handle:
-                handle.write(render_prometheus(snapshot))
-            print(f"  prometheus metrics -> {args.prom_out}")
-        if getattr(args, "trace_out", None):
-            events = load_journal(args.trace)
-            with open(args.trace_out, "w", encoding="utf-8") as handle:
-                json.dump(journal_to_chrome_trace(events), handle)
-                handle.write("\n")
-            print(f"  chrome trace: {len(events)} events -> {args.trace_out}")
-    finally:
-        if tmp_trace is not None:
-            try:
-                os.unlink(tmp_trace)
-            except OSError:
-                pass
-    return 0
-
-
 def cmd_stats(args) -> int:
-    """Single-run observability report, or campaign/service rollup for a
-    directory."""
-    if os.path.isdir(args.program):
-        from ..service.state import is_service_dir
+    """Campaign rollup, or service queue view, for a directory."""
+    from ..service.state import is_service_dir
 
-        if is_service_dir(args.program):
-            return _service_stats(args, args.program)
-        return _campaign_stats(args)
-    return _single_run_stats(args)
+    if not os.path.isdir(args.directory):
+        raise ReproError(
+            f"{args.directory!r} is not a campaign or service directory; "
+            f"profile one search with 'repro run {args.directory} --profile'"
+        )
+    if is_service_dir(args.directory):
+        return _service_stats(args, args.directory)
+    return _campaign_stats(args)
 
 
 def cmd_top(args) -> int:
     """``repro top`` — alias for ``repro stats --follow <campaign-dir>``."""
     from ..service.state import is_service_dir
 
-    args.program = args.campaign_dir
     args.follow = True
-    if is_service_dir(args.program):
-        return _service_stats(args, args.program)
+    if is_service_dir(args.directory):
+        return _service_stats(args, args.directory)
     return _campaign_stats(args)
-
-
-def _add_export_flags(parser) -> None:
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="export the journal as Chrome trace-event JSON (chrome://tracing)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="export the metrics snapshot as JSON",
-    )
-    parser.add_argument(
-        "--prom-out",
-        default=None,
-        metavar="FILE",
-        help="export the metrics snapshot in Prometheus text format",
-    )
 
 
 def _add_follow_flags(parser) -> None:
@@ -489,50 +380,24 @@ def register(sub) -> None:
     stats = sub.add_parser(
         "stats",
         help=(
-            "observability report: single-run profile, or live campaign "
-            "rollup when given a campaign directory"
+            "observability report: campaign rollup (live with --follow) or "
+            "service queue view of a directory"
         ),
     )
     stats.add_argument(
-        "program",
+        "directory",
         help=(
-            "MiniC program file, a campaign checkpoint/telemetry "
-            "directory, or a service state dir (scheduler-queue view)"
+            "a campaign checkpoint/telemetry directory, or a service state "
+            "dir (scheduler-queue view)"
         ),
-    )
-    stats.add_argument("--entry", default=None)
-    stats.add_argument("--seed", default="")
-    stats.add_argument(
-        "--mode",
-        default="higher_order",
-        choices=[m.value for m in ConcretizationMode],
-    )
-    stats.add_argument("--max-runs", type=int, default=100)
-    stats.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="also stream the JSONL journal to FILE",
-    )
-    stats.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="SPEC",
-        help="deterministic fault injection (see 'run --fault-plan')",
-    )
-    stats.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persistent on-disk solver query cache shared across runs",
     )
     stats.add_argument(
         "--follow",
         action="store_true",
-        help="campaign directory only: keep tailing shards and redrawing",
+        help="keep tailing shards and redrawing",
     )
     _add_follow_flags(stats)
-    _add_export_flags(stats)
+    common.add_export_flags(stats)
     stats.set_defaults(fn=cmd_stats)
 
     top = sub.add_parser(
@@ -540,9 +405,10 @@ def register(sub) -> None:
         help="live campaign telemetry view (alias for stats --follow DIR)",
     )
     top.add_argument(
-        "campaign_dir",
+        "directory",
+        metavar="campaign_dir",
         help="campaign checkpoint/telemetry directory to tail",
     )
     _add_follow_flags(top)
-    _add_export_flags(top)
+    common.add_export_flags(top)
     top.set_defaults(fn=cmd_top)

@@ -25,9 +25,10 @@ Three stages, composable or driven together by
   into one :class:`~repro.engine.merger.CampaignReport` whose campaign
   digest is byte-identical at every worker count.
 
-Jobs share a persistent :class:`~repro.solver.diskcache.DiskCache`
-(``--cache-dir``) read/write across processes and across runs; hits are
-answer-preserving, so warmth changes wall time, never suites.
+Jobs share a persistent :class:`~repro.solver.diskcache.DiskCache` —
+the ``solver/`` namespace of the ``--store-dir`` content store — read and
+written across processes and across runs; hits are answer-preserving,
+so warmth changes wall time, never suites.
 """
 
 from .merger import CampaignReport, ResultMerger

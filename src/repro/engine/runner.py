@@ -48,7 +48,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from ..errors import DeadlineExceeded, ReproError, SearchInterrupted
 from ..faults import (
@@ -77,6 +79,7 @@ __all__ = [
     "CampaignCheckpoint",
     "build_natives",
     "run_job",
+    "search_outputs",
 ]
 
 #: JobResult payload schema version (checkpointed campaigns self-invalidate)
@@ -282,12 +285,13 @@ def _trace_tail(exc: BaseException) -> str:
     return "".join(head + tail + [f"{type(exc).__name__}: {exc}"]).rstrip()
 
 
-def _job_cache(cache_dir: Optional[str]) -> QueryCache:
-    """A fresh per-job memory cache, disk-backed when a directory is given."""
-    if cache_dir:
+def _job_cache(store_dir: Optional[str]) -> QueryCache:
+    """A fresh per-job memory cache, backed by the store's ``solver/``
+    namespace when a store directory is given."""
+    if store_dir:
         from ..solver.diskcache import DiskCache
 
-        return QueryCache(disk=DiskCache(cache_dir))
+        return QueryCache(disk=DiskCache(store_dir))
     return QueryCache()
 
 
@@ -325,9 +329,35 @@ def _seal_shard(shard, out: JobResult) -> None:
     shard.close()
 
 
+def search_outputs(result) -> Tuple[List[dict], List[dict]]:
+    """A finished search's corpus and crash buckets as plain dicts — the
+    shapes :class:`JobResult` carries and
+    :func:`~repro.store.record_search_outputs` persists."""
+    corpus = TestCorpus()
+    corpus.add_from_search(result)
+    tests = [
+        {
+            "inputs": entry.input_dict(),
+            "returned": entry.returned,
+            "error": entry.error,
+            "error_message": entry.error_message,
+        }
+        for entry in corpus
+    ]
+    crashes = [
+        {
+            "bucket": c.bucket,
+            "count": c.count,
+            "message": c.message,
+            "run_index": c.run_index,
+        }
+        for c in result.crashes
+    ]
+    return tests, crashes
+
+
 def run_job(
     job: SearchJob,
-    cache_dir: Optional[str] = None,
     fault_spec: str = "",
     telemetry_dir: Optional[str] = None,
     hang: bool = False,
@@ -350,13 +380,13 @@ def run_job(
     are byte-identical with telemetry on or off.
 
     ``store_dir`` points at a shared content-addressed store
-    (:class:`~repro.store.ContentStore`): the job's generated corpus and
-    crash buckets are persisted into it (and, when no explicit
-    ``cache_dir`` is given, its ``solver/`` namespace doubles as the
-    disk query cache).  ``seed_from_store=True`` additionally seeds the
-    search with every stored corpus entry recorded for this program
-    source and entry point — deterministic given the store state, off
-    by default so legacy digests stay byte-identical.  ``store_tenant``
+    (:class:`~repro.store.ContentStore`): its ``solver/`` namespace is
+    the disk query cache, and the job's generated corpus and crash
+    buckets are persisted into it.  ``seed_from_store=True``
+    additionally seeds the search with every stored corpus entry
+    recorded for this program source and entry point — deterministic
+    given the store state, off by default so legacy digests stay
+    byte-identical.  ``store_tenant``
     tags the store's access journal for per-tenant accounting.
 
     ``hang=True`` arms the injected ``hang`` fault for this job: the
@@ -366,10 +396,10 @@ def run_job(
     """
     from ..search.directed import DirectedSearch, SearchConfig
     from ..store import (
-        CORPUS_ENTRY_FORMAT,
         ContentStore,
-        corpus_group,
+        record_search_outputs,
         source_sha,
+        stored_seed_vectors,
     )
 
     out = JobResult(
@@ -380,7 +410,7 @@ def run_job(
     )
     plan = FaultPlan.parse(fault_spec) if fault_spec else NULL_PLAN
     registry = MetricsRegistry()
-    cache = _job_cache(cache_dir if cache_dir else store_dir)
+    cache = _job_cache(store_dir)
     store = (
         ContentStore(store_dir, tenant=store_tenant) if store_dir else None
     )
@@ -396,16 +426,7 @@ def run_job(
             # source + entry point; sorted-by-digest order makes the
             # seeded search a pure function of the store state
             with use_registry(registry):
-                stored = store.load_group(
-                    "corpus",
-                    corpus_group(out.source_sha, job.entry),
-                    expected_format=CORPUS_ENTRY_FORMAT,
-                )
-            seeds = [
-                {str(k): int(v) for k, v in dict(entry["inputs"]).items()}
-                for _digest, entry in stored
-                if isinstance(entry.get("inputs"), dict)
-            ]
+                seeds = stored_seed_vectors(store, out.source_sha, job.entry)
             if seeds:
                 options["seed_corpus"] = seeds
         config = SearchConfig.from_options(**options)
@@ -446,15 +467,7 @@ def run_job(
     out.runs = result.runs
     out.paths = result.distinct_paths
     out.errors = [str(e) for e in result.errors]
-    out.crashes = [
-        {
-            "bucket": c.bucket,
-            "count": c.count,
-            "message": c.message,
-            "run_index": c.run_index,
-        }
-        for c in result.crashes
-    ]
+    out.corpus, out.crashes = search_outputs(result)
     out.downgrades = dict(result.downgrades)
     out.deferred_flips = result.deferred_flips
     out.abandoned_flips = result.abandoned_flips
@@ -466,20 +479,11 @@ def run_job(
     out.suite_digest = suite_digest(result)
     out.generate_seconds = result.time_generating
     out.execute_seconds = result.time_executing
-    corpus = TestCorpus()
-    corpus.add_from_search(result)
-    out.corpus = [
-        {
-            "inputs": entry.input_dict(),
-            "returned": entry.returned,
-            "error": entry.error,
-            "error_message": entry.error_message,
-        }
-        for entry in corpus
-    ]
     if store is not None:
         with use_registry(registry):
-            _persist_job_outputs(store, job, out)
+            record_search_outputs(
+                store, out.source_sha, job.entry, out.corpus, out.crashes
+            )
     disk = cache.disk
     out.cache = {
         "hits": cache.hits,
@@ -495,68 +499,6 @@ def run_job(
     _seal_shard(shard, out)
     out.metrics = registry.snapshot()
     return out
-
-
-def _persist_job_outputs(store, job: SearchJob, out: JobResult) -> None:
-    """Record the job's corpus entries and crash buckets in the store.
-
-    Write-side only (never observable in the job's suite or digest):
-    corpus entries land under ``corpus/<group>/`` keyed by the digest of
-    their input vector, crash buckets under ``crashes/<group>/`` keyed
-    by the digest of the bucket string — both grouped by the program's
-    source SHA-256 (plus entry point, for corpora) so a later campaign
-    over the same program can enumerate them.  Entries already present
-    are left untouched: re-running a campaign against a warm store is
-    write-free.
-    """
-    from ..store import (
-        CORPUS_ENTRY_FORMAT,
-        CRASH_RECORD_FORMAT,
-        corpus_group,
-        crash_group,
-        input_digest,
-        source_sha,
-    )
-
-    group = corpus_group(out.source_sha, job.entry)
-    for entry in out.corpus:
-        inputs = entry.get("inputs")
-        if not isinstance(inputs, dict):
-            continue
-        path = store.group_path("corpus", group, input_digest(inputs))
-        if os.path.exists(path):
-            continue
-        store.save(
-            "corpus",
-            path,
-            {
-                "format": CORPUS_ENTRY_FORMAT,
-                "source_sha": out.source_sha,
-                "entry": job.entry,
-                "inputs": {str(k): int(v) for k, v in inputs.items()},
-                "returned": entry.get("returned"),
-                "error": entry.get("error"),
-                "error_message": entry.get("error_message"),
-            },
-        )
-    group = crash_group(out.source_sha)
-    for crash in out.crashes:
-        bucket = str(crash.get("bucket", "?"))
-        path = store.group_path("crashes", group, source_sha(bucket))
-        if os.path.exists(path):
-            continue
-        store.save(
-            "crashes",
-            path,
-            {
-                "format": CRASH_RECORD_FORMAT,
-                "source_sha": out.source_sha,
-                "entry": job.entry,
-                "bucket": bucket,
-                "message": str(crash.get("message", "")),
-                "count": int(crash.get("count", 0) or 0),
-            },
-        )
 
 
 def _ensure_importable_by_children() -> None:
@@ -599,7 +541,6 @@ class ProcessPoolRunner:
     def __init__(
         self,
         workers: int = 1,
-        cache_dir: Optional[str] = None,
         fault_spec: str = "",
         telemetry_dir: Optional[str] = None,
         supervisor: Optional["SupervisorConfig"] = None,
@@ -609,12 +550,11 @@ class ProcessPoolRunner:
         if workers < 1:
             raise ReproError(f"workers must be >= 1 (got {workers})")
         self.workers = workers
-        self.cache_dir = cache_dir
         self.fault_spec = fault_spec
         #: when set, every job ships its journal shard under this directory
         self.telemetry_dir = telemetry_dir
-        #: shared content-addressed store (corpora + crash buckets; doubles
-        #: as the solver disk cache when no explicit ``cache_dir`` is given)
+        #: shared content-addressed store (solver disk cache, corpora,
+        #: crash buckets)
         self.store_dir = os.path.abspath(store_dir) if store_dir else None
         #: seed each job's search from the store's prior corpora (OFF by
         #: default: classic campaigns stay byte-identical)

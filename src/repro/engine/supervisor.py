@@ -522,7 +522,6 @@ class CampaignSupervisor:
             # guarantees completion
             result = run_job(
                 state.job,
-                self.runner.cache_dir,
                 self.runner.fault_spec,
                 state.telemetry,
                 hang=hang,
@@ -540,7 +539,6 @@ class CampaignSupervisor:
         future = self._ensure_executor().submit(
             run_job,
             state.job,
-            self.runner.cache_dir,
             self.runner.fault_spec,
             state.telemetry,
             hang,

@@ -4,7 +4,7 @@ Three cooperating pieces (each usable alone):
 
 - :class:`~repro.obs.tracer.Tracer` — nestable ``with tracer.span(...)``
   regions with per-label aggregation (count, inclusive and exclusive wall
-  time); the source of the ``repro stats`` profile table.
+  time); the source of the ``repro run --profile`` span table.
 - :class:`~repro.obs.metrics.MetricsRegistry` — named counters, gauges,
   and summary histograms.  Solver and executor layers record into the
   process-wide *default registry*, which is a no-op until a session
@@ -101,8 +101,8 @@ class Observability:
     default metrics registry (no-op unless installed), and no journal.
 
     ``Observability.collecting(journal=...)`` builds a fully live bundle
-    with a fresh registry — what the CLI's ``--trace``/``--profile`` and
-    ``repro stats`` use.
+    with a fresh registry — what the CLI's ``--trace``/``--profile``
+    flags collect.
     """
 
     __slots__ = ("tracer", "metrics", "journal")

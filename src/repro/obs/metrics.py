@@ -129,7 +129,7 @@ class MetricsRegistry:
 
     Instrument names are dotted paths (``sat.conflicts``,
     ``smt.check_seconds``); the renderer groups rows by their first
-    component so ``repro stats`` shows one table per subsystem.
+    component so ``repro run --profile`` shows one table per subsystem.
     """
 
     #: instrumented call sites may skip work when the registry is disabled

@@ -9,7 +9,7 @@ A :class:`Tracer` hands out :class:`Span` context managers::
 and aggregates, per label: call count, *inclusive* wall time (span entry
 to exit) and *exclusive* ("self") wall time (inclusive minus time spent
 in child spans).  Exclusive times of all labels sum to the root span's
-inclusive time, which is what makes the ``repro stats`` profile table
+inclusive time, which is what makes the ``repro run --profile`` table
 add up: the per-span totals account for (approximately) 100% of
 ``SearchResult.time_total``.
 

@@ -37,7 +37,6 @@ class CampaignService:
         self,
         state_dir: str,
         workers: int = 1,
-        cache_dir: Optional[str] = None,
         fault_plan: str = "",
         max_attempts: Optional[int] = None,
         stall_timeout: Optional[float] = None,
@@ -65,7 +64,6 @@ class CampaignService:
         config = SupervisorConfig(**policy)  # type: ignore[arg-type]
         self.runner = ProcessPoolRunner(
             workers=workers,
-            cache_dir=cache_dir,
             fault_spec=fault_plan,
             telemetry_dir=None,
             supervisor=config.validate(),

@@ -1,7 +1,7 @@
 """Persistent on-disk solver-query cache, shared across processes and runs.
 
 The in-memory :class:`~repro.solver.cache.QueryCache` dies with its
-process, so every ``repro run``/``repro bench``/``repro campaign``
+process, so every ``repro run``/``repro campaign``/``repro serve``
 invocation used to start solving from a cold corpus.  :class:`DiskCache`
 keeps memoized verdicts on disk, **content-addressed** by the same
 :func:`~repro.solver.terms.canonical_query` key the memory cache uses —
@@ -12,9 +12,11 @@ the same entry.
 
 Since the shared content-addressed store landed, :class:`DiskCache` is a
 thin adapter over the ``solver/`` namespace of a
-:class:`~repro.store.ContentStore` rooted at its directory::
+:class:`~repro.store.ContentStore` rooted at its directory — the
+``--store-dir``/``store_dir=`` directory, which is the only way to
+attach it::
 
-    <cache-dir>/
+    <store-dir>/
         solver/
             ab/
                 ab3f...e2.json        # one canonical verdict per file

@@ -23,7 +23,9 @@ from .cas import (
     corpus_group,
     crash_group,
     input_digest,
+    record_search_outputs,
     source_sha,
+    stored_seed_vectors,
 )
 
 __all__ = [
@@ -33,5 +35,7 @@ __all__ = [
     "corpus_group",
     "crash_group",
     "input_digest",
+    "record_search_outputs",
     "source_sha",
+    "stored_seed_vectors",
 ]

@@ -64,7 +64,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..obs.metrics import default_registry
 
@@ -77,6 +77,8 @@ __all__ = [
     "corpus_group",
     "crash_group",
     "input_digest",
+    "record_search_outputs",
+    "stored_seed_vectors",
 ]
 
 #: the namespaces one store root carries
@@ -582,3 +584,84 @@ class ContentStore:
                 continue
             count += 1
         return count
+
+
+# -- corpus and crash records ------------------------------------------------
+
+
+def record_search_outputs(
+    store: ContentStore,
+    src_sha: str,
+    entry: str,
+    corpus: Iterable[Dict[str, object]],
+    crashes: Iterable[Dict[str, object]],
+) -> None:
+    """Record one search's corpus entries and crash buckets in ``store``.
+
+    ``corpus`` holds ``{inputs, returned, error, error_message}`` dicts
+    and ``crashes`` ``{bucket, message, count}`` dicts (the shapes a
+    :class:`~repro.engine.runner.JobResult` carries).  Write-side only:
+    corpus entries land under ``corpus/<group>/`` keyed by the digest of
+    their input vector, crash buckets under ``crashes/<group>/`` keyed
+    by the digest of the bucket string, both grouped by the program's
+    source SHA-256 (plus entry point, for corpora).  Entries already
+    present are left untouched, so re-running against a warm store is
+    write-free.
+    """
+    group = corpus_group(src_sha, entry)
+    for test in corpus:
+        inputs = test.get("inputs")
+        if not isinstance(inputs, dict):
+            continue
+        path = store.group_path("corpus", group, input_digest(inputs))
+        if os.path.exists(path):
+            continue
+        store.save(
+            "corpus",
+            path,
+            {
+                "format": CORPUS_ENTRY_FORMAT,
+                "source_sha": src_sha,
+                "entry": entry,
+                "inputs": {str(k): int(v) for k, v in inputs.items()},
+                "returned": test.get("returned"),
+                "error": test.get("error"),
+                "error_message": test.get("error_message"),
+            },
+        )
+    group = crash_group(src_sha)
+    for crash in crashes:
+        bucket = str(crash.get("bucket", "?"))
+        path = store.group_path("crashes", group, source_sha(bucket))
+        if os.path.exists(path):
+            continue
+        store.save(
+            "crashes",
+            path,
+            {
+                "format": CRASH_RECORD_FORMAT,
+                "source_sha": src_sha,
+                "entry": entry,
+                "bucket": bucket,
+                "message": str(crash.get("message", "")),
+                "count": int(crash.get("count", 0) or 0),
+            },
+        )
+
+
+def stored_seed_vectors(
+    store: ContentStore, src_sha: str, entry: str
+) -> List[Dict[str, int]]:
+    """The input vectors of every stored corpus entry for one program
+    source and entry point, sorted by digest — which makes a search
+    seeded from them a pure function of the store state."""
+    stored = store.load_group(
+        "corpus",
+        corpus_group(src_sha, entry),
+        expected_format=CORPUS_ENTRY_FORMAT,
+    )
+    return [
+        {str(k): int(v) for k, v in dict(payload["inputs"]).items()}
+        for _digest, payload in stored
+        if isinstance(payload.get("inputs"), dict)
+    ]

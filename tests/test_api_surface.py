@@ -117,9 +117,9 @@ class TestRunCampaign:
 
     def test_disk_cache_warm_run_hits(self, tmp_path):
         spec = _tiny_spec()
-        cache_dir = str(tmp_path / "cache")
-        cold = api.Client(workers=1, cache_dir=cache_dir).submit(spec).wait()
-        warm = api.Client(workers=1, cache_dir=cache_dir).submit(spec).wait()
+        store_dir = str(tmp_path / "store")
+        cold = api.Client(workers=1, store_dir=store_dir).submit(spec).wait()
+        warm = api.Client(workers=1, store_dir=store_dir).submit(spec).wait()
         assert cold.campaign_digest == warm.campaign_digest
         assert cold.cache_totals()["disk_stores"] > 0
         totals = warm.cache_totals()
@@ -270,7 +270,7 @@ class TestSurfaceContracts:
         for flag in (
             "spec",
             "--workers",
-            "--cache-dir",
+            "--store-dir",
             "--checkpoint",
             "--fault-plan",
             "--corpus",
@@ -279,6 +279,8 @@ class TestSurfaceContracts:
             "--expect-errors",
         ):
             assert flag in helptext, f"campaign --help lost {flag}"
+        # --store-dir is the only spelling of the persistent solver cache
+        assert "--cache-dir" not in helptext
 
     def test_from_options_rejects_unknown_keys(self):
         with pytest.raises(TypeError, match="not_an_option"):
@@ -290,24 +292,34 @@ class TestSurfaceContracts:
             SearchConfig.from_options(**{option: 2})
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, error",
         [
-            ["run", "prog.minic", "--jobs", "2"],
-            ["run", "prog.minic", "--exec-backend", "tree"],
-            ["run", "prog.minic", "--frontier", "fifo"],
-            ["bench", "prog.minic", "--jobs", "2"],
-            ["bench", "prog.minic", "--frontier", "fifo"],
-            ["campaign", "paper", "--jobs", "2"],
-            ["campaign", "paper", "--exec-backend", "tree"],
-            ["submit", "--state-dir", "svc", "paper", "--jobs", "2"],
+            pytest.param(argv, error, id=f"{argv[0]}{argv[-2]}")
+            for argv, error in [
+                (["run", "prog.minic", "--jobs", "2"], "unrecognized arguments"),
+                (["run", "prog.minic", "--exec-backend", "tree"], "unrecognized arguments"),
+                (["run", "prog.minic", "--frontier", "fifo"], "unrecognized arguments"),
+                (["run", "prog.minic", "--cache-dir", "c"], "unrecognized arguments"),
+                # the whole `bench` subcommand is gone, flags and all
+                (["bench", "prog.minic", "--jobs", "2"], "invalid choice: 'bench'"),
+                (["bench", "prog.minic", "--frontier", "fifo"], "invalid choice: 'bench'"),
+                (["campaign", "paper", "--jobs", "2"], "unrecognized arguments"),
+                (["campaign", "paper", "--exec-backend", "tree"], "unrecognized arguments"),
+                (["campaign", "paper", "--cache-dir", "c"], "unrecognized arguments"),
+                (["serve", "--state-dir", "svc", "--cache-dir", "c"], "unrecognized arguments"),
+                (["submit", "--state-dir", "svc", "paper", "--jobs", "2"], "unrecognized arguments"),
+            ]
         ],
-        ids=lambda argv: f"{argv[0]}{argv[-2]}",
     )
-    def test_removed_cli_flags_are_argparse_errors(self, argv, capsys):
+    def test_removed_cli_flags_are_argparse_errors(self, argv, error, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
+
+    def test_client_rejects_removed_cache_dir(self, tmp_path):
+        with pytest.raises(TypeError, match="cache_dir"):
+            api.Client(cache_dir=str(tmp_path / "cache"))
 
     def test_campaign_cli_end_to_end(self, tmp_path, capsys):
         code = main(["campaign", "paper", "--quiet", "--expect-errors"])

@@ -155,5 +155,53 @@ class TestCli:
         code = main(["run", program_file, "--seed", "garbage"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--seed", "x=abc"],
+            ["fuzz", "--range", "5"],
+            ["run", "--entry", "nope"],
+        ],
+        ids=["bad-seed-value", "bad-range", "unknown-entry"],
+    )
+    def test_bad_input_is_an_error_line_not_a_traceback(
+        self, program_file, argv, capsys
+    ):
+        code = main([argv[0], program_file] + argv[1:])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_run_prints_the_api_suite_digest(self, program_file, capsys):
+        from repro import api
+        from repro.apps.hashes import standard_registry
+
+        assert main(
+            ["run", program_file, "--seed", "x=33,y=42", "--max-runs", "20"]
+        ) == 0
+        lines = [
+            line.strip()
+            for line in capsys.readouterr().out.splitlines()
+            if "suite digest:" in line
+        ]
+        expected = api.suite_digest(
+            api.generate_tests(
+                SRC,
+                entry="main",
+                strategy="higher_order",
+                natives=standard_registry(width=4),
+                seed={"x": 33, "y": 42},
+                config={"max_runs": 20},
+            )
+        )
+        assert lines == [f"suite digest: {expected}"]
+
+    def test_stats_of_a_program_file_points_at_run_profile(
+        self, program_file, capsys
+    ):
+        assert main(["stats", program_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"repro run {program_file} --profile" in err
+
     def test_default_entry_is_main(self, program_file, capsys):
         assert main(["run", program_file, "--seed", "x=33,y=42"]) == 0

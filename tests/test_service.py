@@ -556,12 +556,14 @@ class TestServeCliSurface:
             "--workers",
             "--idle-exit",
             "--tenant-quota",
-            "--cache-dir",
+            "--store-dir",
             "--max-attempts",
             "--stall-timeout",
             "--fault-plan",
         ):
             assert flag in helptext, f"serve --help lost {flag}"
+        # --store-dir is the only spelling of the persistent solver cache
+        assert "--cache-dir" not in helptext
         # the deadline belongs to the submission (`submit --job-deadline`)
         assert "--job-deadline" not in helptext
 

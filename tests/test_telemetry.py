@@ -222,9 +222,9 @@ class TestCampaignTelemetry:
             assert job.tests == len(by_key[job.key].corpus)
 
     def test_disk_cache_rollup_in_report_payload(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        api.Client(cache_dir=cache_dir).submit(_tiny_spec()).wait()  # warm
-        report = api.Client(cache_dir=cache_dir).submit(_tiny_spec()).wait()  # hit
+        store_dir = str(tmp_path / "store")
+        api.Client(store_dir=store_dir).submit(_tiny_spec()).wait()  # warm
+        report = api.Client(store_dir=store_dir).submit(_tiny_spec()).wait()  # hit
         disk = report.disk_cache_stats()
         assert disk["hits"] > 0
         assert disk["hit_rate"] == pytest.approx(
@@ -489,27 +489,34 @@ class TestStatsCli:
         assert os.path.exists(os.path.join(d, CAMPAIGN_JOURNAL))
 
     def test_single_run_exports_still_work(self, tmp_path, capsys):
-        program = tmp_path / "p.minic"
+        # one search's exports live on `repro run` (`stats` takes only
+        # directories)
+        program = tmp_path / "foo.minic"
         program.write_text(PAPER_EXAMPLES["foo"].source, encoding="utf-8")
         prom = str(tmp_path / "m.prom")
         trace = str(tmp_path / "t.json")
+        metrics = str(tmp_path / "m.json")
         assert (
             cli_main(
                 [
-                    "stats",
+                    "run",
                     str(program),
                     "--max-runs",
-                    "6",
-                    "--prom-out",
-                    prom,
+                    "10",
                     "--trace-out",
                     trace,
+                    "--prom-out",
+                    prom,
+                    "--metrics-out",
+                    metrics,
                 ]
             )
             == 0
         )
         with open(prom, "r", encoding="utf-8") as handle:
-            assert "# TYPE" in handle.read()
+            assert "# TYPE repro_search_runs counter" in handle.read()
+        with open(metrics, "r", encoding="utf-8") as handle:
+            assert json.load(handle)["counters"]["search.runs"] > 0
         with open(trace, "r", encoding="utf-8") as handle:
             parsed = json.load(handle)
         slices = {
