@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI gate: the bytecode execution core must beat the tree walker 2x.
+"""CI gate: the bytecode VM beats the tree walker 2x; its shadow costs <= 3x.
 
 PR 7 replaced the recursive AST walker with a register-bytecode VM as
 the default concrete/concolic execution core.  The VM only earns its
@@ -19,6 +19,16 @@ while producing byte-identical results.  This gate measures both claims:
   count, branch trace, coverage set) must match exactly between
   backends.  A fast VM that disagrees with the reference walker is a
   bug, not a win.
+- **shadow overhead** — ``ConcolicEngine.run`` on the VM against the
+  concrete VM (``run_concrete``) on :data:`CHURN_SOURCE`, a long
+  all-concrete loop before two input guards, in every concretization
+  mode.  Nothing in the loop depends on the inputs, so the concolic
+  shadow should cost little over concrete execution; fails when the
+  min-of-N concolic/concrete ratio of any mode exceeds
+  :data:`SHADOW_THRESHOLD` (3x).  Each mode keeps one engine
+  across its rounds, as a directed search keeps one term manager across
+  its runs: the ratio measures the shadow loop, not the first run's
+  interning of the loop's integer constants.
 
 The workload mixes the shapes that dominate the paper suite: two-sided
 conditionals on variables, accumulator arithmetic with a modulus guard,
@@ -45,7 +55,13 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
+from repro.apps.paper_programs import (  # noqa: E402
+    churn_source,
+    make_paper_natives,
+)
 from repro.lang import Interpreter, parse_program  # noqa: E402
+from repro.solver import TermManager  # noqa: E402
+from repro.symbolic import ConcolicEngine, ConcretizationMode  # noqa: E402
 
 #: branch-dense mixed workload: conditionals, accumulator arithmetic
 #: with modulus guards, and a two-deep call chain per iteration — the
@@ -75,8 +91,49 @@ int main(int n) {
 ITERATIONS = 20000
 
 
+#: the standing benchmark's exec-churn shape: a concrete loop, then two
+#: guards on the inputs through the opaque ``hash`` native
+CHURN_SOURCE = churn_source(2500, 23, 97)
+
+CHURN_INPUTS = {"x": 5, "y": 9}
+
+#: the most a concolic run of the churn loop may cost over a concrete run
+SHADOW_THRESHOLD = 3.0
+
+
 def _outcome(res):
     return (res.returned, res.steps, tuple(res.path), frozenset(res.covered))
+
+
+def shadow_overhead(rounds: int) -> dict:
+    """Min-of-``rounds`` concolic/concrete wall-time ratio per mode."""
+    program = parse_program(CHURN_SOURCE)
+    concrete = Interpreter(program, make_paper_natives())
+    ratios = {}
+    for mode in ConcretizationMode:
+        engine = ConcolicEngine(
+            program, make_paper_natives(), mode, TermManager()
+        )
+        arms = {
+            "concolic": lambda: engine.run("churn", dict(CHURN_INPUTS)),
+            "concrete": lambda: concrete.run("churn", dict(CHURN_INPUTS)),
+        }
+        for run in arms.values():  # warmup
+            run()
+        times: dict[str, list[float]] = {"concolic": [], "concrete": []}
+        for round_index in range(rounds):
+            order = ("concolic", "concrete")
+            for arm in order if round_index % 2 == 0 else order[::-1]:
+                start = time.perf_counter()
+                arms[arm]()
+                times[arm].append(time.perf_counter() - start)
+        ratios[mode.value] = min(times["concolic"]) / min(times["concrete"])
+        print(
+            f"shadow {mode.value}: concolic {min(times['concolic']):.4f}s, "
+            f"concrete {min(times['concrete']):.4f}s "
+            f"-> {ratios[mode.value]:.2f}x"
+        )
+    return ratios
 
 
 def main() -> int:
@@ -137,6 +194,9 @@ def main() -> int:
         "threshold": args.threshold,
         "outcomes_identical": len(outcomes) == 1,
     }
+    shadow = shadow_overhead(args.rounds)
+    payload["shadow_ratios"] = shadow
+    payload["shadow_threshold"] = SHADOW_THRESHOLD
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
@@ -148,6 +208,14 @@ def main() -> int:
     print("outcomes identical across all runs and both backends")
     if ratio < args.threshold:
         print("FAIL: bytecode speedup below the gate")
+        return 1
+    worst = max(shadow.values())
+    print(
+        f"worst concolic/concrete ratio {worst:.2f}x "
+        f"(threshold {SHADOW_THRESHOLD:.1f}x)"
+    )
+    if worst > SHADOW_THRESHOLD:
+        print("FAIL: concolic shadow overhead above the gate")
         return 1
     print("PASS")
     return 0

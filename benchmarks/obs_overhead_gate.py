@@ -39,28 +39,13 @@ sys.path.insert(
 )
 
 from repro import api  # noqa: E402
+from repro.apps.paper_programs import churn_source  # noqa: E402
 from repro.engine import CampaignSpec  # noqa: E402
 
 #: compute-heavy concolic workload: the concrete loop dominates wall
 #: time (as real programs do), then two symbolic branches exercise the
 #: solver, the generational frontier, and higher-order test generation
-CHURN_SOURCE = """
-int churn(int x, int y) {
-    int acc = 0;
-    int i = 0;
-    while (i < 2500) {
-        acc = acc + ((acc * 31 + i) % 97);
-        i = i + 1;
-    }
-    if (x == hash(y + acc - acc)) {
-        error("churn reached");
-    }
-    if (hash(x) == hash(y) + 1) {
-        error("churn linked");
-    }
-    return acc;
-}
-"""
+CHURN_SOURCE = churn_source(2500, 31, 97)
 
 
 def _gate_spec() -> CampaignSpec:

@@ -27,6 +27,7 @@ __all__ = [
     "PAPER_EXAMPLES",
     "paper_hash",
     "make_paper_natives",
+    "churn_source",
 ]
 
 
@@ -51,6 +52,34 @@ def make_paper_natives() -> NativeRegistry:
     registry = NativeRegistry()
     registry.register("hash", paper_hash, arity=1)
     return registry
+
+
+def churn_source(iterations: int, mult: int, mod: int) -> str:
+    """An execution-bound program over :func:`make_paper_natives`.
+
+    ``churn(x, y)`` runs the all-concrete step
+    ``acc = acc + ((acc * mult + i) % mod)`` ``iterations`` times, then
+    checks two input guards through the opaque ``hash`` native, so its
+    concolic execution is almost all shadow over plain ints.  The
+    standing benchmark's exec-churn workload has the same shape.
+    """
+    return f"""
+int churn(int x, int y) {{
+    int acc = 0;
+    int i = 0;
+    while (i < {iterations}) {{
+        acc = acc + ((acc * {mult} + i) % {mod});
+        i = i + 1;
+    }}
+    if (x == hash(y + acc - acc)) {{
+        error("churn reached");
+    }}
+    if (hash(x) == hash(y) + 1) {{
+        error("churn linked");
+    }}
+    return acc;
+}}
+"""
 
 
 OBSCURE_SRC = """

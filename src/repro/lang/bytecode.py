@@ -10,16 +10,23 @@ dispatch loop.  Two loops share one compiled artifact:
 
 - :func:`run_concrete` — plain-int registers, replacing
   ``Interpreter._exec_block``/``_eval`` for concrete execution;
-- :func:`exec_concolic` — :class:`SymValue` registers driving
-  ``ConcolicEngine``'s symbolic shadow off the same instruction stream,
-  delegating every term-building decision to the engine's operand-level
-  helpers so term creation order, pins, injected checks, and path
-  conditions are byte-identical to the tree walk.
+- :func:`exec_concolic` — ``ConcolicEngine``'s symbolic shadow off the
+  same instruction stream.  Registers stay plain ints until a value
+  carries a term: plain operations compute as :func:`run_concrete`
+  does, and only values with a term, bool term or pins (boxed as
+  ``SymValue``) go through the engine's operand-level helpers.  Two
+  traps: the plain path must make the engine's ``mk_int`` calls in the
+  engine's order, because term-creation order fixes every ``tid`` and
+  so every digest; and runtime ints are boxed with a fresh
+  ``SymValue``, never the process-global compile-time constant table.
 
 Correctness contract (digest-gated by tests and CI): for every program
 and input vector both backends produce identical ``RunResult``s /
 ``ConcolicResult``s — return value, error class/message/line, branch
-trace, coverage set, and *step counts*.  Step counting is the subtle
+trace, coverage set, and *step counts* — and the concolic VM matches
+the golden digests (``tests/test_concolic_golden.py``) and the tree
+walker's path conditions, term ids and term counts
+(``tests/test_exec_backends.py``).  Step counting is the subtle
 part: the tree walkers tick once per statement and once per expression
 node (pre-order), plus one extra tick per completed loop body.  The
 compiler folds each run of consecutive ticks into the *next* emitted
@@ -38,6 +45,7 @@ still get the per-instance memo.
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import InterpError, StepBudgetExceeded
@@ -64,7 +72,7 @@ from .ast import (
     VarRef,
     While,
 )
-from .interp import RunResult, _ErrorSignal
+from .interp import DivisionByZero, RunResult, _ErrorSignal, c_div, c_mod
 from .natives import NativeRegistry
 
 __all__ = [
@@ -1394,6 +1402,47 @@ def _frame_concrete(
 _SYM = None
 _SYM_CONSTS: Dict[int, object] = {}
 
+#: binary opcode -> the int ``run_concrete`` computes for plain operands;
+#: ``/`` and ``%`` raise :class:`DivisionByZero` on a zero divisor
+_INT_BINOPS = {
+    OP_ADD: operator.add,
+    OP_SUB: operator.sub,
+    OP_MUL: operator.mul,
+    OP_DIV: c_div,
+    OP_MOD: c_mod,
+    OP_EQ: lambda a, b: 1 if a == b else 0,
+    OP_NE: lambda a, b: 1 if a != b else 0,
+    OP_LT: lambda a, b: 1 if a < b else 0,
+    OP_LE: lambda a, b: 1 if a <= b else 0,
+    OP_GT: lambda a, b: 1 if a > b else 0,
+    OP_GE: lambda a, b: 1 if a >= b else 0,
+    OP_AND: lambda a, b: 1 if (a != 0 and b != 0) else 0,
+    OP_OR: lambda a, b: 1 if (a != 0 or b != 0) else 0,
+}
+
+
+def _plain_binop(ints, mk_int, cop, a, b, line):
+    """``a cop b`` on two plain ints, with the engine's term order.
+
+    ``ConcolicEngine._apply_binary`` interns ``mk_int(a)`` and then
+    ``mk_int(b)`` for every arithmetic op and comparison (not for
+    ``&&``/``||``), even on two constants, and a term's ``tid`` is its
+    creation rank; so the same calls come first, in the same order, and
+    before a division by zero raises.  ``ints`` is the manager's
+    ``int_terms``: a constant already in it would be a hit, so the call
+    is skipped.  Then the value is what :func:`run_concrete` computes,
+    or the ``"division by zero"`` program error at ``line``.
+    """
+    if cop < OP_AND:
+        if a not in ints:
+            mk_int(a)
+        if b not in ints:
+            mk_int(b)
+    try:
+        return _INT_BINOPS[cop](a, b)
+    except DivisionByZero:
+        raise _SYM._ErrorSignal("division by zero", line) from None
+
 
 def _sym_module():
     global _SYM
@@ -1405,6 +1454,7 @@ def _sym_module():
 
 
 def _sym_const(value: int):
+    """The shared ``SymValue`` of a compile-time constant."""
     sv = _SYM_CONSTS.get(value)
     if sv is None:
         sv = _SYM.SymValue(value)
@@ -1412,25 +1462,57 @@ def _sym_const(value: int):
     return sv
 
 
+def _box(value):
+    """A register value as a ``SymValue``, for the engine's helpers.
+
+    A runtime int gets a fresh ``SymValue``: :func:`_sym_const`'s
+    process-global table would keep every int ever seen alive.
+    """
+    sym_value = _SYM.SymValue
+    return value if value.__class__ is sym_value else sym_value(value)
+
+
+def _unbox(value):
+    """An engine result as a register value: bare unless it carries a
+    term, a bool term or pins."""
+    if value.term is None and value.bool_term is None and not value.pins:
+        return value.concrete
+    return value
+
+
 def exec_concolic(engine, cp: CompiledProgram, entry: str, args, result):
     """Run the concolic shadow over the compiled instruction stream.
 
-    ``engine`` is a :class:`~repro.symbolic.concolic.ConcolicEngine`;
-    all symbolic decisions (term construction, pins, injected checks,
-    IOF samples) delegate to its operand-level helpers, so the shadow
-    produces byte-identical path conditions to the tree walk.  Returns
-    the function's result as a ``SymValue``; raises the concolic
-    module's error signal on program errors.
+    ``engine`` is a :class:`~repro.symbolic.concolic.ConcolicEngine`.
+    Registers hold bare ints until a value carries a term: an operation
+    on plain ints computes what :func:`run_concrete` computes, and only
+    a symbolic operand (or an array, native call or assert, whose engine
+    helpers take ``SymValue`` operands) goes through the engine's
+    operand-level helpers.  Returns the function's result as a
+    ``SymValue``; raises the concolic module's error signal on program
+    errors.
+
+    The fast path keeps the engine's term-creation order, which fixes
+    every term's ``tid`` and so every digest: for an arithmetic op or a
+    comparison on two plain ints it makes the ``mk_int(left)``,
+    ``mk_int(right)`` calls the engine would make, skipping each only
+    when the constant is already interned; ``&&``, ``||``, unary ops,
+    plain branch conditions and plain array indices make none.
     """
     _sym_module()
-    return _frame_concolic(engine, cp, cp.function(entry), list(args), result)
+    return _box(
+        _frame_concolic(engine, cp, cp.function(entry), list(args), result)
+    )
 
 
 def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res):
-    sym = _SYM
-    error_signal = sym._ErrorSignal
+    sym_value = _SYM.SymValue
+    error_signal = _SYM._ErrorSignal
     apply_binary = engine._apply_binary
-    apply_unary = engine._apply_unary
+    record = engine._record_condition
+    tm = engine.tm
+    ints = tm.int_terms
+    mk_int = tm.mk_int
     budget = engine.step_budget
     regs: List[object] = [UNDEF] * cf.nregs
     regs[: len(args)] = args
@@ -1465,15 +1547,18 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
                 )
             regs[ins[2]] = v
         elif op == OP_LOADK:
-            regs[ins[2]] = _sym_const(ins[3])
+            regs[ins[2]] = ins[3]
         elif op == OP_BR:
             cond = regs[ins[2]]
-            taken = cond.concrete != 0
+            symbolic = cond.__class__ is sym_value
+            taken = (cond.concrete if symbolic else cond) != 0
             bid = ins[3]
             path.append((bid, taken))
             covered.add((bid, taken))
-            res.steps = steps
-            engine._record_condition(cond, taken, bid, ins[4], res)
+            if symbolic:
+                # a plain condition records nothing in any mode
+                res.steps = steps
+                record(cond, taken, bid, ins[4], res)
             if taken:
                 pc += 1
             else:
@@ -1500,13 +1585,19 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
                     raise StepBudgetExceeded(
                         f"concolic execution exceeded {budget} steps"
                     )
-            res.steps = steps
-            cond = apply_binary(_OPSTR[ins[2]], v, _sym_const(ins[7]), 0, res)
-            taken = cond.concrete != 0
+            k = ins[7]
+            if v.__class__ is int:
+                cond = None
+                taken = _plain_binop(ints, mk_int, ins[2], v, k, 0) != 0
+            else:
+                res.steps = steps
+                cond = apply_binary(_OPSTR[ins[2]], _box(v), _sym_const(k), 0, res)
+                taken = cond.concrete != 0
             bid = ins[8]
             path.append((bid, taken))
             covered.add((bid, taken))
-            engine._record_condition(cond, taken, bid, ins[9], res)
+            if cond is not None:
+                record(cond, taken, bid, ins[9], res)
             if taken:
                 pc += 1
             else:
@@ -1544,13 +1635,18 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
                 raise InterpError(
                     f"array {ins[8]!r} used as a scalar (line {ins[9]})"
                 )
-            res.steps = steps
-            cond = apply_binary(_OPSTR[ins[2]], v, w, 0, res)
-            taken = cond.concrete != 0
+            if v.__class__ is int and w.__class__ is int:
+                cond = None
+                taken = _plain_binop(ints, mk_int, ins[2], v, w, 0) != 0
+            else:
+                res.steps = steps
+                cond = apply_binary(_OPSTR[ins[2]], _box(v), _box(w), 0, res)
+                taken = cond.concrete != 0
             bid = ins[10]
             path.append((bid, taken))
             covered.add((bid, taken))
-            engine._record_condition(cond, taken, bid, ins[11], res)
+            if cond is not None:
+                record(cond, taken, bid, ins[11], res)
             if taken:
                 pc += 1
             else:
@@ -1588,19 +1684,30 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
                 raise InterpError(
                     f"array {ins[9]!r} used as a scalar (line {ins[10]})"
                 )
+            cop = ins[2]
             res.steps = steps
-            regs[ins[3]] = apply_binary(_OPSTR[ins[2]], v, w, ins[11], res)
+            if v.__class__ is int and w.__class__ is int:
+                regs[ins[3]] = _plain_binop(ints, mk_int, cop, v, w, ins[11])
+            else:
+                regs[ins[3]] = _unbox(
+                    apply_binary(_OPSTR[cop], _box(v), _box(w), ins[11], res)
+                )
         elif op == OP_BRCMP:
             # (cop, l, r, bid, line, target)
-            res.steps = steps
-            cond = apply_binary(
-                _OPSTR[ins[2]], regs[ins[3]], regs[ins[4]], 0, res
-            )
-            taken = cond.concrete != 0
+            a = regs[ins[3]]
+            b = regs[ins[4]]
+            if a.__class__ is int and b.__class__ is int:
+                cond = None
+                taken = _plain_binop(ints, mk_int, ins[2], a, b, 0) != 0
+            else:
+                res.steps = steps
+                cond = apply_binary(_OPSTR[ins[2]], _box(a), _box(b), 0, res)
+                taken = cond.concrete != 0
             bid = ins[5]
             path.append((bid, taken))
             covered.add((bid, taken))
-            engine._record_condition(cond, taken, bid, ins[6], res)
+            if cond is not None:
+                record(cond, taken, bid, ins[6], res)
             if taken:
                 pc += 1
             else:
@@ -1627,16 +1734,27 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
                     raise StepBudgetExceeded(
                         f"concolic execution exceeded {budget} steps"
                     )
+            cop = ins[2]
+            k = ins[8]
             res.steps = steps
-            regs[ins[3]] = apply_binary(
-                _OPSTR[ins[2]], v, _sym_const(ins[8]), ins[9], res
-            )
+            if v.__class__ is int:
+                regs[ins[3]] = _plain_binop(ints, mk_int, cop, v, k, ins[9])
+            else:
+                regs[ins[3]] = _unbox(
+                    apply_binary(_OPSTR[cop], _box(v), _sym_const(k), ins[9], res)
+                )
         elif op == OP_BINK:
             # (cop, dst, l, k, line)
+            a = regs[ins[4]]
+            cop = ins[2]
+            k = ins[5]
             res.steps = steps
-            regs[ins[3]] = apply_binary(
-                _OPSTR[ins[2]], regs[ins[4]], _sym_const(ins[5]), ins[6], res
-            )
+            if a.__class__ is int:
+                regs[ins[3]] = _plain_binop(ints, mk_int, cop, a, k, ins[6])
+            else:
+                regs[ins[3]] = _unbox(
+                    apply_binary(_OPSTR[cop], _box(a), _sym_const(k), ins[6], res)
+                )
         elif op == OP_BINV:
             # (cop, dst, l, s, n, ln, line)
             v = regs[ins[5]]
@@ -1650,10 +1768,15 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
                 raise InterpError(
                     f"array {ins[6]!r} used as a scalar (line {ins[7]})"
                 )
+            a = regs[ins[4]]
+            cop = ins[2]
             res.steps = steps
-            regs[ins[3]] = apply_binary(
-                _OPSTR[ins[2]], regs[ins[4]], v, ins[8], res
-            )
+            if a.__class__ is int and v.__class__ is int:
+                regs[ins[3]] = _plain_binop(ints, mk_int, cop, a, v, ins[8])
+            else:
+                regs[ins[3]] = _unbox(
+                    apply_binary(_OPSTR[cop], _box(a), _box(v), ins[8], res)
+                )
         elif op == OP_LOADV2:
             # (d1, s1, n1, l1, t2, d2, s2, n2, l2)
             v = regs[ins[3]]
@@ -1710,22 +1833,35 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
                     raise StepBudgetExceeded(
                         f"concolic execution exceeded {budget} steps"
                     )
-            regs[ins[7]] = _sym_const(ins[8])
+            regs[ins[7]] = ins[8]
         elif OP_ADD <= op <= OP_OR:
-            res.steps = steps
+            a = regs[ins[3]]
+            b = regs[ins[4]]
             line = ins[5] if (op == OP_DIV or op == OP_MOD) else 0
-            regs[ins[2]] = apply_binary(
-                _OPSTR[op], regs[ins[3]], regs[ins[4]], line, res
-            )
+            res.steps = steps
+            if a.__class__ is int and b.__class__ is int:
+                regs[ins[2]] = _plain_binop(ints, mk_int, op, a, b, line)
+            else:
+                regs[ins[2]] = _unbox(
+                    apply_binary(_OPSTR[op], _box(a), _box(b), line, res)
+                )
         elif op == OP_STORE:
             regs[ins[2]] = regs[ins[3]]
         elif op == OP_JUMP:
             pc = ins[2]
             continue
         elif op == OP_NEG:
-            regs[ins[2]] = apply_unary("-", regs[ins[3]])
+            v = regs[ins[3]]
+            if v.__class__ is int:
+                regs[ins[2]] = -v
+            else:
+                regs[ins[2]] = _unbox(engine._apply_unary("-", _box(v)))
         elif op == OP_NOT:
-            regs[ins[2]] = apply_unary("!", regs[ins[3]])
+            v = regs[ins[3]]
+            if v.__class__ is int:
+                regs[ins[2]] = 0 if v != 0 else 1
+            else:
+                regs[ins[2]] = _unbox(engine._apply_unary("!", _box(v)))
         elif op == OP_CHECKDECL:
             if regs[ins[2]] is UNDEF:
                 res.steps = steps
@@ -1734,7 +1870,7 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
                     f"(line {ins[4]})"
                 )
         elif op == OP_ZERO:
-            regs[ins[2]] = _sym_const(0)
+            regs[ins[2]] = 0
         elif op == OP_TICK:
             pass
         elif op == OP_CHECKARR:
@@ -1745,8 +1881,10 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
                 )
         elif op == OP_ALOAD:
             res.steps = steps
-            regs[ins[2]] = engine._read_cell(
-                regs[ins[3]], regs[ins[4]], ins[5], ins[6], res
+            regs[ins[2]] = _unbox(
+                engine._read_cell(
+                    regs[ins[3]], _box(regs[ins[4]]), ins[5], ins[6], res
+                )
             )
         elif op == OP_ABOUND:
             pass  # concrete-only: the shadow resolves at OP_ASTORE
@@ -1754,19 +1892,19 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
             arr = regs[ins[2]]
             res.steps = steps
             concrete_idx = engine._resolve_index(
-                regs[ins[3]], arr, ins[5], ins[6], res
+                _box(regs[ins[3]]), arr, ins[5], ins[6], res
             )
-            arr[concrete_idx] = regs[ins[4]]
+            arr[concrete_idx] = _box(regs[ins[4]])
         elif op == OP_NEWARR:
             regs[ins[2]] = [_sym_const(0)] * ins[3]
         elif op == OP_ASSERT:
-            cond = regs[ins[2]]
+            cond = _box(regs[ins[2]])
             ok = cond.concrete != 0
             bid = ins[3]
             path.append((bid, ok))
             covered.add((bid, ok))
             res.steps = steps
-            engine._record_condition(cond, ok, bid, ins[4], res)
+            record(cond, ok, bid, ins[4], res)
             if not ok:
                 raise error_signal("assertion failed", ins[4])
         elif op == OP_CALL:
@@ -1777,15 +1915,17 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
             steps = res.steps
         elif op == OP_NATIVE:
             res.steps = steps
-            regs[ins[2]] = engine._apply_native(
-                ins[3], regs[ins[4] : ins[4] + ins[5]], res
+            regs[ins[2]] = _unbox(
+                engine._apply_native(
+                    ins[3], [_box(a) for a in regs[ins[4] : ins[4] + ins[5]]], res
+                )
             )
         elif op == OP_RET:
             res.steps = steps
             return regs[ins[2]]
         elif op == OP_RETK:
             res.steps = steps
-            return _sym_const(ins[2])
+            return ins[2]
         elif op == OP_ERROR:
             res.steps = steps
             raise error_signal(ins[2], ins[3])

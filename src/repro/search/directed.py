@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -311,6 +312,26 @@ class SearchResult:
         return "\n".join(lines)
 
 
+def _weak_probe_runner(search: "DirectedSearch"):
+    """``search._probe_runner``, bound weakly.
+
+    A bound method stored on the backend would make search -> backend ->
+    search a reference cycle, keeping every finished search (and its
+    term manager) alive until a full garbage-collection pass.
+    """
+    probe = weakref.WeakMethod(search._probe_runner)
+
+    def run(inputs: Dict[str, int]) -> None:
+        runner = probe()
+        if runner is None:
+            raise ReproError(
+                "probe runner called after its DirectedSearch was released"
+            )
+        runner(inputs)
+
+    return run
+
+
 class DirectedSearch:
     """DART-style directed search over a MiniC program.
 
@@ -352,7 +373,7 @@ class DirectedSearch:
         self._kernel = None
         # late-bind the probe runner for multi-step backends
         if getattr(backend, "probe_runner", "absent") is None:
-            backend.probe_runner = self._probe_runner  # type: ignore[attr-defined]
+            backend.probe_runner = _weak_probe_runner(self)  # type: ignore[attr-defined]
 
     # -- construction helpers -----------------------------------------------------
 

@@ -238,6 +238,10 @@ class TermManager:
 
     def __init__(self) -> None:
         self._table: Dict[Tuple[object, ...], Term] = {}
+        #: int constant -> its CONST_INT term, filled only by :meth:`mk_int`;
+        #: read-only elsewhere (the concolic VM tests membership to skip
+        #: the call on a hit)
+        self.int_terms: Dict[int, Term] = {}
         self._next_id = 0
         self._vars: Dict[str, Term] = {}
         self._functions: Dict[str, FunctionSymbol] = {}
@@ -277,7 +281,12 @@ class TermManager:
         """An integer constant."""
         if isinstance(value, bool) or not isinstance(value, int):
             raise SortError(f"mk_int expects a Python int, got {value!r}")
-        return self._intern(Kind.CONST_INT, Sort.INT, (), value, None, None)
+        term = self.int_terms.get(value)
+        if term is None:
+            term = Term(Kind.CONST_INT, Sort.INT, (), value, None, None, self._next_id)
+            self._next_id += 1
+            self.int_terms[value] = term
+        return term
 
     def mk_bool(self, value: bool) -> Term:
         """A boolean constant (``true`` / ``false``)."""

@@ -39,6 +39,7 @@ Sources of imprecision handled:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -186,6 +187,23 @@ class ConcolicResult:
         return [pc.term for pc in self.path_conditions]
 
 
+#: comparison operator -> (concrete test, term constructor)
+_COMPARISONS = {
+    "==": (operator.eq, TermManager.mk_eq),
+    "!=": (operator.ne, TermManager.mk_ne),
+    "<": (operator.lt, TermManager.mk_lt),
+    "<=": (operator.le, TermManager.mk_le),
+    ">": (operator.gt, TermManager.mk_gt),
+    ">=": (operator.ge, TermManager.mk_ge),
+}
+
+
+def _int_term_or_const(value: SymValue, tm: TermManager) -> Term:
+    """The value's INT term, or its concrete value as a constant."""
+    term = value.as_int_term(tm)
+    return term if term is not None else tm.mk_int(value.concrete)
+
+
 class _ReturnSignal(Exception):
     def __init__(self, value: SymValue) -> None:
         self.value = value
@@ -274,7 +292,6 @@ class ConcolicEngine:
             var = self.tm.mk_var(p)
             result.input_vars[p] = var
             env[p] = SymValue(concrete=int(inputs[p]), term=var)
-        self._input_names = set(fn.params)
         try:
             if self.exec_backend == "bytecode":
                 from ..lang.bytecode import compile_program, exec_concolic
@@ -696,20 +713,12 @@ class ConcolicEngine:
                 uf_name, (left, right), concrete, result, pins
             )
 
-        # comparisons
-        comparisons = {
-            "==": (lambda a, b: a == b, tm.mk_eq),
-            "!=": (lambda a, b: a != b, tm.mk_ne),
-            "<": (lambda a, b: a < b, tm.mk_lt),
-            "<=": (lambda a, b: a <= b, tm.mk_le),
-            ">": (lambda a, b: a > b, tm.mk_gt),
-            ">=": (lambda a, b: a >= b, tm.mk_ge),
-        }
-        if op not in comparisons:
+        comparison = _COMPARISONS.get(op)
+        if comparison is None:
             raise InterpError(f"unknown binary operator {op!r}")
-        concrete_fn, term_fn = comparisons[op]
+        concrete_fn, term_fn = comparison
         concrete = 1 if concrete_fn(lc, rc) else 0
-        bool_term = term_fn(lt_full, rt_full) if symbolic else None
+        bool_term = term_fn(tm, lt_full, rt_full) if symbolic else None
         return SymValue(concrete, bool_term=bool_term, pins=pins)
 
     def _inject_div_check(
@@ -787,12 +796,7 @@ class ConcolicEngine:
         tm = self.tm
         if self.mode is ConcretizationMode.HIGHER_ORDER:
             sym = self.function_symbol(uf_name, 2)
-            args = [
-                op.as_int_term(tm)
-                if op.as_int_term(tm) is not None
-                else tm.mk_int(op.concrete)
-                for op in operands
-            ]
+            args = [_int_term_or_const(op, tm) for op in operands]
             term = tm.mk_app(sym, args)
             result.uf_applications += 1
             if self.record_samples:
@@ -848,12 +852,7 @@ class ConcolicEngine:
 
         if self.mode is ConcretizationMode.HIGHER_ORDER:
             sym = self.function_symbol(name, len(args))
-            terms = [
-                a.as_int_term(tm)
-                if a.as_int_term(tm) is not None
-                else tm.mk_int(a.concrete)
-                for a in args
-            ]
+            terms = [_int_term_or_const(a, tm) for a in args]
             result.uf_applications += 1
             return SymValue(concrete, tm.mk_app(sym, terms), pins=pins)
 

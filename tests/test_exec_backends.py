@@ -13,7 +13,9 @@ contract:
 2. a fleet of random programs, including tiny step budgets so
    ``StepBudgetExceeded`` fires at the same step count in both cores;
 3. handcrafted crash cases (division by zero, array misuse, undeclared
-   reads, arity errors) asserting identical error messages and lines;
+   reads, arity errors) asserting identical error messages and lines,
+   and the shapes the concolic VM computes on plain ints (concrete
+   division, unary ops, array indices, asserts, callee returns);
 4. the compile cache: per-source memoization with hit/miss accounting.
 
 A directed search always runs on the VM; the tree walker stays as the
@@ -53,12 +55,16 @@ def concrete_snapshot(res):
     )
 
 
-def concolic_snapshot(res):
+def concolic_snapshot(res, tm):
     """Everything a ConcolicResult observably contains, including the
-    path constraint (term text captures construction-order identity)."""
+    path constraint.  Term ids and the manager's term count pin term
+    creation order: a skipped or extra ``mk_int`` keeps every term's
+    text but shifts ids and the count, and two ``mk_int`` calls made in
+    the wrong order swap the ids of two interned constants."""
     return (
         res.returned,
         str(res.returned_term),
+        None if res.returned_term is None else res.returned_term.tid,
         res.error,
         res.error_message,
         res.error_line,
@@ -66,13 +72,15 @@ def concolic_snapshot(res):
         frozenset(res.covered),
         res.steps,
         tuple(
-            (str(pc.term), pc.branch_id, pc.taken,
+            (str(pc.term), pc.term.tid, pc.branch_id, pc.taken,
              pc.is_concretization, pc.line, pc.path_pos)
             for pc in res.path_conditions
         ),
         tuple((s.fn.name, s.args, s.value) for s in res.samples),
         res.concretizations,
         res.uf_applications,
+        tm.num_terms,
+        sorted((term.tid, value) for value, term in tm.int_terms.items()),
     )
 
 
@@ -86,9 +94,13 @@ def run_concrete_outcome(interp, entry, inputs):
 
 def run_concolic_outcome(engine, entry, inputs):
     try:
-        return ("ok", concolic_snapshot(engine.run(entry, dict(inputs))))
+        res = engine.run(entry, dict(inputs))
     except (StepBudgetExceeded, InterpError) as exc:
-        return ("raise", type(exc).__name__, str(exc))
+        return (
+            "raise", type(exc).__name__, str(exc), engine.tm.num_terms,
+            sorted((t.tid, v) for v, t in engine.tm.int_terms.items()),
+        )
+    return ("ok", concolic_snapshot(res, engine.tm))
 
 
 @pytest.mark.parametrize("name", sorted(PAPER_EXAMPLES))
@@ -216,9 +228,131 @@ CRASH_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CRASH_CASES))
+#: shapes the concolic VM runs on plain ints without the engine, each
+#: next to a symbolic operand so both paths meet in one run
+FAST_PATH_CASES = {
+    "concrete_div_by_zero": """
+        int main(int x) {
+            int z = 0;
+            int k = 7;
+            int q = x + 9;
+            if (x > 3) { return q; }
+            if (x == 0) { return (k + 1) / (z * 1); }
+            return 7 / z;
+        }
+    """,
+    "concrete_mod_by_zero": """
+        int main(int x) {
+            int z = 0;
+            int k = 7;
+            if (x > 3) { return x % 4; }
+            if (x == 0) { return (k + 1) % (z * 1); }
+            return 7 % z + x;
+        }
+    """,
+    "concrete_c_division": """
+        int main(int x) {
+            int a = -7;
+            int b = 2;
+            return a / b * 100 + a % b * 10 + (7 / -b) + x / 3;
+        }
+    """,
+    "concrete_unary": """
+        int main(int x) {
+            int a = 5;
+            int b = -a;
+            int c = !a;
+            int d = !0;
+            int e = !b;
+            if (b) { d = d + e + 1; }
+            if (-x < b && !c) { return b + c + d; }
+            return -b + !x;
+        }
+    """,
+    "concrete_logic_and_mixed_operands": """
+        int main(int x) {
+            int k = 3;
+            int z = 0;
+            int r = (k && z) + (k || z) * 2 + (x && k) + (z || x);
+            if (k < x) { r = r + k * x; }
+            if (k == 3) { r = r + 1; }
+            return r;
+        }
+    """,
+    "logic_on_fresh_ints": """
+        int main(int x) {
+            int k = 3;
+            int m = 44;
+            int n = 45;
+            int r = (k && 41) + ((k + 1) && 42) + ((k + 1) || m);
+            r = r + (m && n) + ((k + 2) && (m + 1));
+            if (x < r) { return r; }
+            return x;
+        }
+    """,
+    "concrete_array_index": """
+        int main(int x) {
+            int a[3];
+            int i = 1;
+            a[i] = 5;
+            a[2] = x;
+            if (a[i] + a[2] > 6) { return a[i]; }
+            return a[3 - i] + a[i - 1];
+        }
+    """,
+    "concrete_array_oob": """
+        int main(int x) {
+            int a[2];
+            int i = 2;
+            if (x > 0) { return a[i]; }
+            a[i] = x;
+            return 0;
+        }
+    """,
+    "concrete_assert": """
+        int main(int x) {
+            int k = 1;
+            int z = 0;
+            assert(k);
+            if (x < 1) { assert(z); }
+            return x;
+        }
+    """,
+    "fresh_constants_both_sides": """
+        int main(int x) {
+            int a = 101;
+            int b = 202;
+            int c = 303;
+            int r = 0;
+            if (a < b) { r = r + 1; }
+            if (c > 404) { r = r + 2; }
+            int d = a * 505;
+            int e = c - b;
+            int f = (d + 606) % (e + 707);
+            int g = (f + 808) / e;
+            int h = (d + 1111) * 1212;
+            if ((a + 909) == (g - 1001)) { r = r + 4; }
+            if (x < r + d + f + g + h) { return r; }
+            return x;
+        }
+    """,
+    "int_from_callee": """
+        int seven(int a) { return 7; }
+        int nothing(int a) { return; }
+        int main(int x) {
+            int r = seven(x) + nothing(x);
+            if (r == 7) { r = r * x; }
+            return r;
+        }
+    """,
+}
+
+HANDCRAFTED_CASES = {**CRASH_CASES, **FAST_PATH_CASES}
+
+
+@pytest.mark.parametrize("case", sorted(HANDCRAFTED_CASES))
 def test_crash_case_equality(case):
-    program = parse_program(CRASH_CASES[case])
+    program = parse_program(HANDCRAFTED_CASES[case])
     tree = Interpreter(program, backend="tree")
     byte = Interpreter(program, backend="bytecode")
     for x in (-2, -1, 0, 1, 2, 5):

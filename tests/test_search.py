@@ -1,9 +1,13 @@
 """Tests for the directed search, coverage tracking, and backends."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import SampleStore
 from repro.core.hotg import HigherOrderBackend, MultiStepDriver
+from repro.errors import ReproError
 from repro.lang import NativeRegistry, parse_program
 from repro.search import (
     BranchCoverage,
@@ -58,6 +62,26 @@ class TestDirectedSearchBasics:
                 (res.runs, res.distinct_paths, len(res.errors))
             )
         assert outs[0] == outs[1]
+
+    def test_released_search_freed_without_gc(self):
+        # the multi-step probe runner late-bound into the backend must not
+        # tie search -> backend -> search into a cycle: a finished
+        # search, and the term manager it owns, go on release
+        search = DirectedSearch.for_mode(
+            parse_program(LINEAR), "f", NativeRegistry(),
+            ConcretizationMode.HIGHER_ORDER, SearchConfig(max_runs=10),
+        )
+        search.run({"x": 0, "y": 0})
+        backend = search.backend
+        released = weakref.ref(search)
+        gc.disable()
+        try:
+            del search
+            assert released() is None
+        finally:
+            gc.enable()
+        with pytest.raises(ReproError, match="after its DirectedSearch"):
+            backend.probe_runner({"x": 0, "y": 0})
 
     def test_stop_on_first_error(self):
         cfg = SearchConfig(max_runs=50, stop_on_first_error=True)
