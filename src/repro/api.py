@@ -43,7 +43,12 @@ import threading
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
-from .engine.merger import CampaignReport, ResultMerger
+from .engine.merger import (
+    Campaign,
+    CampaignHandle,
+    CampaignReport,
+    ResultMerger,
+)
 from .engine.planner import (
     BatchPlanner,
     CampaignSpec,
@@ -51,7 +56,7 @@ from .engine.planner import (
     resolve_spec,
     resolve_strategy,
 )
-from .engine.runner import CampaignCheckpoint, JobResult, ProcessPoolRunner
+from .engine.runner import JobResult, ProcessPoolRunner
 from .engine.supervisor import SupervisorConfig
 from .errors import ReproError, SearchInterrupted
 from .interrupt import clear_interrupt, interrupt_requested, request_interrupt
@@ -164,71 +169,29 @@ def generate_tests(
 # The campaign client surface
 # ---------------------------------------------------------------------------
 
-#: handle states with nothing left to wait for
-_TERMINAL = ("done", "cancelled", "failed")
-
-
-class CampaignHandle:
-    """One submitted campaign: observe, wait, cancel, fetch.
-
-    The contract both backends honour (local background execution and
-    the ``repro serve`` service):
-
-    - :meth:`status` — ``queued`` | ``running`` | ``done`` |
-      ``cancelled`` | ``failed``; :meth:`done` — terminal yet?
-    - :meth:`wait` — block for the :class:`CampaignReport`; raises
-      :class:`SearchInterrupted` on cancellation/shutdown and
-      :class:`ReproError` on failure or timeout.
-    - :meth:`result` — the report, if already finished (never blocks).
-    - :meth:`cancel` — request cooperative cancellation: jobs already
-      running finish (their results are kept), nothing new starts.
-    - :meth:`stream_events` — iterate telemetry events as they land.
-
-    ``ticket`` is the submission's content-addressed identity (SHA-256
-    of spec + options + tenant): equal campaigns get equal tickets.
-    """
-
-    ticket: str
-
-    def status(self) -> str:
-        raise NotImplementedError
-
-    def done(self) -> bool:
-        return self.status() in _TERMINAL
-
-    def wait(self, timeout: Optional[float] = None) -> CampaignReport:
-        raise NotImplementedError
-
-    def result(self) -> CampaignReport:
-        raise NotImplementedError
-
-    def cancel(self) -> bool:
-        raise NotImplementedError
-
-    def stream_events(
-        self, poll: float = 0.2, timeout: Optional[float] = None
-    ) -> Iterator[Dict[str, object]]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.ticket[:12]}, {self.status()})"
-
 
 class _LocalHandle(CampaignHandle):
     """A campaign running on a background thread of *this* process.
 
     ``submit`` validates and plans synchronously (bad specs fail fast,
-    in the caller's stack), then hands the planned jobs to a daemon
-    thread driving the same runner/supervisor/merger path the engine
-    has always used — so digests, checkpoints, telemetry, and the
-    interrupt contract are unchanged.  ``wait`` re-raises whatever the
-    campaign raised (notably :class:`SearchInterrupted` on shutdown,
-    preserving the CLI's exit-3 + resume-hint behaviour).
+    in the caller's stack), then hands the planned
+    :class:`~repro.engine.merger.Campaign` to a daemon thread that runs
+    it on a :class:`ProcessPoolRunner` — the lifecycle a served
+    campaign goes through too, so digests, checkpoints, report totals,
+    telemetry, and the interrupt contract match.  ``wait`` re-raises
+    whatever the campaign raised (notably :class:`SearchInterrupted` on
+    shutdown, preserving the CLI's exit-3 + resume-hint behaviour).
     """
 
-    def __init__(self, ticket: str, telemetry: Optional[str]) -> None:
+    def __init__(
+        self,
+        ticket: str,
+        telemetry: Optional[str],
+        progress: Optional[Callable[[JobResult], None]],
+    ) -> None:
         self.ticket = ticket
         self._telemetry = telemetry
+        self._progress = progress
         self._report: Optional[CampaignReport] = None
         self._error: Optional[BaseException] = None
         self._cancelled = False
@@ -260,6 +223,8 @@ class _LocalHandle(CampaignHandle):
 
     def _note(self, result: JobResult) -> None:
         self._landed.append(result)
+        if self._progress is not None:
+            self._progress(result)
 
     def status(self) -> str:
         if self._alive():
@@ -346,32 +311,6 @@ class _LocalHandle(CampaignHandle):
                 return
             if not got:
                 time.sleep(poll)
-
-
-class _RemoteHandle(CampaignHandle):
-    """A campaign owned by a ``repro serve`` fleet (delegates to
-    :class:`repro.service.client.ServiceHandle`)."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.ticket = inner.ticket
-
-    def status(self) -> str:
-        return self._inner.status()
-
-    def wait(self, timeout: Optional[float] = None) -> CampaignReport:
-        return self._inner.wait(timeout=timeout)
-
-    def result(self) -> CampaignReport:
-        return self._inner.result()
-
-    def cancel(self) -> bool:
-        return self._inner.cancel()
-
-    def stream_events(
-        self, poll: float = 0.2, timeout: Optional[float] = None
-    ) -> Iterator[Dict[str, object]]:
-        return self._inner.stream_events(poll=poll, timeout=timeout)
 
 
 class Client:
@@ -471,14 +410,13 @@ class Client:
                     "progress= is local-only: stream a service campaign "
                     "with handle.stream_events()"
                 )
-            inner = self._service.submit(
+            return self._service.submit(
                 spec,
                 priority=priority,
                 tenant=tenant,
                 scheduler=scheduler,
                 job_deadline=self.job_deadline,
             )
-            return _RemoteHandle(inner)
         return self._submit_local(
             spec,
             tenant=tenant,
@@ -496,7 +434,7 @@ class Client:
                 "handle() needs a service client — construct "
                 "Client(state_dir=...) to re-attach to submissions"
             )
-        return _RemoteHandle(self._service.handle(ticket))
+        return self._service.handle(ticket)
 
     # -- the local backend -------------------------------------------------
 
@@ -509,10 +447,9 @@ class Client:
         scheduler: Optional[str],
         progress: Optional[Callable[[JobResult], None]],
     ) -> CampaignHandle:
-        campaign = resolve_spec(spec).with_overrides(
+        resolved = resolve_spec(spec).with_overrides(
             scheduler=scheduler, job_deadline=self.job_deadline
         )
-        planned_jobs = BatchPlanner().expand(campaign)
         # supervision policy; the parent's defensive timeouts key off
         # each job's own deadline (the spec's, possibly overridden above)
         policy_kwargs: Dict[str, object] = {}
@@ -531,115 +468,51 @@ class Client:
                     "--checkpoint)"
                 )
             policy_kwargs["stall_timeout"] = float(self.stall_timeout)
+        campaign = Campaign.plan(resolved, checkpoint, self.telemetry)
         options: Dict[str, object] = {}
         if scheduler is not None:
             options["scheduler"] = scheduler
         if self.job_deadline is not None:
             options["job_deadline"] = self.job_deadline
-        ticket = submission_ticket(campaign.as_payload(), options, tenant)
+        ticket = submission_ticket(resolved.as_payload(), options, tenant)
         spec_label = spec if isinstance(spec, str) else "<spec>"
-        handle = _LocalHandle(ticket, self.telemetry)
-
-        def _execute() -> CampaignReport:
-            return self._run_local(
-                campaign,
-                planned_jobs,
-                checkpoint=checkpoint,
-                spec_label=spec_label,
-                policy_kwargs=policy_kwargs,
-                progress=progress,
-                note=handle._note,
-            )
-
-        handle._start(_execute)
-        return handle
-
-    def _run_local(
-        self,
-        campaign: CampaignSpec,
-        planned_jobs: List[SearchJob],
-        *,
-        checkpoint: Optional[str],
-        spec_label: str,
-        policy_kwargs: Dict[str, object],
-        progress: Optional[Callable[[JobResult], None]],
-        note: Callable[[JobResult], None],
-    ) -> CampaignReport:
-        ckpt = CampaignCheckpoint(checkpoint) if checkpoint else None
-        pending = []
-        saved = []
-        for job in planned_jobs:
-            done = ckpt.completed(job.key) if ckpt is not None else None
-            if done is not None:
-                saved.append(done)
-            else:
-                pending.append(job)
+        handle = _LocalHandle(ticket, self.telemetry, progress)
         runner = ProcessPoolRunner(
             workers=self.workers,
             fault_spec=self.fault_plan,
             telemetry_dir=self.telemetry,
-            supervisor=(
-                SupervisorConfig(**policy_kwargs)  # type: ignore[arg-type]
-                if policy_kwargs
-                else None
-            ),
+            supervisor=SupervisorConfig(**policy_kwargs),  # type: ignore[arg-type]
             store_dir=self.store_dir,
             seed_from_store=self.seed_from_store,
         )
-        start = time.perf_counter()
 
-        def _finished(result: JobResult) -> None:
-            if ckpt is not None:
-                ckpt.record(result)
-            note(result)
-            if progress is not None:
-                progress(result)
-
-        try:
-            fresh = runner.run(pending, progress=_finished, checkpoint=ckpt)
-        except SearchInterrupted as exc:
-            # graceful shutdown: finished jobs are already checkpointed;
-            # flush what telemetry there is and surface how to resume
-            if exc.resume_hint is None and checkpoint:
-                exc.resume_hint = (
-                    f"repro campaign {spec_label} --checkpoint {checkpoint}"
-                )
-            if self.telemetry:
-                from .obs.shipper import merge_shards
-
-                try:
-                    merge_shards(self.telemetry)
-                except OSError:
-                    pass
-            raise
-        elapsed = time.perf_counter() - start
-        supervisor = runner.last_supervisor
-        report = ResultMerger().merge(
-            saved + fresh,
-            seconds=elapsed,
-            killed_workers=runner.killed_workers,
-            resumed_jobs=len(saved),
-            retried_jobs=supervisor.retries if supervisor is not None else 0,
-            pool_rebuilds=(
-                supervisor.pool_rebuilds if supervisor is not None else 0
-            ),
-        )
-        if self.telemetry:
-            from .obs.shipper import merge_shards
-
+        def _execute() -> CampaignReport:
             try:
-                _, report.journal_events = merge_shards(self.telemetry)
-                report.telemetry_dir = self.telemetry
-            except OSError:
-                # shipping is best-effort; the campaign already succeeded
-                report.telemetry_dir = self.telemetry
-        if self.store_dir and self.store_max_bytes is not None:
-            from .store import ContentStore
+                runner.run(campaign, progress=handle._note)
+            except SearchInterrupted as exc:
+                # graceful shutdown: finished jobs are already
+                # checkpointed; publish what telemetry there is and
+                # surface how to resume
+                if exc.resume_hint is None and checkpoint:
+                    exc.resume_hint = (
+                        f"repro campaign {spec_label} --checkpoint {checkpoint}"
+                    )
+                campaign.merge_telemetry()
+                raise
+            report = campaign.report(
+                pool_rebuilds=runner.last_supervisor.pool_rebuilds
+            )
+            if self.store_dir and self.store_max_bytes is not None:
+                from .store import ContentStore
 
-            # answer-neutral by the store's contract: anything evicted
-            # is recomputed to byte-identical content on the next run
-            ContentStore(self.store_dir).gc(self.store_max_bytes)
-        return report
+                # answer-neutral by the store's contract: anything
+                # evicted is recomputed to byte-identical content on
+                # the next run
+                ContentStore(self.store_dir).gc(self.store_max_bytes)
+            return report
+
+        handle._start(_execute)
+        return handle
 
 
 def replay(

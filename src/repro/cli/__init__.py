@@ -8,7 +8,7 @@ paths.  One job, one command — one module per subcommand:
 - :mod:`repro.cli.run_cmd` — one directed search (suite digest, and
   with ``--profile`` or an export flag, where the time went);
 - :mod:`repro.cli.stats_cmd` — campaign/service rollups of a directory
-  (``stats``, and ``top`` to follow one live);
+  (``stats``, with ``--follow`` to watch one live);
 - :mod:`repro.cli.campaign_cmd` — batch engine across worker processes;
 - :mod:`repro.cli.serve_cmd` — the campaign service and its clients;
 - :mod:`repro.cli.store_cmd` — content-store maintenance;

@@ -72,7 +72,7 @@ def cmd_campaign(args) -> int:
         print(
             f"  telemetry: {report.journal_events} events merged into "
             f"{report.telemetry_dir}/campaign.jsonl "
-            f"(tail live with: repro top {report.telemetry_dir})"
+            f"(tail live with: repro stats {report.telemetry_dir} --follow)"
         )
     if report.crash_buckets:
         for bucket, count in sorted(report.crash_buckets.items()):
@@ -149,7 +149,8 @@ def register(sub) -> None:
         action="store_true",
         help=(
             "shorthand: ship telemetry into the --checkpoint directory so "
-            "'repro top <checkpoint-dir>' can watch this campaign live"
+            "'repro stats <checkpoint-dir> --follow' can watch this "
+            "campaign live"
         ),
     )
     common.add_supervision_flags(campaign)

@@ -106,7 +106,7 @@ def add_store_flags(parser) -> None:
 
 def add_export_flags(parser) -> None:
     """``--trace-out``/``--metrics-out``/``--prom-out``, written by
-    :func:`write_exports` (``repro run``, ``repro stats``/``top``)."""
+    :func:`write_exports` (``repro run``, ``repro stats``)."""
     parser.add_argument(
         "--trace-out",
         default=None,
@@ -226,7 +226,8 @@ def add_telemetry_flag(parser) -> None:
         metavar="DIR",
         help=(
             "ship per-job journal shards into DIR and merge them into "
-            "DIR/campaign.jsonl (answer-preserving; tail with 'repro top')"
+            "DIR/campaign.jsonl (answer-preserving; tail with "
+            "'repro stats DIR --follow')"
         ),
     )
 

@@ -5,7 +5,7 @@ The positional argument is a directory:
 - a **campaign directory** (checkpoint and/or telemetry dir) renders a
   per-job rollup table from the checkpointed results plus any journal
   shards.  ``--follow`` keeps tailing the shards and redrawing — a live
-  view over a *running* campaign (``repro top`` is an alias);
+  view over a *running* campaign;
 - a **service state dir** renders the scheduler queue per tenant plus
   each running campaign's rollup.
 
@@ -29,7 +29,6 @@ from . import common
 __all__ = [
     "register",
     "cmd_stats",
-    "cmd_top",
     "render_campaign_view",
     "render_service_view",
 ]
@@ -344,38 +343,6 @@ def cmd_stats(args) -> int:
     return _campaign_stats(args)
 
 
-def cmd_top(args) -> int:
-    """``repro top`` — alias for ``repro stats --follow <campaign-dir>``."""
-    from ..service.state import is_service_dir
-
-    args.follow = True
-    if is_service_dir(args.directory):
-        return _service_stats(args, args.directory)
-    return _campaign_stats(args)
-
-
-def _add_follow_flags(parser) -> None:
-    parser.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="redraw interval for --follow (default 1s)",
-    )
-    parser.add_argument(
-        "--iterations",
-        type=int,
-        default=0,
-        metavar="N",
-        help="stop --follow after N redraws (0 = until Ctrl-C)",
-    )
-    parser.add_argument(
-        "--no-clear",
-        action="store_true",
-        help="don't clear the screen between --follow redraws",
-    )
-
-
 def register(sub) -> None:
     stats = sub.add_parser(
         "stats",
@@ -396,19 +363,24 @@ def register(sub) -> None:
         action="store_true",
         help="keep tailing shards and redrawing",
     )
-    _add_follow_flags(stats)
+    stats.add_argument(
+        "--interval",
+        type=float,
+        default=1.0,
+        metavar="SECONDS",
+        help="redraw interval for --follow (default 1s)",
+    )
+    stats.add_argument(
+        "--iterations",
+        type=int,
+        default=0,
+        metavar="N",
+        help="stop --follow after N redraws (0 = until Ctrl-C)",
+    )
+    stats.add_argument(
+        "--no-clear",
+        action="store_true",
+        help="don't clear the screen between --follow redraws",
+    )
     common.add_export_flags(stats)
     stats.set_defaults(fn=cmd_stats)
-
-    top = sub.add_parser(
-        "top",
-        help="live campaign telemetry view (alias for stats --follow DIR)",
-    )
-    top.add_argument(
-        "directory",
-        metavar="campaign_dir",
-        help="campaign checkpoint/telemetry directory to tail",
-    )
-    _add_follow_flags(top)
-    common.add_export_flags(top)
-    top.set_defaults(fn=cmd_top)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import StrategyError
-from ..solver.budget import SolverBudget
 from ..solver.terms import Term, TermManager
 from ..solver.validity import (
     AppValue,
@@ -39,21 +38,17 @@ def plan_validity(
     samples: Sequence[Sample],
     use_antecedent: bool = True,
     max_candidates: int = 24,
-    budget: Optional[SolverBudget] = None,
 ) -> ValidityResult:
     """The pure planning half of higher-order generation.
 
     Deterministic in (the structure of) ``request`` and ``samples``: no
     probe runs, no store access, no shared mutable state — which is what
     lets the search kernel solve it against an imported copy of the
-    request (:func:`repro.search.kernel.generate_imported`).  ``budget``
-    scopes a :class:`~repro.solver.budget.SolverBudget` over the validity
-    check (the degradation ladder escalates it for deferred retries).
+    request (:func:`repro.search.kernel.generate_imported`).
     """
     alt = alternate_constraint(tm, request.conditions, request.index)
     checker = ValidityChecker(
-        tm, max_candidates=max_candidates, use_antecedent=use_antecedent,
-        budget=budget,
+        tm, max_candidates=max_candidates, use_antecedent=use_antecedent
     )
     return checker.check(
         alt,

@@ -25,19 +25,24 @@ Three stages, composable or driven together by
   into one :class:`~repro.engine.merger.CampaignReport` whose campaign
   digest is byte-identical at every worker count.
 
+:class:`~repro.engine.merger.Campaign` ties the stages into the one
+lifecycle batch and served campaigns share: plan, resume from the
+checkpoint, settle each finished job, report.
+
 Jobs share a persistent :class:`~repro.solver.diskcache.DiskCache` —
 the ``solver/`` namespace of the ``--store-dir`` content store — read and
 written across processes and across runs; hits are answer-preserving,
 so warmth changes wall time, never suites.
 """
 
-from .merger import CampaignReport, ResultMerger
+from .merger import Campaign, CampaignReport, ResultMerger
 from .planner import BatchPlanner, CampaignSpec, SearchJob
 from .runner import CampaignCheckpoint, JobResult, ProcessPoolRunner, run_job
 from .supervisor import CampaignSupervisor, SupervisorConfig
 
 __all__ = [
     "BatchPlanner",
+    "Campaign",
     "CampaignCheckpoint",
     "CampaignReport",
     "CampaignSpec",

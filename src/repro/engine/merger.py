@@ -1,4 +1,13 @@
-"""Campaign result merging: fold per-job results into one report.
+"""Campaigns: one lifecycle, one report, one handle contract.
+
+:class:`Campaign` is the lifecycle every campaign goes through, whether
+a batch :class:`repro.api.Client` or the ``repro serve`` scheduler runs
+it: **plan** (expand the spec into jobs), **resume** (serve finished
+jobs from the checkpoint, leave the rest pending), **settle** (record
+each finished job, in memory and as its ``jobs.jsonl`` result line) and
+**report** (one merge over every settled result).  Report totals are
+read off the results, so a campaign reports the same numbers however
+often it was resumed and whichever front door ran it.
 
 The merge is **order-insensitive by construction**: whatever order the
 pool finished jobs in, :class:`ResultMerger` sorts them by job key before
@@ -16,12 +25,24 @@ worker kill yields the same suite, so the kill is invisible here).
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from .runner import JobResult
+from ..obs.shipper import merge_shards
+from .planner import BatchPlanner, CampaignSpec, SearchJob
+from .runner import CampaignCheckpoint, JobResult
 
-__all__ = ["CampaignReport", "ResultMerger"]
+__all__ = [
+    "TERMINAL",
+    "Campaign",
+    "CampaignHandle",
+    "CampaignReport",
+    "ResultMerger",
+]
+
+#: campaign states with nothing left to wait for
+TERMINAL = ("done", "cancelled", "failed")
 
 
 @dataclass
@@ -328,3 +349,144 @@ class ResultMerger:
                     report.smt_check_seconds += float(check.get("total", 0.0))
         report.campaign_digest = digest.hexdigest()
         return report
+
+
+class Campaign:
+    """One campaign's lifecycle: plan → resume → settle → report.
+
+    Construction plans and resumes: every job whose result line is in
+    the checkpoint is settled already (its attempt ledger and result are
+    authoritative — nothing re-runs, no spent attempt fires again), the
+    rest are :attr:`pending` in job order.  A runner settles each job it
+    finishes through :meth:`settle`; :meth:`report` merges once.
+    """
+
+    def __init__(
+        self,
+        jobs: Sequence[SearchJob],
+        checkpoint_dir: Optional[str] = None,
+        telemetry_dir: Optional[str] = None,
+    ) -> None:
+        self.jobs = list(jobs)
+        #: the result journal and attempt ledger (None = not resumable)
+        self.checkpoint = (
+            CampaignCheckpoint(checkpoint_dir) if checkpoint_dir else None
+        )
+        #: where the jobs ship their telemetry shards (None = off)
+        self.telemetry_dir = telemetry_dir
+        #: settled results by key (checkpoint-loaded + freshly settled)
+        self.results: Dict[str, JobResult] = {}
+        #: jobs with no result yet, in job (sorted key) order
+        self.pending: List[SearchJob] = []
+        for job in self.jobs:
+            saved = (
+                self.checkpoint.completed(job.key)
+                if self.checkpoint is not None
+                else None
+            )
+            if saved is None:
+                self.pending.append(job)
+            else:
+                self.results[job.key] = saved
+        #: jobs served from the checkpoint instead of re-run
+        self.resumed = len(self.results)
+        self.started = time.perf_counter()
+
+    @classmethod
+    def plan(
+        cls,
+        spec: CampaignSpec,
+        checkpoint_dir: Optional[str] = None,
+        telemetry_dir: Optional[str] = None,
+    ) -> "Campaign":
+        """Expand ``spec`` with :class:`BatchPlanner` and resume it."""
+        return cls(BatchPlanner().expand(spec), checkpoint_dir, telemetry_dir)
+
+    @property
+    def finished(self) -> bool:
+        return len(self.results) == len(self.jobs)
+
+    def settle(self, result: JobResult) -> None:
+        """Record one finished job (ok, failed, or quarantined)."""
+        self.results[result.key] = result
+        if self.checkpoint is not None:
+            self.checkpoint.record(result)
+
+    def ordered_results(self) -> List[JobResult]:
+        """Settled results in job order."""
+        return [self.results[j.key] for j in self.jobs if j.key in self.results]
+
+    def merge_telemetry(self) -> int:
+        """Fold the shards into ``campaign.jsonl``; events merged.
+
+        Best effort: shipping never fails a campaign, so an I/O error
+        merges nothing.
+        """
+        if not self.telemetry_dir:
+            return 0
+        try:
+            return merge_shards(self.telemetry_dir)[1]
+        except OSError:
+            return 0
+
+    def report(self, pool_rebuilds: int = 0) -> CampaignReport:
+        """Merge every settled result into the campaign's report."""
+        results = list(self.results.values())
+        report = ResultMerger().merge(
+            results,
+            seconds=time.perf_counter() - self.started,
+            killed_workers=sum(1 for r in results if r.killed_worker),
+            resumed_jobs=self.resumed,
+            retried_jobs=sum(max(0, r.attempts - 1) for r in results),
+            pool_rebuilds=pool_rebuilds,
+        )
+        if self.telemetry_dir:
+            report.telemetry_dir = self.telemetry_dir
+            report.journal_events = self.merge_telemetry()
+        return report
+
+
+class CampaignHandle:
+    """One submitted campaign: observe, wait, cancel, fetch.
+
+    The contract both backends honour (local background execution and
+    the ``repro serve`` service):
+
+    - :meth:`status` — ``queued`` | ``running`` | ``done`` |
+      ``cancelled`` | ``failed``; :meth:`done` — terminal yet?
+    - :meth:`wait` — block for the :class:`CampaignReport`; raises
+      :class:`~repro.errors.SearchInterrupted` on cancellation/shutdown
+      and :class:`~repro.errors.ReproError` on failure or timeout.
+    - :meth:`result` — the report, if already finished (never blocks).
+    - :meth:`cancel` — request cooperative cancellation: jobs already
+      running finish (their results are kept), nothing new starts.
+    - :meth:`stream_events` — iterate telemetry events as they land.
+
+    ``ticket`` is the submission's content-addressed identity (SHA-256
+    of spec + options + tenant): equal campaigns get equal tickets.
+    """
+
+    ticket: str
+
+    def status(self) -> str:
+        raise NotImplementedError
+
+    def done(self) -> bool:
+        return self.status() in TERMINAL
+
+    def wait(self, timeout: Optional[float] = None) -> CampaignReport:
+        raise NotImplementedError
+
+    def result(self) -> CampaignReport:
+        raise NotImplementedError
+
+    def cancel(self) -> bool:
+        raise NotImplementedError
+
+    def stream_events(
+        self, poll: float = 0.2, timeout: Optional[float] = None
+    ) -> Iterator[Dict[str, object]]:
+        raise NotImplementedError
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.ticket[:12]}, {self.status()})"

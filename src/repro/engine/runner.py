@@ -49,7 +49,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
 from ..errors import DeadlineExceeded, ReproError, SearchInterrupted
@@ -61,6 +61,7 @@ from ..faults import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .merger import Campaign
     from .supervisor import SupervisorConfig
 from ..lang.natives import NativeRegistry
 from ..lang.parser import parse_program
@@ -561,35 +562,32 @@ class ProcessPoolRunner:
         self.seed_from_store = seed_from_store
         #: supervision policy (None = defaults: 2 attempts, no deadline)
         self.supervisor_config = supervisor
-        #: worker-process kills contained so far (fault-injected or real)
-        self.killed_workers = 0
-        #: the supervisor of the most recent :meth:`run` (its retry and
-        #: pool-rebuild tallies feed the merger)
+        #: the supervisor of the most recent :meth:`run` (its
+        #: pool-rebuild tally feeds the report)
         self.last_supervisor = None
 
     # -- execution ---------------------------------------------------------
 
     def run(
         self,
-        jobs: Sequence[SearchJob],
+        jobs: Union["Campaign", Sequence[SearchJob]],
         progress: Optional[Callable[[JobResult], None]] = None,
-        checkpoint: Optional["CampaignCheckpoint"] = None,
     ) -> List[JobResult]:
-        """Run ``jobs`` under supervision; results in the given job order.
+        """Run ``jobs`` under supervision; results in job order.
 
-        ``checkpoint`` (if given) persists each failed attempt and each
-        finished job as it lands, making a SIGKILL'd campaign resumable
-        without re-firing spent attempts.  Raises
-        :class:`~repro.errors.SearchInterrupted` when a shutdown was
-        requested mid-campaign (finished jobs are checkpointed first).
+        ``jobs`` is a plain job sequence or a
+        :class:`~repro.engine.merger.Campaign`, whose checkpoint
+        persists each failed attempt and each finished job as it lands,
+        making a SIGKILL'd campaign resumable without re-firing spent
+        attempts.  Raises :class:`~repro.errors.SearchInterrupted` when
+        a shutdown was requested mid-campaign (finished jobs are
+        checkpointed first).
         """
         from .supervisor import CampaignSupervisor
 
-        supervisor = CampaignSupervisor(
-            self, self.supervisor_config, checkpoint=checkpoint
-        )
+        supervisor = CampaignSupervisor(self, self.supervisor_config)
         self.last_supervisor = supervisor
-        return supervisor.run(list(jobs), progress)
+        return supervisor.run(jobs, progress)
 
     def serve(
         self,
@@ -609,12 +607,6 @@ class ProcessPoolRunner:
         supervisor = CampaignSupervisor(self, self.supervisor_config)
         self.last_supervisor = supervisor
         return supervisor.serve(source, progress)
-
-    def _count_kill(self) -> None:
-        self.killed_workers += 1
-        registry = default_registry()
-        if registry.enabled:
-            registry.counter("engine.worker_kills").inc()
 
 
 class CampaignCheckpoint:

@@ -50,13 +50,15 @@ suspended.
 **One loop, two entry points.**  Every job reaches the fleet as a
 :class:`JobLease` pulled from a :class:`JobLeaseSource`; how many jobs
 are in flight is the source's policy, not the loop's.
-:meth:`CampaignSupervisor.run` wraps a batch plan in a fixed source that
-leases the whole plan at once, in job order (so a batch pool is fed
+:meth:`CampaignSupervisor.run` wraps one batch
+:class:`~repro.engine.merger.Campaign` in a fixed source that leases
+its pending jobs at once, in job order (so a batch pool is fed
 eagerly); :meth:`CampaignSupervisor.serve` takes the campaign service's
 scheduler (:mod:`repro.service`), which leases one job per free fleet
 slot from many campaigns, each lease carrying its own campaign's
-checkpoint, telemetry directory and tenant.  The watchdog tails every
-in-flight lease's telemetry directory through one
+checkpoint, telemetry directory and tenant.  Either way a finished job
+is handed to the source, which settles it into its campaign.  The
+watchdog tails every in-flight lease's telemetry directory through one
 :class:`~repro.obs.shipper.ShardReaderGroup`.
 
 Shutdown: the loop polls the process-wide interrupt flag
@@ -79,13 +81,14 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from ..errors import ReproError, SearchInterrupted
 from ..faults import FaultPlan, current_fault_plan
 from ..interrupt import interrupt_requested
 from ..obs.journal import current_journal
 from ..obs.metrics import default_registry
+from .merger import Campaign
 from .planner import SearchJob
 from .runner import JobResult, run_job
 
@@ -204,7 +207,8 @@ class JobLeaseSource:
 
 
 class _PlanSource(JobLeaseSource):
-    """A batch plan as a lease source: every job at once, in job order.
+    """A batch campaign as a lease source: every pending job at once, in
+    job order.
 
     Eager leasing keeps a batch pool's queue full (capping it at the
     fleet size measurably slows the 96-job paper matrix); nothing is
@@ -212,12 +216,12 @@ class _PlanSource(JobLeaseSource):
     re-plans from the checkpoint.
     """
 
-    def __init__(self, jobs: List[SearchJob], checkpoint, telemetry_dir) -> None:
-        self.jobs = jobs
+    def __init__(self, campaign: Campaign, telemetry_dir) -> None:
+        self.campaign = campaign
         self._leases = deque(
-            JobLease(job, checkpoint, telemetry_dir) for job in jobs
+            JobLease(job, campaign.checkpoint, telemetry_dir)
+            for job in campaign.pending
         )
-        self._results: Dict[str, JobResult] = {}
 
     def lease(self) -> Optional[JobLease]:
         return self._leases.popleft() if self._leases else None
@@ -226,14 +230,10 @@ class _PlanSource(JobLeaseSource):
         return bool(self._leases)
 
     def completed(self, result: JobResult) -> None:
-        self._results[result.key] = result
+        self.campaign.settle(result)
 
     def released(self, job: SearchJob) -> None:
         pass
-
-    def results(self) -> List[JobResult]:
-        """Settled results in the given job order."""
-        return [self._results[j.key] for j in self.jobs if j.key in self._results]
 
 
 class _JobState:
@@ -243,7 +243,6 @@ class _JobState:
         "job",
         "deadline",
         "killed",
-        "kill_counted",
         "hang",
         "pool",
         "attempts",
@@ -274,9 +273,9 @@ class _JobState:
         self.job = job
         #: the job's own cooperative deadline (0 = none)
         self.deadline = float(job.config.get("job_deadline", 0.0) or 0.0)
-        #: dispatch-time ``worker-proc`` decision (legacy containment)
+        #: the job's worker was killed (the dispatch-time ``worker-proc``
+        #: decision, or a real death) and the job recomputed in-process
         self.killed = killed
-        self.kill_counted = False
         #: injected ``hang`` — armed for the first attempt only
         self.hang = hang
         #: injected ``pool`` break — first attempt only
@@ -306,19 +305,17 @@ class CampaignSupervisor:
     """Drive leased jobs to completion under the recovery ladder.
 
     Built per :meth:`ProcessPoolRunner.run` / ``.serve`` call; exposes
-    ``retries`` and ``pool_rebuilds`` for the report (quarantines and
-    stalls are read off the job results themselves).
+    its ``retries`` and ``pool_rebuilds`` tallies (a report reads every
+    other total off the job results themselves).
     """
 
     def __init__(
-        self,
-        runner,
-        config: Optional[SupervisorConfig] = None,
-        checkpoint=None,
+        self, runner, config: Optional[SupervisorConfig] = None
     ) -> None:
         self.runner = runner
         self.config = (config or SupervisorConfig()).validate()
-        self.checkpoint = checkpoint
+        #: the batch campaign's checkpoint (named in the shutdown message)
+        self.checkpoint = None
         #: retry dispatches performed (attempts beyond each job's first)
         self.retries = 0
         #: pools rebuilt after a break or a wedged worker
@@ -328,7 +325,7 @@ class CampaignSupervisor:
         self._serial_only = False
         self._fleet = 1
         self._executor = None
-        self._source: JobLeaseSource = _PlanSource([], None, None)
+        self._source: JobLeaseSource = _PlanSource(Campaign(()), None)
         self._progress: Optional[Callable[[JobResult], None]] = None
         #: in-flight jobs by key, for heartbeat routing (a source never
         #: leases one key twice at a time)
@@ -340,21 +337,26 @@ class CampaignSupervisor:
 
     def run(
         self,
-        jobs: Sequence[SearchJob],
+        jobs: Union[Campaign, Sequence[SearchJob]],
         progress: Optional[Callable[[JobResult], None]] = None,
     ) -> List[JobResult]:
-        """Run ``jobs`` to completion; results in the given job order.
+        """Run a batch to completion; settled results in job order.
 
-        A one-worker runner, or a batch of at most one job, runs
-        in-process with no pool.  Raises :class:`SearchInterrupted` on a
-        requested shutdown after draining; everything finished by then
-        is checkpointed.
+        ``jobs`` is a :class:`~repro.engine.merger.Campaign`, whose
+        pending jobs run and settle into it, or a plain job sequence
+        (a campaign with no checkpoint).  A one-worker runner, or a
+        batch of at most one pending job, runs in-process with no pool.
+        Raises :class:`SearchInterrupted` on a requested shutdown after
+        draining; everything finished by then is checkpointed.
         """
-        jobs = list(jobs)
-        source = _PlanSource(jobs, self.checkpoint, self.runner.telemetry_dir)
+        campaign = jobs if isinstance(jobs, Campaign) else Campaign(jobs)
+        self.checkpoint = campaign.checkpoint
         self._progress = progress
-        self._drive(source, min(self.runner.workers, len(jobs)))
-        return source.results()
+        self._drive(
+            _PlanSource(campaign, self.runner.telemetry_dir),
+            min(self.runner.workers, len(campaign.pending)),
+        )
+        return campaign.ordered_results()
 
     def serve(
         self,
@@ -469,6 +471,8 @@ class CampaignSupervisor:
             telemetry=lease.telemetry_dir,
             tenant=lease.tenant,
         )
+        if state.killed:
+            self._count("engine.worker_kills")
         self._by_key[job.key] = state
         return state
 
@@ -514,7 +518,6 @@ class CampaignSupervisor:
             )
             queue.append(state)
             return
-        self._count_legacy_kill(state)
         self._backoff(attempt)
         if inprocess:
             # one-worker fleet / worker-proc containment / post-kill
@@ -575,10 +578,10 @@ class CampaignSupervisor:
             return True
         except Exception as exc:  # noqa: BLE001 - per-future containment
             # the worker died or its result could not cross the process
-            # boundary; count the kill (legacy containment metric) and
-            # guarantee the retry completes by running it in-process
-            self.runner._count_kill()
-            state.inprocess = True
+            # boundary; count the kill and guarantee the retry completes
+            # by running it in-process
+            self._count("engine.worker_kills")
+            state.killed = state.inprocess = True
             self._fail_attempt(
                 state, attempt, "killed", f"{type(exc).__name__}: {exc}"
             )
@@ -888,12 +891,6 @@ class CampaignSupervisor:
     def _time_limit(self, state: _JobState) -> float:
         """The defensive timeout of a running attempt (deadline > 0)."""
         return 2.0 * state.deadline + self.config.deadline_grace
-
-    def _count_legacy_kill(self, state: _JobState) -> None:
-        """The dispatch-time ``worker-proc`` kill, counted once per job."""
-        if state.killed and not state.kill_counted:
-            state.kill_counted = True
-            self.runner._count_kill()
 
     def _backoff(self, attempt: int) -> None:
         if attempt > 1 and self.config.retry_backoff > 0:

@@ -9,9 +9,8 @@ after the server has exited, because the state dir *is* the service.
 
 :class:`ServiceHandle` is the ticket-scoped view:
 ``handle.wait()``, ``handle.stream_events()``, ``handle.result()``,
-``handle.cancel()`` — the same contract as
-:class:`repro.api.CampaignHandle`, which wraps this class when a
-``state_dir`` is given.
+``handle.cancel()`` — a :class:`repro.api.CampaignHandle`, returned
+as-is by :class:`repro.api.Client` when a ``state_dir`` is given.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional
 
-from ..engine.merger import CampaignReport
+from ..engine.merger import TERMINAL, CampaignHandle, CampaignReport
 from ..engine.planner import resolve_spec
 from ..errors import ReproError, SearchInterrupted
 from ..obs.shipper import ShardReader
@@ -27,19 +26,12 @@ from .state import ServiceState, SubmissionRecord
 
 __all__ = ["ServiceClient", "ServiceHandle"]
 
-#: submission states with nothing left to wait for
-TERMINAL = ("done", "cancelled", "failed")
-
-
-class ServiceHandle:
+class ServiceHandle(CampaignHandle):
     """One submission, addressed by ticket; all methods re-read disk."""
 
     def __init__(self, state: ServiceState, ticket: str) -> None:
         self._state = state
         self.ticket = ticket
-
-    def __repr__(self) -> str:
-        return f"ServiceHandle({self.ticket[:12]}, {self.status()})"
 
     def record(self) -> SubmissionRecord:
         record = self._state.load(self.ticket)
@@ -53,9 +45,6 @@ class ServiceHandle:
     def status(self) -> str:
         """``queued`` | ``running`` | ``done`` | ``cancelled`` | ``failed``."""
         return self.record().status
-
-    def done(self) -> bool:
-        return self.status() in TERMINAL
 
     def wait(
         self, timeout: Optional[float] = None, poll: float = 0.2

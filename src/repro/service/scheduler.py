@@ -21,13 +21,12 @@ Preemption is **job-granular by construction**: the fleet throttle
 grants a lease only when a fleet slot is free, so a higher-priority
 submission wins the *next* slot, never a running job.
 
-Everything the scheduler decides is recoverable: activation plans jobs
-with the same :class:`~repro.engine.planner.BatchPlanner` expansion a
-standalone campaign uses, completed jobs are filtered through the
-campaign's ``jobs.jsonl`` checkpoint, and a finished campaign's report
-is merged from checkpointed results — so a server killed at any point
+The scheduler owns queue policy only.  Each activated submission is a
+:class:`~repro.engine.merger.Campaign` — the same plan → resume →
+settle → report lifecycle a standalone campaign goes through, over the
+campaign's ``jobs.jsonl`` checkpoint — so a server killed at any point
 resumes by re-reading the state dir, spends no attempt twice, and
-produces a campaign digest byte-identical to an uninterrupted
+produces a report (digest and totals) identical to an uninterrupted
 standalone run (job results are pure functions of the job plus the
 shared disk cache; interleaving cannot change them).
 
@@ -40,61 +39,17 @@ heartbeat routing and the scheduler's completion routing unambiguous
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional, Set
 
-from ..engine.merger import ResultMerger
-from ..engine.planner import BatchPlanner, CampaignSpec, SearchJob
-from ..engine.runner import CampaignCheckpoint, JobResult
+from ..engine.merger import TERMINAL, Campaign
+from ..engine.planner import CampaignSpec, SearchJob
+from ..engine.runner import JobResult
 from ..engine.supervisor import JobLease, JobLeaseSource
 from ..errors import ReproError
 from ..faults import NULL_PLAN
-from ..obs.shipper import merge_shards
 from .state import ServiceState, SubmissionRecord
 
 __all__ = ["ServiceScheduler"]
-
-
-class _ActiveCampaign:
-    """In-memory execution state of one activated submission."""
-
-    __slots__ = (
-        "record",
-        "spec",
-        "jobs",
-        "pending",
-        "leased",
-        "results",
-        "checkpoint",
-        "directory",
-        "resumed",
-        "cancelled",
-        "started",
-    )
-
-    def __init__(
-        self,
-        record: SubmissionRecord,
-        spec: CampaignSpec,
-        jobs: List[SearchJob],
-        checkpoint: CampaignCheckpoint,
-        directory: str,
-    ) -> None:
-        self.record = record
-        self.spec = spec
-        self.jobs = jobs
-        #: jobs with no result yet, in sorted key order
-        self.pending: List[SearchJob] = []
-        #: keys currently granted to the fleet
-        self.leased: set = set()
-        #: settled results by key (checkpoint-loaded + freshly completed)
-        self.results: Dict[str, JobResult] = {}
-        self.checkpoint = checkpoint
-        self.directory = directory
-        #: jobs served from the checkpoint instead of re-run (restart)
-        self.resumed = 0
-        self.cancelled = False
-        self.started = time.perf_counter()
 
 
 class ServiceScheduler(JobLeaseSource):
@@ -124,7 +79,11 @@ class ServiceScheduler(JobLeaseSource):
         self.idle_exit = idle_exit
         self._log = log or (lambda message: None)
         #: activated campaigns by ticket, in activation order
-        self._active: Dict[str, _ActiveCampaign] = {}
+        self._active: Dict[str, Campaign] = {}
+        #: the submission record of each active campaign
+        self._records: Dict[str, SubmissionRecord] = {}
+        #: active campaigns whose cancellation is being honoured
+        self._cancelled: Set[str] = set()
         #: cross-campaign lease routing: job key -> owning ticket
         self._leased_keys: Dict[str, str] = {}
         #: tickets already ingested (any terminal or active status)
@@ -137,17 +96,15 @@ class ServiceScheduler(JobLeaseSource):
         for record in self.state.records():
             if record.ticket in self._seen:
                 continue
-            if record.status in ("done", "cancelled", "failed"):
-                self._seen.add(record.ticket)
-                continue
             self._seen.add(record.ticket)
-            self._activate(record)
+            if record.status not in TERMINAL:
+                self._activate(record)
         for ticket in list(self._active):
             if self.state.cancel_requested(ticket):
-                self._cancel(self._active[ticket])
+                self._cancel(ticket)
 
     def _activate(self, record: SubmissionRecord) -> None:
-        """Plan a queued/recovered submission onto the fleet."""
+        """Plan (and resume) a queued/recovered submission onto the fleet."""
         directory = self.state.campaign_dir(record.ticket)
         try:
             # only these two options are read: records written by older
@@ -157,7 +114,7 @@ class ServiceScheduler(JobLeaseSource):
                 scheduler=record.options.get("scheduler"),  # type: ignore[arg-type]
                 job_deadline=record.options.get("job_deadline"),  # type: ignore[arg-type]
             )
-            jobs = BatchPlanner().expand(spec)
+            campaign = Campaign.plan(spec, directory, directory)
         except ReproError as exc:
             # a submission that cannot even plan is the client's bug,
             # never the fleet's: record it and keep serving the rest
@@ -166,42 +123,32 @@ class ServiceScheduler(JobLeaseSource):
             self.state.update(record)
             self._log(f"[{record.ticket[:12]}] failed to plan: {exc}")
             return
-        checkpoint = CampaignCheckpoint(directory)
-        campaign = _ActiveCampaign(record, spec, jobs, checkpoint, directory)
-        for job in jobs:
-            saved = checkpoint.completed(job.key)
-            if saved is not None:
-                # restart recovery: the attempt ledger and result lines
-                # in jobs.jsonl are authoritative — nothing is re-run,
-                # no spent attempt fires again
-                campaign.results[job.key] = saved
-                campaign.resumed += 1
-            else:
-                campaign.pending.append(job)
         resumed = f", {campaign.resumed} resumed" if campaign.resumed else ""
         self._log(
-            f"[{record.ticket[:12]}] activated: {len(jobs)} jobs"
+            f"[{record.ticket[:12]}] activated: {len(campaign.jobs)} jobs"
             f"{resumed} (tenant={record.tenant}, priority={record.priority})"
         )
         if record.status != "running":
             record.status = "running"
             self.state.update(record)
         self._active[record.ticket] = campaign
-        if not campaign.pending and not campaign.leased:
+        self._records[record.ticket] = record
+        if campaign.finished:
             # fully served by the checkpoint (e.g. killed after the last
             # job landed but before finalize): finish it right here
-            self._finalize(campaign, "done")
+            self._finalize(record.ticket, "done")
 
-    def _cancel(self, campaign: _ActiveCampaign) -> None:
-        if not campaign.cancelled:
-            campaign.cancelled = True
-            campaign.pending.clear()
+    def _cancel(self, ticket: str) -> None:
+        leased = self._leased(ticket)
+        if ticket not in self._cancelled:
+            self._cancelled.add(ticket)
+            self._active[ticket].pending.clear()
             self._log(
-                f"[{campaign.record.ticket[:12]}] cancel requested: "
-                f"{len(campaign.leased)} leased jobs will finish"
+                f"[{ticket[:12]}] cancel requested: "
+                f"{leased} leased jobs will finish"
             )
-        if not campaign.leased:
-            self._finalize(campaign, "cancelled")
+        if not leased:
+            self._finalize(ticket, "cancelled")
 
     # -- the JobLeaseSource protocol ---------------------------------------
 
@@ -209,12 +156,12 @@ class ServiceScheduler(JobLeaseSource):
         if 0 < self.workers <= len(self._leased_keys):
             return None  # every fleet slot is taken
         self.refresh()
-        campaign, job = self._pick()
-        if campaign is None or job is None:
+        ticket, job = self._pick()
+        if ticket is None or job is None:
             return None
+        campaign = self._active[ticket]
         campaign.pending.remove(job)
-        campaign.leased.add(job.key)
-        self._leased_keys[job.key] = campaign.record.ticket
+        self._leased_keys[job.key] = ticket
         # the ``service`` fault site: a stand-in for killing the server
         # right here, lease granted but job not yet dispatched — nothing
         # durable records the lease, so a restarted server re-leases it
@@ -223,46 +170,49 @@ class ServiceScheduler(JobLeaseSource):
         return JobLease(
             job=job,
             checkpoint=campaign.checkpoint,
-            telemetry_dir=campaign.directory,
-            tenant=campaign.record.tenant,
+            telemetry_dir=campaign.telemetry_dir,
+            tenant=self._records[ticket].tenant,
         )
 
-    def _pick(self) -> "tuple[Optional[_ActiveCampaign], Optional[SearchJob]]":
+    def _pick(self) -> "tuple[Optional[str], Optional[SearchJob]]":
         inflight = self._tenant_inflight()
         candidates = [
-            c
-            for c in self._active.values()
-            if c.pending and not c.cancelled and not self._throttled(c, inflight)
+            ticket
+            for ticket, campaign in self._active.items()
+            if campaign.pending
+            and ticket not in self._cancelled
+            and not self._throttled(self._records[ticket].tenant, inflight)
         ]
+        records = self._records
         candidates.sort(
-            key=lambda c: (
-                -c.record.priority,
-                inflight.get(c.record.tenant, 0),
-                c.record.seq,
-                c.record.ticket,
+            key=lambda t: (
+                -records[t].priority,
+                inflight.get(records[t].tenant, 0),
+                records[t].seq,
+                t,
             )
         )
-        for campaign in candidates:
-            for job in campaign.pending:
+        for ticket in candidates:
+            for job in self._active[ticket].pending:
                 if job.key not in self._leased_keys:
-                    return campaign, job
+                    return ticket, job
         return None, None
 
-    def _throttled(
-        self, campaign: _ActiveCampaign, inflight: Dict[str, int]
-    ) -> bool:
-        tenant = campaign.record.tenant
+    def _throttled(self, tenant: str, inflight: Dict[str, int]) -> bool:
         quota = self.quotas.get(tenant, self.default_quota)
         return quota > 0 and inflight.get(tenant, 0) >= quota
 
     def _tenant_inflight(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for ticket in self._leased_keys.values():
-            campaign = self._active.get(ticket)
-            if campaign is not None:
-                tenant = campaign.record.tenant
-                counts[tenant] = counts.get(tenant, 0) + 1
+            record = self._records.get(ticket)
+            if record is not None:
+                counts[record.tenant] = counts.get(record.tenant, 0) + 1
         return counts
+
+    def _leased(self, ticket: str) -> int:
+        """Jobs of ``ticket``'s campaign currently granted to the fleet."""
+        return sum(1 for owner in self._leased_keys.values() if owner == ticket)
 
     def outstanding(self) -> bool:
         if self._active:
@@ -274,47 +224,33 @@ class ServiceScheduler(JobLeaseSource):
         campaign = self._active.get(ticket) if ticket else None
         if campaign is None:
             return
-        campaign.leased.discard(result.key)
-        campaign.results[result.key] = result
-        campaign.checkpoint.record(result)
-        if campaign.cancelled:
-            if not campaign.leased:
-                self._finalize(campaign, "cancelled")
-        elif len(campaign.results) == len(campaign.jobs):
-            self._finalize(campaign, "done")
+        campaign.settle(result)
+        if ticket in self._cancelled:
+            if not self._leased(ticket):
+                self._finalize(ticket, "cancelled")
+        elif campaign.finished:
+            self._finalize(ticket, "done")
 
     def released(self, job: SearchJob) -> None:
         ticket = self._leased_keys.pop(job.key, None)
         campaign = self._active.get(ticket) if ticket else None
         if campaign is None:
             return
-        campaign.leased.discard(job.key)
         campaign.pending.append(job)
         campaign.pending.sort(key=lambda j: j.key)
 
     # -- finalization ------------------------------------------------------
 
-    def _finalize(self, campaign: _ActiveCampaign, status: str) -> None:
-        """Merge, publish ``result.json``, mark the record terminal."""
-        record = campaign.record
-        results = list(campaign.results.values())
-        report = ResultMerger().merge(
-            results,
-            seconds=time.perf_counter() - campaign.started,
-            killed_workers=sum(1 for r in results if r.killed_worker),
-            resumed_jobs=campaign.resumed,
-            retried_jobs=sum(max(0, r.attempts - 1) for r in results),
-        )
-        try:
-            _, report.journal_events = merge_shards(campaign.directory)
-            report.telemetry_dir = campaign.directory
-        except OSError:
-            report.telemetry_dir = campaign.directory
-        self.state.write_result(record.ticket, report)
+    def _finalize(self, ticket: str, status: str) -> None:
+        """Report, publish ``result.json``, mark the record terminal."""
+        record = self._records[ticket]
+        report = self._active[ticket].report()
+        self.state.write_result(ticket, report)
         record.status = status
         self.state.update(record)
-        self._active.pop(record.ticket, None)
+        del self._active[ticket], self._records[ticket]
+        self._cancelled.discard(ticket)
         self._log(
-            f"[{record.ticket[:12]}] {status}: {report.summary()} "
+            f"[{ticket[:12]}] {status}: {report.summary()} "
             f"digest={report.campaign_digest}"
         )

@@ -23,7 +23,6 @@ from ..engine.runner import JobResult, ProcessPoolRunner
 from ..engine.supervisor import SupervisorConfig
 from ..errors import SearchInterrupted
 from ..faults import FaultPlan, current_fault_plan
-from ..obs.shipper import merge_shards
 from .scheduler import ServiceScheduler
 from .state import ServiceState
 
@@ -101,12 +100,9 @@ class CampaignService:
             return settled
         except SearchInterrupted as exc:
             for campaign in self.scheduler._active.values():
-                try:
-                    # publish what telemetry there is, so `repro stats`
-                    # on the interrupted campaign shows the truth
-                    merge_shards(campaign.directory)
-                except OSError:
-                    pass
+                # publish what telemetry there is, so `repro stats` on
+                # the interrupted campaign shows the truth
+                campaign.merge_telemetry()
             if exc.resume_hint is None:
                 exc.resume_hint = f"repro serve --state-dir {self.state.state_dir}"
             exc.checkpoint_dir = self.state.state_dir

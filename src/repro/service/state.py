@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..engine.merger import CampaignReport
+from ..engine.merger import TERMINAL, CampaignReport
 from ..errors import ReproError
 
 __all__ = [
@@ -65,7 +65,7 @@ RESULT_FILE = "result.json"
 SUBMISSION_FORMAT = 1
 
 #: submission lifecycle states, in the order they normally occur
-STATUSES = ("queued", "running", "done", "cancelled", "failed")
+STATUSES = ("queued", "running") + TERMINAL
 
 
 def submission_ticket(

@@ -60,7 +60,6 @@ from time import perf_counter
 from ..errors import ResourceLimitError, SolverError, StrategyError
 from ..obs.journal import current_journal
 from ..obs.metrics import default_registry
-from .budget import SolverBudget, use_budget
 from .evalmodel import evaluate
 from .session import SolverSession
 from .smt import CheckResult, Model, Solver
@@ -265,11 +264,10 @@ class ValidityChecker:
     use_antecedent:
         When False, samples are ignored in verification — reproducing the
         paper's Example 4 contrast (validity *requires* the antecedent).
-    budget:
-        Optional :class:`~repro.solver.budget.SolverBudget` scoped over
-        every solver query this check spawns; None inherits the ambient
-        budget.  The directed search's degradation ladder re-runs deferred
-        flips through here with escalated budgets.
+
+    Every solver query a check spawns runs under the ambient
+    :class:`~repro.solver.budget.SolverBudget` (the search kernel
+    escalates it with ``use_budget`` when it retries deferred flips).
     """
 
     def __init__(
@@ -278,12 +276,10 @@ class ValidityChecker:
         max_candidates: int = 24,
         use_antecedent: bool = True,
         enable_offsets: bool = True,
-        budget: Optional[SolverBudget] = None,
     ) -> None:
         self.tm = manager
         self.max_candidates = max_candidates
         self.use_antecedent = use_antecedent
-        self.budget = budget
         #: allow offset strategies (``x := h(c) + k``); disabling them
         #: recreates the expressiveness of the paper's literal §7 prototype
         #: (ablation: disequality branches become uncoverable)
@@ -311,9 +307,9 @@ class ValidityChecker:
         registry = default_registry()
         journal = current_journal()
         if not registry.enabled and not journal.enabled:
-            return self._check_budgeted(pc, input_vars, samples, defaults)
+            return self._check(pc, input_vars, samples, defaults)
         start = perf_counter()
-        result = self._check_budgeted(pc, input_vars, samples, defaults)
+        result = self._check(pc, input_vars, samples, defaults)
         elapsed = perf_counter() - start
         registry.counter("validity.checks").inc()
         registry.counter(f"validity.{result.status.value}").inc()
@@ -328,18 +324,6 @@ class ValidityChecker:
             seconds=round(elapsed, 6),
         )
         return result
-
-    def _check_budgeted(
-        self,
-        pc: Term,
-        input_vars: Sequence[Term],
-        samples: Sequence[Sample] = (),
-        defaults: Optional[Dict[str, int]] = None,
-    ) -> ValidityResult:
-        if self.budget is None:
-            return self._check(pc, input_vars, samples, defaults)
-        with use_budget(self.budget):
-            return self._check(pc, input_vars, samples, defaults)
 
     def _check(
         self,
@@ -387,7 +371,7 @@ class ValidityChecker:
             tried += 1
             if tried > self.max_candidates:
                 break
-            verdict = self._verify(pc, candidate, antecedent, input_vars, session)
+            verdict = self._verify(pc, candidate, input_vars, session)
             if verdict is None:
                 return ValidityResult(
                     ValidityStatus.VALID,
@@ -442,15 +426,14 @@ class ValidityChecker:
         self,
         pc: Term,
         strategy: Strategy,
-        antecedent: Term,
         input_vars: Sequence[Term],
-        session: Optional[SolverSession] = None,
+        session: SolverSession,
     ) -> Optional[Model]:
         """Check ``∀F (A ⇒ pc[σ])`` via UNSAT of ``A ∧ ¬pc[σ]``.
 
         Returns None when the strategy is a valid certificate; otherwise a
-        counterexample function interpretation.  When a ``session`` holding
-        the antecedent is supplied, the query is solved as a delta on it.
+        counterexample function interpretation.  ``session`` holds the
+        antecedent ``A``; the query is solved as a delta on it.
         """
         tm = self.tm
         mapping: Dict[Term, Term] = {}
@@ -459,13 +442,7 @@ class ValidityChecker:
             if name not in strategy.assignments:
                 return Model()  # incomplete strategy can never be verified
             mapping[v] = self._strategy_term(strategy.assignments[name])
-        grounded = tm.substitute(pc, mapping)
-        if session is not None:
-            result = session.check(tm.mk_not(grounded))
-        else:
-            solver = Solver(tm)
-            solver.add(antecedent)
-            result = solver.check(tm.mk_not(grounded))
+        result = session.check(tm.mk_not(tm.substitute(pc, mapping)))
         if not result.sat:
             return None
         return result.model if result.model is not None else Model()

@@ -308,6 +308,8 @@ class TestSurfaceContracts:
                 (["campaign", "paper", "--cache-dir", "c"], "unrecognized arguments"),
                 (["serve", "--state-dir", "svc", "--cache-dir", "c"], "unrecognized arguments"),
                 (["submit", "--state-dir", "svc", "paper", "--jobs", "2"], "unrecognized arguments"),
+                # `repro stats DIR --follow` is the one live view
+                (["top", "ckpt"], "invalid choice: 'top'"),
             ]
         ],
     )

@@ -261,6 +261,49 @@ class TestRetry:
         assert retried[0].attempts == 2
         assert retried[0].ok
 
+    def test_resumed_report_keeps_checkpointed_retries(self, tmp_path):
+        # regression: the local report read retries off the supervisor's
+        # per-session tally, so a resume — which re-runs nothing —
+        # reported none while its checkpointed results carry one
+        spec = _spec()
+        ckpt_dir = str(tmp_path / "ckpt")
+        client = api.Client(
+            workers=1, fault_plan="hang:at=1", job_deadline=1.0, max_attempts=2
+        )
+        first = client.submit(spec, checkpoint=ckpt_dir).wait()
+        resumed = client.submit(spec, checkpoint=ckpt_dir).wait()
+        assert first.retried_jobs == 1
+        assert resumed.resumed_jobs == len(first.jobs)
+        assert resumed.campaign_digest == first.campaign_digest
+        assert resumed.retried_jobs == first.retried_jobs
+
+    def test_batch_and_served_reports_agree(self, tmp_path):
+        from repro.service import CampaignService, ServiceClient
+
+        spec = _spec()
+        batch = api.Client(
+            workers=1, fault_plan="hang:at=1", job_deadline=1.0, max_attempts=2
+        ).submit(spec).wait()
+        state_dir = str(tmp_path / "svc")
+        handle = ServiceClient(state_dir).submit(spec, job_deadline=1.0)
+        CampaignService(
+            state_dir,
+            workers=1,
+            fault_plan="hang:at=1",
+            max_attempts=2,
+            idle_exit=True,
+        ).serve()
+        served = handle.wait(timeout=60)
+        for field in (
+            "campaign_digest",
+            "retried_jobs",
+            "killed_workers",
+            "resumed_jobs",
+            "quarantined_jobs",
+        ):
+            assert getattr(served, field) == getattr(batch, field), field
+        assert batch.retried_jobs == 1
+
     def test_supervisor_config_validation(self):
         with pytest.raises(ReproError):
             SupervisorConfig(max_attempts=0).validate()

@@ -426,25 +426,6 @@ class TestStatsCli:
         assert out.count("[campaign]") == 2
         assert "follow: tick 2" in out
 
-    def test_top_is_a_follow_alias(self, campaign_dir, capsys):
-        assert (
-            cli_main(
-                [
-                    "top",
-                    campaign_dir,
-                    "--iterations",
-                    "1",
-                    "--interval",
-                    "0.01",
-                    "--no-clear",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "[campaign]" in out
-        assert "follow: tick 1" in out
-
     def test_campaign_trace_export_via_stats(self, campaign_dir, tmp_path):
         out_file = str(tmp_path / "trace.json")
         assert (
