@@ -7,7 +7,9 @@ learning architecture:
 - two-watched-literal unit propagation,
 - first-UIP conflict analysis with clause learning,
 - non-chronological backjumping,
-- VSIDS-style variable activities with exponential decay,
+- VSIDS-style variable activities with exponential decay, decided from a
+  :mod:`heapq` of ``(-activity, var)`` entries (the highest activity among
+  unassigned variables, ties to the lowest variable),
 - Luby-sequence restarts,
 - incremental solving under assumptions.
 
@@ -18,8 +20,9 @@ literal ``v`` means "v is true" and ``-v`` means "v is false".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ResourceLimitError, SolverError
 from ..obs.metrics import default_registry
@@ -67,16 +70,14 @@ class SatResult:
 
 def _luby(i: int) -> int:
     """The i-th element (1-based) of the Luby restart sequence."""
-    k = 1
-    while (1 << (k + 1)) - 1 <= i:
-        k += 1
     while True:
+        k = 1
+        while (1 << k) - 1 < i:
+            k += 1
+        # now 2**(k-1) <= i <= 2**k - 1
         if i == (1 << k) - 1:
             return 1 << (k - 1)
-        i = i - (1 << (k - 1)) + 1
-        k -= 1
-        while (1 << k) - 1 > i:
-            k -= 1
+        i -= (1 << (k - 1)) - 1
 
 
 class _Clause:
@@ -126,15 +127,15 @@ class SatSolver:
         self._activity: List[float] = []
         self._var_inc = 1.0
         self._var_decay = activity_decay
-        # decision order: indexed binary max-heap over (activity, -var).
-        # Every unassigned variable is always in the heap; variables
-        # assigned while heaped stay until lazily discarded at the root
-        # by _decide, and _backtrack reinserts any that fell out.  The
-        # root therefore equals the old linear scan's pick (max activity,
-        # ties to the lowest variable), keeping decisions — and digests —
-        # byte-identical while replacing the O(n) scan per decision.
-        self._heap: List[int] = []
-        self._heap_pos: List[int] = []     # var-1 -> heap index, -1 if absent
+        # decision order: a heapq of (-activity, var) entries.  Every
+        # variable flagged _in_heap has an entry at its current activity;
+        # entries whose activity is out of date, or whose variable is no
+        # longer flagged, are stale and skipped by _decide.  Every
+        # unassigned variable is flagged (_backtrack re-pushes any that
+        # _decide dropped), so the first live root is the unassigned
+        # variable of highest activity, ties to the lowest variable.
+        self._heap: List[Tuple[float, int]] = []
+        self._in_heap: List[bool] = []
         self._max_conflicts = max_conflicts
         self._enable_restarts = enable_restarts
         self._n_assumed = 0
@@ -149,8 +150,8 @@ class SatSolver:
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
-        self._heap_pos.append(-1)
-        self._heap_insert(self._num_vars)
+        self._in_heap.append(True)
+        heappush(self._heap, (-0.0, self._num_vars))
         return self._num_vars
 
     def num_vars(self) -> int:
@@ -268,15 +269,27 @@ class SatSolver:
     # -- conflict analysis --------------------------------------------------------
 
     def _bump(self, var: int) -> None:
-        self._activity[var - 1] += self._var_inc
-        if self._activity[var - 1] > 1e100:
-            # uniform rescale preserves relative order (and exact ties),
-            # so the heap needs no repair
+        activity = self._activity
+        act = activity[var - 1] = activity[var - 1] + self._var_inc
+        if act > 1e100:
             for i in range(self._num_vars):
-                self._activity[i] *= 1e-100
+                activity[i] *= 1e-100
             self._var_inc *= 1e-100
-        if self._heap_pos[var - 1] >= 0:
-            self._heap_sift_up(self._heap_pos[var - 1])
+            self._rebuild_heap()
+        elif self._in_heap[var - 1]:
+            heappush(self._heap, (-act, var))
+            if len(self._heap) > 3 * self._num_vars:
+                self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """Drop every stale entry: one entry per unassigned variable."""
+        activity = self._activity
+        assign = self._assign
+        self._in_heap = [value == 0 for value in assign]
+        self._heap = [
+            (-activity[i], i + 1) for i in range(self._num_vars) if assign[i] == 0
+        ]
+        heapify(self._heap)
 
     def _analyze(self, conflict: _Clause) -> Tuple[List[int], int]:
         """First-UIP analysis; returns (learned clause, backjump level)."""
@@ -334,82 +347,32 @@ class SatSolver:
             var = abs(lit)
             self._assign[var - 1] = 0
             self._reason[var - 1] = None
-            if self._heap_pos[var - 1] < 0:
-                self._heap_insert(var)
+            if not self._in_heap[var - 1]:
+                self._in_heap[var - 1] = True
+                heappush(self._heap, (-self._activity[var - 1], var))
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._qhead = min(self._qhead, len(self._trail))
 
     # -- decision heuristics -------------------------------------------------------
 
-    def _heap_before(self, a: int, b: int) -> bool:
-        """Heap order: higher activity first, ties to the lower variable."""
-        aa = self._activity[a - 1]
-        ba = self._activity[b - 1]
-        return aa > ba or (aa == ba and a < b)
-
-    def _heap_insert(self, var: int) -> None:
-        heap = self._heap
-        heap.append(var)
-        self._heap_pos[var - 1] = len(heap) - 1
-        self._heap_sift_up(len(heap) - 1)
-
-    def _heap_sift_up(self, i: int) -> None:
-        heap = self._heap
-        pos = self._heap_pos
-        var = heap[i]
-        while i > 0:
-            parent = (i - 1) >> 1
-            pvar = heap[parent]
-            if not self._heap_before(var, pvar):
-                break
-            heap[i] = pvar
-            pos[pvar - 1] = i
-            i = parent
-        heap[i] = var
-        pos[var - 1] = i
-
-    def _heap_pop_root(self) -> int:
-        heap = self._heap
-        pos = self._heap_pos
-        root = heap[0]
-        pos[root - 1] = -1
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            pos[last - 1] = 0
-            # sift down
-            i = 0
-            size = len(heap)
-            while True:
-                left = 2 * i + 1
-                if left >= size:
-                    break
-                best = left
-                right = left + 1
-                if right < size and self._heap_before(heap[right], heap[left]):
-                    best = right
-                if not self._heap_before(heap[best], heap[i]):
-                    break
-                heap[i], heap[best] = heap[best], heap[i]
-                pos[heap[i] - 1] = i
-                pos[heap[best] - 1] = best
-                i = best
-        return root
-
     def _decide(self) -> int:
         """Pick the unassigned variable with maximal activity; 0 when none.
 
-        Assigned variables encountered at the root are discarded lazily
-        (they re-enter via :meth:`_backtrack`); the surviving root matches
-        the old linear scan exactly.
+        Stale entries at the root are popped; so is the live entry of an
+        assigned variable, which re-enters through :meth:`_backtrack`.
         """
         heap = self._heap
+        activity = self._activity
+        assign = self._assign
+        in_heap = self._in_heap
         while heap:
-            var = heap[0]
-            if self._assign[var - 1] == 0:
-                return var
-            self._heap_pop_root()
+            neg_act, var = heap[0]
+            if in_heap[var - 1] and -neg_act == activity[var - 1]:
+                if assign[var - 1] == 0:
+                    return var
+                in_heap[var - 1] = False
+            heappop(heap)
         return 0
 
     # -- main search --------------------------------------------------------------
@@ -470,12 +433,12 @@ class SatSolver:
                     self._ok = False
                     return SatResult(sat=False)
                 # conflict below assumption depth: compute an assumption core
-                if len(self._trail_lim) <= getattr(self, "_n_assumed", 0):
+                if len(self._trail_lim) <= self._n_assumed:
                     core = self._assumption_core(conflict, assumptions)
                     self._backtrack(0)
                     return SatResult(sat=False, core=core)
                 learned, back_level = self._analyze(conflict)
-                back_level = max(back_level, getattr(self, "_n_assumed", 0))
+                back_level = max(back_level, self._n_assumed)
                 self._backtrack(back_level)
                 if len(learned) == 1:
                     if not self._enqueue(learned[0], None):
@@ -493,13 +456,13 @@ class SatSolver:
             if (
                 self._enable_restarts
                 and conflicts_since_restart >= restart_budget
-                and len(self._trail_lim) > getattr(self, "_n_assumed", 0)
+                and len(self._trail_lim) > self._n_assumed
             ):
                 self.stats.restarts += 1
                 restart_number += 1
                 restart_budget = 32 * _luby(restart_number)
                 conflicts_since_restart = 0
-                self._backtrack(getattr(self, "_n_assumed", 0))
+                self._backtrack(self._n_assumed)
                 continue
 
             # place assumptions first, one decision level per assumption

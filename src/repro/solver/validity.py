@@ -813,9 +813,6 @@ class ValidityChecker:
             ]
             if not diff:
                 return
-            solver.add(tm.mk_or(*diff))
-            # note: solver is rebuilt each loop; the blocking happens via
-            # counter_functions growth and the diff constraint below
             pc = tm.mk_and(pc, tm.mk_or(*diff))
 
     def _pc_under_function(self, pc: Term, interp: Model) -> Term:

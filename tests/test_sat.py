@@ -212,3 +212,51 @@ class TestAgainstBruteForce:
         r = s.solve()
         if r.sat:
             assert _check_model(clauses, r.model)
+
+
+class TestLuby:
+    def test_first_fifteen_terms(self):
+        from repro.solver.sat import _luby
+
+        assert [_luby(i) for i in range(1, 16)] == [
+            1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
+        ]
+
+
+#: 9 variables; x3, x8 and x9 true satisfies every clause
+_UNSOUND_REPRODUCER = [
+    [7, -6, 5], [2, 3, -9], [9, 5, -8], [1, -5, 9], [6, 7, 8], [-7, -4, 3],
+    [4, 1, -7],
+]
+
+
+def _random_3cnf(rng):
+    n = rng.randint(3, 10)
+    clauses = [
+        [rng.randint(1, n) * rng.choice([1, -1]) for _ in range(3)]
+        for _ in range(rng.randint(1, 45))
+    ]
+    return n, clauses
+
+
+class TestSoundness:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_solve resets _n_assumed to the decision level on every "
+        "pass, so a conflict under plain decisions is read as an "
+        "assumption failure",
+    )
+    def test_random_3cnf_matches_brute_force(self):
+        problems = [(9, _UNSOUND_REPRODUCER)]
+        rng = random.Random(0)
+        problems += [_random_3cnf(rng) for _ in range(300)]
+        for n, clauses in problems:
+            s = SatSolver()
+            for _ in range(n):
+                s.new_var()
+            for c in clauses:
+                s.add_clause(c)
+            result = s.solve()
+            assert result.sat == _brute_force_sat(clauses, n), clauses
+            if result.sat:
+                assert _check_model(clauses, result.model)

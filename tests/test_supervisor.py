@@ -691,21 +691,30 @@ class TestGracefulShutdown:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
             env=_env(),
+            # its own process group, so the pool workers the kill orphans
+            # can be reaped once the test is done with them
+            start_new_session=True,
         )
         try:
-            _wait_for_result_line(os.path.join(ckpt_dir, "jobs.jsonl"))
-            proc.send_signal(signal.SIGKILL)  # no cleanup of any kind
-            proc.wait(timeout=30)
+            try:
+                _wait_for_result_line(os.path.join(ckpt_dir, "jobs.jsonl"))
+                proc.send_signal(signal.SIGKILL)  # no cleanup of any kind
+                proc.wait(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+            # resume without the fault: remaining jobs run, finished jobs
+            # are skipped, and the digest matches an uninterrupted campaign
+            resumed = api.Client(workers=workers, max_attempts=2).submit(
+                CampaignSpec.load(spec_path),
+                checkpoint=ckpt_dir,
+            ).wait()
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        # resume without the fault: remaining jobs run, finished jobs are
-        # skipped, and the digest matches an uninterrupted campaign
-        resumed = api.Client(workers=workers, max_attempts=2).submit(
-            CampaignSpec.load(spec_path),
-            checkpoint=ckpt_dir,
-        ).wait()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # no orphan outlived the parent
         assert resumed.campaign_digest == clean.campaign_digest
         # no double counting: at most one result line per key, and no
         # job burned more attempts than the budget allows
