@@ -480,7 +480,9 @@ class SatSolver:
                     continue
                 pending = a
                 break
-            self._n_assumed = len(self._trail_lim)
+            # only levels that hold assumptions count as assumed: a conflict
+            # under ordinary decisions above them is learned from, not a core
+            self._n_assumed = min(len(self._trail_lim), len(assumptions))
             if pending is not None:
                 self._trail_lim.append(len(self._trail))
                 self._n_assumed = len(self._trail_lim)

@@ -23,6 +23,13 @@ What does survive pops: Tseitin definitions (pure definitions, globally
 satisfiable) and theory-conflict lemmas (valid facts about arithmetic) —
 that retention is the point of the exercise.
 
+A validity check keeps two sessions.  One holds the antecedent as its
+base, and each candidate strategy is checked against it as a delta.  The
+other serves the CEGIS rounds: it only ever gains base assertions (the
+path constraint, then counterexample constraints and blocking clauses),
+so every encoding and lemma survives from one round to the next, and its
+one conflict budget covers all rounds.
+
 Because the answer to an incremental check depends on session history
 (learned lemmas steer which model comes back first), sessions are *not*
 routed through the normalized query cache in :mod:`repro.solver.cache`;
@@ -236,9 +243,14 @@ class SolverSession:
             key=lambda t: t.tid,
         )
         constraints: List[Term] = []
+        # an application's arguments hold only applications mapped before
+        # it, so one memo serves the arguments and ``term`` (see ackermannize)
+        memo: Dict[Term, Term] = {}
         for app in apps:
             assert app.fn is not None
-            new_args = tuple(tm.substitute(a, self._app_mapping) for a in app.args)
+            new_args = tuple(
+                tm.substitute(a, self._app_mapping, memo) for a in app.args
+            )
             var = tm.fresh_var(f"_app_{app.fn.name}_")
             for other in self._apps_by_fn.get(app.fn, []):
                 other_args = self._app_args[other]
@@ -265,7 +277,7 @@ class SolverSession:
             frame.app_keys.append(app)
         for c in constraints:
             self._assert_into(frame, c)
-        return tm.substitute(term, self._app_mapping)
+        return tm.substitute(term, self._app_mapping, memo)
 
     # -- solving ----------------------------------------------------------------
 
@@ -389,8 +401,9 @@ class SolverSession:
         from .evalmodel import evaluate  # local import to avoid a cycle
 
         model = Model()
+        seen: Set[int] = set()
         for f in flat:
-            for t in f.iter_dag():
+            for t in f.iter_dag(seen):
                 if t.is_var and t.sort is Sort.INT and t.name is not None:
                     model.ints.setdefault(t.name, int_model.get(t.name, 0))
         for name, value in int_model.items():

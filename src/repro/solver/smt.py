@@ -163,22 +163,22 @@ def ackermannize(
 
         (arg1 = arg1' and ... and argN = argN') => a_i = a_j
     """
-    # Collect all applications across all formulas, innermost first (by the
-    # manager's creation order: children always have smaller ids).
-    apps: List[Term] = []
-    seen: Set[Term] = set()
-    for f in formulas:
-        for t in f.iter_dag():
-            if t.is_app and t not in seen:
-                seen.add(t)
-                apps.append(t)
+    # Collect all applications across all formulas in one DAG walk,
+    # innermost first (by the manager's creation order: children always
+    # have smaller ids).
+    seen: Set[int] = set()
+    apps = [t for f in formulas for t in f.iter_dag(seen) if t.is_app]
     apps.sort(key=lambda t: t.tid)
 
     app_to_var: Dict[Term, Term] = {}
     rewritten_args: Dict[Term, Tuple[Term, ...]] = {}
     mapping: Dict[Term, Term] = {}
+    # one rewrite memo for the arguments and the formulas: an application's
+    # arguments hold only older applications, all mapped before it, so no
+    # memo entry is ever computed against an incomplete mapping
+    memo: Dict[Term, Term] = {}
     for app in apps:
-        new_args = tuple(tm.substitute(a, mapping) for a in app.args)
+        new_args = tuple(tm.substitute(a, mapping, memo) for a in app.args)
         assert app.fn is not None
         var = tm.fresh_var(f"_app_{app.fn.name}_")
         app_to_var[app] = var
@@ -210,7 +210,7 @@ def ackermannize(
                 )
             )
 
-    new_formulas = [tm.substitute(f, mapping) for f in formulas]
+    new_formulas = [tm.substitute(f, mapping, memo) for f in formulas]
     return new_formulas, app_to_var, constraints
 
 
@@ -516,8 +516,9 @@ class Solver:
     ) -> Model:
         model = Model()
         # integer variables mentioned anywhere in the (rewritten) formulas
+        seen: Set[int] = set()
         for f in original:
-            for t in f.iter_dag():
+            for t in f.iter_dag(seen):
                 if t.is_var and t.sort is Sort.INT and t.name is not None:
                     model.ints.setdefault(t.name, int_model.get(t.name, 0))
         for name, value in int_model.items():

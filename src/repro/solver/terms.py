@@ -175,9 +175,14 @@ class Term:
 
     # -- traversal ------------------------------------------------------
 
-    def iter_dag(self) -> Iterator["Term"]:
-        """Yield every distinct subterm once, children before parents."""
-        seen: Set[int] = set()
+    def iter_dag(self, seen: Optional[Set[int]] = None) -> Iterator["Term"]:
+        """Yield every distinct subterm once, children before parents.
+
+        ``seen`` holds the ids of terms already yielded; passing one set to
+        the walks of several formulas visits their shared subterms once.
+        """
+        if seen is None:
+            seen = set()
         stack: List[Tuple[Term, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
@@ -544,14 +549,22 @@ class TermManager:
 
     # -- substitution -----------------------------------------------------------
 
-    def substitute(self, term: Term, mapping: Dict[Term, Term]) -> Term:
+    def substitute(
+        self,
+        term: Term,
+        mapping: Dict[Term, Term],
+        cache: Optional[Dict[Term, Term]] = None,
+    ) -> Term:
         """Simultaneously replace subterms per ``mapping`` (bottom-up).
 
         Keys may be any terms (typically variables or UF applications).
         The replacement is applied to the original occurrences only; newly
-        created terms are not rewritten again.
+        created terms are not rewritten again.  ``cache`` may be shared
+        across calls that use the same ``mapping`` (or one that only gains
+        keys no cached term contains), so shared subterms are rewritten once.
         """
-        cache: Dict[Term, Term] = {}
+        if cache is None:
+            cache = {}
         # explicit stack, so depth is unbounded; children are rebuilt before
         # parents and left to right, the order that numbers new terms (term
         # ids decide the argument order of commutative nodes)

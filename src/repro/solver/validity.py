@@ -792,15 +792,28 @@ class ValidityChecker:
         counter_functions: List[Model],
     ):
         """Constant candidates from models of ``A ∧ pc``, hardened against
-        every counterexample function collected so far."""
+        every counterexample function collected so far.
+
+        One incremental :class:`SolverSession` serves every round: ``A`` and
+        ``pc`` are asserted once, each counterexample's ``pc_under(pc, cex)``
+        once it appears in ``counter_functions`` (re-read before each round),
+        and each model's blocking disjunction after it is yielded.  A block
+        mentions only input variables, never a UF application, so
+        ``pc_under(pc ∧ blocks, cex) ≡ pc_under(pc, cex) ∧ blocks``: each
+        round asks what a from-scratch solve of the hardened ``pc`` would,
+        while ITE eliminations, Ackermann variables, Tseitin definitions and
+        theory lemmas carry over between rounds.  The session's conflict
+        budget covers all rounds.
+        """
         tm = self.tm
+        session = SolverSession(tm)
+        session.assert_base(self._antecedent(samples), pc)
+        hardened = 0
         for _ in range(8):
-            solver = Solver(tm)
-            solver.add(self._antecedent(samples))
-            solver.add(pc)
-            for cex in counter_functions:
-                solver.add(self._pc_under_function(pc, cex))
-            result = solver.check()
+            for cex in counter_functions[hardened:]:
+                session.assert_base(self._pc_under_function(pc, cex))
+            hardened = len(counter_functions)
+            result = session.check()
             if not result.sat or result.model is None:
                 return
             yield self._model_to_strategy(
@@ -813,7 +826,7 @@ class ValidityChecker:
             ]
             if not diff:
                 return
-            pc = tm.mk_and(pc, tm.mk_or(*diff))
+            session.assert_base(tm.mk_or(*diff))
 
     def _pc_under_function(self, pc: Term, interp: Model) -> Term:
         """Rewrite ``pc`` replacing UF applications by finite-table ITEs.

@@ -163,3 +163,61 @@ class TestEndToEndCertification:
                 tm, verdict, alt, list(run.input_vars.values()), store.samples()
             )
             assert cert.check(tm)
+
+
+class TestInSearchAudit:
+    """Every VALID and INVALID verdict a real search reaches certifies:
+    ``ValidityChecker.check`` is wrapped so that each verdict is packaged
+    and re-checked by a fresh solver the moment it is returned."""
+
+    @pytest.fixture()
+    def audited(self, monkeypatch):
+        """The statuses of the certified verdicts; a verdict that fails to
+        certify is recorded, not raised, since the search's solver ladder
+        would contain the error."""
+        verdicts, failures = [], []
+        check = ValidityChecker.check
+
+        def audited_check(self, pc, input_vars, samples=(), defaults=None):
+            result = check(self, pc, input_vars, samples, defaults)
+            if result.status is not ValidityStatus.UNKNOWN:
+                witnessed = list(samples) if self.use_antecedent else []
+                try:
+                    certify(self.tm, result, pc, list(input_vars), witnessed)
+                except SolverError as exc:
+                    failures.append(f"{result.status.value} {pc}: {exc}")
+                verdicts.append(result.status)
+            return result
+
+        monkeypatch.setattr(ValidityChecker, "check", audited_check)
+        yield verdicts
+        assert failures == []
+
+    def test_lexer_search_verdicts_certify(self, audited):
+        from repro import api
+        from repro.apps.lexer_app import build_lexer_program
+
+        lexer = build_lexer_program()
+        result = api.generate_tests(
+            lexer.program,
+            entry=lexer.entry,
+            strategy="hotg",
+            config={"max_runs": 30},
+            natives=lexer.fresh_natives(),
+            seed=lexer.initial_inputs("abc"),
+        )
+        assert not result.interrupted
+        assert ValidityStatus.VALID in audited
+        assert ValidityStatus.INVALID in audited
+
+    def test_paper_suite_verdicts_certify(self, audited):
+        from repro import api
+        from repro.engine import CampaignSpec
+
+        spec = CampaignSpec.paper_suite(
+            schedulers=("dfs", "generational", "coverage")
+        )
+        report = api.Client(workers=1).submit(spec).wait()
+        assert not report.failed_jobs
+        assert ValidityStatus.VALID in audited
+        assert ValidityStatus.INVALID in audited

@@ -240,12 +240,6 @@ def _random_3cnf(rng):
 
 
 class TestSoundness:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="_solve resets _n_assumed to the decision level on every "
-        "pass, so a conflict under plain decisions is read as an "
-        "assumption failure",
-    )
     def test_random_3cnf_matches_brute_force(self):
         problems = [(9, _UNSOUND_REPRODUCER)]
         rng = random.Random(0)
@@ -260,3 +254,10 @@ class TestSoundness:
             assert result.sat == _brute_force_sat(clauses, n), clauses
             if result.sat:
                 assert _check_model(clauses, result.model)
+
+    def test_long_solve_survives_restarts(self):
+        # a conflict under plain decisions once read as an assumption
+        # failure, so PHP(6) came back UNSAT after 2 conflicts, no restart
+        s = _pigeonhole(6)
+        assert not s.solve().sat
+        assert s.stats.restarts >= 1

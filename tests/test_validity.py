@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import StrategyError
-from repro.solver import TermManager, evaluate, Model
+from repro.solver import Model, Solver, TermManager, evaluate
+from repro.solver.session import SolverSession
 from repro.solver.validity import (
     AppValue,
     Sample,
@@ -237,3 +238,69 @@ class TestEdgeCases:
         hostile = Model(ints=dict(inputs), default=0)
         hostile.functions[ctx["h"]] = {(1,): 5}
         assert evaluate(pc, hostile) is True
+
+
+class TestCegis:
+    """The CEGIS stage, driven the way ``check`` drives it: every candidate
+    is verified against the antecedent, and each failure's counterexample
+    function joins the list the stage re-reads before its next round."""
+
+    @staticmethod
+    def _drive(tm, vc, pc, inputs, samples):
+        session = SolverSession(tm)
+        session.assert_base(vc._antecedent(samples))
+        counter_functions = []
+        yielded = []
+        for candidate, origin in vc._cegis_candidates(
+            pc, inputs, samples, {}, counter_functions
+        ):
+            assert origin == "CEGIS"
+            yielded.append((candidate, list(counter_functions)))
+            cex = vc._verify(pc, candidate, inputs, session)
+            if cex is None:
+                break
+            counter_functions.append(cex)
+        return yielded
+
+    @staticmethod
+    def _unverifiable(tm, ctx):
+        """``h(x) < x`` with ``h(1) = 1`` recorded: no constant candidate
+        survives every ``h``, so each round meets a new counterexample
+        function, and one whose default is 0 rules out every ``x ≤ 0``."""
+        x, h = ctx["x"], ctx["h"]
+        return tm.mk_lt(tm.mk_app(h, [x]), x), [x], [Sample(h, (1,), 1)]
+
+    def test_candidates_are_distinct_and_respect_counterexamples(self, tm, ctx):
+        vc = ctx["vc"]
+        pc, inputs, samples = self._unverifiable(tm, ctx)
+        yielded = self._drive(tm, vc, pc, inputs, samples)
+        assert len(yielded) >= 2
+        assert any(cexs for _, cexs in yielded)
+        keys = [tuple(sorted(c.assignments.items())) for c, _ in yielded]
+        assert len(set(keys)) == len(keys)
+        antecedent = vc._antecedent(samples)
+        for candidate, cexs in yielded:
+            mapping = {
+                v: tm.mk_int(candidate.assignments[v.name]) for v in inputs
+            }
+            for cex in cexs:
+                hardened = tm.mk_and(pc, vc._pc_under_function(pc, cex))
+                solver = Solver(tm, use_cache=False)
+                solver.add(antecedent, tm.substitute(hardened, mapping))
+                assert solver.check().sat, (candidate, cex)
+
+    def test_constructs_no_solver(self, tm, ctx, monkeypatch):
+        import repro.solver.validity as validity
+
+        built = []
+
+        class Recording(Solver):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(validity, "Solver", Recording)
+        pc, inputs, samples = self._unverifiable(tm, ctx)
+        yielded = self._drive(tm, ctx["vc"], pc, inputs, samples)
+        assert len(yielded) >= 2
+        assert built == []
