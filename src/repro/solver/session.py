@@ -23,6 +23,13 @@ What does survive pops: Tseitin definitions (pure definitions, globally
 satisfiable) and theory-conflict lemmas (valid facts about arithmetic) —
 that retention is the point of the exercise.
 
+The session runs the same lazy DPLL(T) loop and model builder as the
+stateless solver (:func:`~repro.solver.smt.solve_lazily`,
+:func:`~repro.solver.smt.build_model`): its live frames' activation
+literals are the assumptions, their theory atoms the live-atom set, and
+every SAT answer is verified against all live assertions, extras
+included.
+
 A validity check keeps two sessions.  One holds the antecedent as its
 base, and each candidate strategy is checked against it as a delta.  The
 other serves the CEGIS rounds: it only ever gains base assertions (the
@@ -44,17 +51,15 @@ plus the ``solver.session.reuse_depth`` histogram maintained by
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import ResourceLimitError, SolverError
+from ..errors import SolverError
 from ..faults import current_fault_plan
-from ..obs.journal import current_journal
 from ..obs.metrics import default_registry
 from .budget import current_budget
 from .cnf import CnfConverter
 from .sat import SatSolver
-from .smt import CheckResult, Model, check_theory, eliminate_int_ite
+from .smt import CheckResult, Model, eliminate_int_ite, observe_check, solve_lazily
 from .terms import FunctionSymbol, Kind, Sort, Term, TermManager
 
 __all__ = ["SolverSession", "PrefixSession"]
@@ -119,49 +124,28 @@ class SolverSession:
     operations is itself reproducible.
     """
 
-    def __init__(
-        self,
-        manager: Optional[TermManager] = None,
-        max_iterations: Optional[int] = None,
-        max_conflicts: Optional[int] = None,
-        verify_models: bool = True,
-    ) -> None:
+    def __init__(self, manager: Optional[TermManager] = None) -> None:
         budget = current_budget()
-        if max_iterations is None:
-            max_iterations = budget.max_iterations
-        if max_conflicts is None:
-            max_conflicts = budget.max_conflicts
         self.tm = manager if manager is not None else TermManager()
         # max_conflicts is a whole-session budget: SatSolver counts
         # conflicts cumulatively, which bounds runaway sessions too.
-        self._sat = SatSolver(max_conflicts=max_conflicts)
+        self._sat = SatSolver(max_conflicts=budget.max_conflicts)
         self._cnf = CnfConverter(self.tm, self._sat)
         self._base = _Frame(0)
         self._scopes: List[_Frame] = []
-        self._max_iterations = max_iterations
-        self._verify_models = verify_models
+        self._max_iterations = budget.max_iterations
         # frame-owned rewriting state: integer-ITE elimination cache and the
         # Ackermann app -> fresh-variable mapping with per-symbol history
         self._ite_cache: Dict[Term, Term] = {}
         self._app_mapping: Dict[Term, Term] = {}
         self._app_args: Dict[Term, Tuple[Term, ...]] = {}
         self._apps_by_fn: Dict[FunctionSymbol, List[Term]] = {}
-        self.last_iterations = 0
-        self.pushes = 0
-        self.pops = 0
-        self.checks = 0
 
     # -- assertion stack --------------------------------------------------------
-
-    @property
-    def depth(self) -> int:
-        """Number of live scopes above the base frame."""
-        return len(self._scopes)
 
     def push(self) -> None:
         """Open a scope guarded by a fresh activation literal."""
         self._scopes.append(_Frame(self._sat.new_var()))
-        self.pushes += 1
         registry = default_registry()
         if registry.enabled:
             registry.counter("solver.session.push").inc()
@@ -171,7 +155,6 @@ class SolverSession:
         if not self._scopes:
             raise SolverError("pop without matching push")
         self._retire(self._scopes.pop())
-        self.pops += 1
         registry = default_registry()
         if registry.enabled:
             registry.counter("solver.session.pop").inc()
@@ -222,31 +205,34 @@ class SolverSession:
         )
         for side in sides:
             self._assert_into(frame, side)
-        pure = self._ackermannize(frame, rewritten)
+        # one walk of ``rewritten`` finds its applications, for the frame's
+        # live set and for the Ackermann registration alike
+        apps = [t for t in rewritten.iter_dag() if t.is_app]
+        pure = self._ackermannize(frame, rewritten, apps)
         frame.original.append(formula)
         frame.flat.append(rewritten)
         frame.atoms |= _theory_atoms(pure)
-        frame.apps |= {t for t in rewritten.iter_dag() if t.is_app}
+        frame.apps.update(apps)
         return self._cnf.literal_for(pure)
 
-    def _ackermannize(self, frame: _Frame, term: Term) -> Term:
-        """Register new UF applications incrementally and purify ``term``.
+    def _ackermannize(self, frame: _Frame, term: Term, apps: List[Term]) -> Term:
+        """Register ``term``'s new UF applications and purify ``term``.
 
-        New applications get fresh variables plus functional-consistency
-        constraints against every live application of the same symbol; the
-        constraints are owned by ``frame`` (the newer of the two frames
-        involved in any pair), so they die no earlier than either endpoint.
+        ``apps`` holds every application in ``term``.  New ones get fresh
+        variables plus functional-consistency constraints against every live
+        application of the same symbol; the constraints are owned by
+        ``frame`` (the newer of the two frames involved in any pair), so
+        they die no earlier than either endpoint.
         """
         tm = self.tm
-        apps = sorted(
-            (t for t in term.iter_dag() if t.is_app and t not in self._app_mapping),
-            key=lambda t: t.tid,
+        new_apps = sorted(
+            (t for t in apps if t not in self._app_mapping), key=lambda t: t.tid
         )
         constraints: List[Term] = []
         # an application's arguments hold only applications mapped before
         # it, so one memo serves the arguments and ``term`` (see ackermannize)
         memo: Dict[Term, Term] = {}
-        for app in apps:
+        for app in new_apps:
             assert app.fn is not None
             new_args = tuple(
                 tm.substitute(a, self._app_mapping, memo) for a in app.args
@@ -286,32 +272,15 @@ class SolverSession:
 
         Extras live in an ephemeral guarded frame that exists only for this
         check, so they are deltas: nothing they introduce outlives the call
-        except Tseitin definitions and learned lemmas.
+        except Tseitin definitions and learned lemmas.  Recorded by
+        :func:`~repro.solver.smt.observe_check` as ``solver="smt-session"``.
         """
-        self.checks += 1
-        registry = default_registry()
-        journal = current_journal()
-        if not registry.enabled and not journal.enabled:
-            return self._check(extra)
-        start = perf_counter()
-        result = self._check(extra)
-        elapsed = perf_counter() - start
-        registry.counter("smt.checks").inc()
-        registry.counter("smt.sat" if result.sat else "smt.unsat").inc()
-        registry.counter("smt.lazy_iterations").inc(result.iterations)
-        registry.histogram("smt.check_seconds").observe(elapsed)
-        registry.counter("solver.session.checks").inc()
-        journal.emit(
-            "solver_query",
-            solver="smt-session",
-            sat=result.sat,
-            iterations=result.iterations,
-            assertions=len(self._base.original)
+        assertions = (
+            len(self._base.original)
             + sum(len(s.original) for s in self._scopes)
-            + len(extra),
-            seconds=round(elapsed, 6),
+            + len(extra)
         )
-        return result
+        return observe_check("smt-session", assertions, lambda: self._check(extra))
 
     def _check(self, extra: Tuple[Term, ...]) -> CheckResult:
         # fault-injection site: forced exhaustion before any state mutates,
@@ -326,19 +295,20 @@ class SolverSession:
                     registry.counter("solver.session.push").inc()
                 for f in extra:
                     self._assert_into(ext, f)
-            return self._solve(ext)
+            result = self._solve(ext)
         finally:
             if ext is not None:
                 self._retire(ext)
                 if registry.enabled:
                     registry.counter("solver.session.pop").inc()
+        if registry.enabled:
+            registry.counter("solver.session.checks").inc()
+        return result
 
     def _solve(self, ext: Optional[_Frame]) -> CheckResult:
         live = [self._base] + self._scopes + ([ext] if ext is not None else [])
         if not any(f.original for f in live):
             return CheckResult(sat=True, model=Model())
-
-        assumptions = [f.act for f in live if f.act]
         live_atoms: Set[Term] = set()
         live_apps: Set[Term] = set()
         flat: List[Term] = []
@@ -349,97 +319,13 @@ class SolverSession:
             flat.extend(f.flat)
             originals.extend(f.original)
 
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > self._max_iterations:
-                raise ResourceLimitError(
-                    f"lazy SMT loop exceeded {self._max_iterations} iterations"
-                )
-            sat_result = self._sat.solve(assumptions)
-            if not sat_result.sat:
-                self.last_iterations = iterations
-                return CheckResult(sat=False, iterations=iterations)
-
-            # restrict the theory conjunction to atoms a live assertion can
-            # actually observe — retired scopes still own SAT variables, but
-            # their unconstrained values must not burden (or refute) the model
-            literals = self._cnf.model_literals(sat_result.model)
-            theory_lits = [
-                (atom, pol)
-                for atom, pol in literals
-                if atom.kind is not Kind.VAR and atom in live_atoms
-            ]
-            ok, core, int_model = check_theory(self.tm, theory_lits)
-            if ok:
-                model = self._build_model(
-                    sat_result.model, int_model, live_apps, flat, originals
-                )
-                self.last_iterations = iterations
-                return CheckResult(sat=True, model=model, iterations=iterations)
-
-            # a theory-conflict core is a lemma about arithmetic, valid in
-            # every scope: assert it unguarded so later checks inherit it
-            blocking: List[int] = []
-            for atom, pol in core:
-                lit = self._cnf.literal_for(atom)
-                blocking.append(-lit if pol else lit)
-            if not blocking:
-                raise SolverError("theory conflict produced an empty core")
-            self._sat.add_clause(blocking)
-
-    # -- model construction -----------------------------------------------------
-
-    def _build_model(
-        self,
-        sat_model: Dict[int, bool],
-        int_model: Dict[str, int],
-        live_apps: Set[Term],
-        flat: List[Term],
-        originals: List[Term],
-    ) -> Model:
-        from .evalmodel import evaluate  # local import to avoid a cycle
-
-        model = Model()
-        seen: Set[int] = set()
-        for f in flat:
-            for t in f.iter_dag(seen):
-                if t.is_var and t.sort is Sort.INT and t.name is not None:
-                    model.ints.setdefault(t.name, int_model.get(t.name, 0))
-        for name, value in int_model.items():
-            model.ints.setdefault(name, value)
-        for atom, svar in self._cnf.atoms.items():
-            if atom.kind is Kind.VAR and atom.sort is Sort.BOOL and svar in sat_model:
-                model.bools[atom.name or f"b{atom.tid}"] = sat_model[svar]
-        for app in sorted(live_apps, key=lambda t: t.tid):
-            assert app.fn is not None
-            var = self._app_mapping[app]
-            arg_values = tuple(int(evaluate(a, model)) for a in app.args)
-            value = model.ints.get(var.name or "", 0)
-            table = model.functions.setdefault(app.fn, {})
-            existing = table.get(arg_values)
-            if existing is not None and existing != value:
-                raise SolverError(
-                    f"inconsistent UF table for {app.fn.name}{arg_values}: "
-                    f"{existing} vs {value} (Ackermann constraints violated)"
-                )
-            table[arg_values] = value
-
-        # verify while helper variables (_ite/_app_ definitions) are still in
-        # the model — session originals include the side conditions that
-        # mention them, unlike the stateless solver's user-only assertions
-        if self._verify_models:
-            for f in originals:
-                value = evaluate(f, model)
-                if value is not True:
-                    raise SolverError(
-                        f"model verification failed: {f} evaluates to {value} "
-                        f"under {model}"
-                    )
-        for name in list(model.ints):
-            if name.startswith(("_app_", "_ite", "_t")):
-                del model.ints[name]
-        return model
+        # session originals include the ITE side conditions and Ackermann
+        # constraints, so the goal pins the helper variables too
+        return solve_lazily(
+            self.tm, self._sat, self._cnf, [f.act for f in live if f.act],
+            live_atoms, self._max_iterations,
+            ((app, self._app_mapping[app]) for app in live_apps), flat, originals,
+        )
 
 
 class PrefixSession:
@@ -454,8 +340,8 @@ class PrefixSession:
     Terms are hash-consed per manager, so prefix comparison is by identity.
     """
 
-    def __init__(self, manager: TermManager, **session_kwargs: object) -> None:
-        self.session = SolverSession(manager, **session_kwargs)
+    def __init__(self, manager: TermManager) -> None:
+        self.session = SolverSession(manager)
         self._stack: List[Term] = []
 
     def solve(self, prefix: Sequence[Term], *extra: Term) -> CheckResult:

@@ -14,19 +14,34 @@ library:
 The check loop is *lazy SMT*: the SAT solver proposes boolean models, the
 LIA solver refutes theory-inconsistent ones with blocking clauses built from
 conflict cores, until either a theory-consistent model emerges or the
-boolean abstraction is exhausted.
+boolean abstraction is exhausted.  There is one such loop,
+:func:`solve_lazily`, and one model builder, :func:`build_model`; the
+stateless :class:`Solver` and the incremental
+:class:`~repro.solver.session.SolverSession` both call them, and both
+record their checks through :func:`observe_check`.
 
-Every satisfiable answer is *verified* by evaluating all assertions under
-the constructed model (see :mod:`.evalmodel`), so a bug anywhere in the
-solver stack surfaces as a loud :class:`~repro.errors.SolverError` instead
-of a silently wrong test input.
+Every satisfiable answer is *verified* by evaluating the whole goal under
+the constructed model (see :mod:`.evalmodel`): the assertions and the
+``check(*extra)`` formulas alike.  A bug anywhere in the solver stack thus
+surfaces as a loud :class:`~repro.errors.SolverError` instead of a silently
+wrong test input.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from time import perf_counter
 
@@ -220,10 +235,9 @@ def check_theory(
     """Check a conjunction of arithmetic literals with the LIA solver.
 
     Returns ``(sat, conflict_core, int_model)`` where the core entries are
-    (atom, polarity) pairs from the input.  Shared by the from-scratch
-    :class:`Solver` and the incremental
-    :class:`~repro.solver.session.SolverSession`.  Branch and pivot limits
-    come from the ambient :func:`~repro.solver.budget.current_budget`.
+    (atom, polarity) pairs from the input.  :func:`solve_lazily` calls it
+    once per proposed boolean model.  Branch and pivot limits come from
+    the ambient :func:`~repro.solver.budget.current_budget`.
     """
     budget = current_budget()
     lia = LiaSolver(
@@ -276,6 +290,153 @@ def check_theory(
     return False, core, {}
 
 
+def solve_lazily(
+    tm: TermManager,
+    sat: SatSolver,
+    cnf: CnfConverter,
+    assumptions: Sequence[int],
+    live_atoms: Container[Term],
+    max_iterations: int,
+    app_vars: Iterable[Tuple[Term, Term]],
+    flat: Sequence[Term],
+    goal: Sequence[Term],
+) -> CheckResult:
+    """The lazy DPLL(T) loop of :class:`Solver` and the session.
+
+    The SAT solver proposes a boolean model under ``assumptions``;
+    :func:`check_theory` either accepts its arithmetic literals among
+    ``live_atoms`` or refutes them, and the refuted assignment is blocked
+    by the negated conflict core.  An accepted one becomes the answer's
+    model through :func:`build_model` (``app_vars``, ``flat``, ``goal``).
+    """
+    iterations = 0
+    while True:
+        iterations += 1
+        if iterations > max_iterations:
+            raise ResourceLimitError(
+                f"lazy SMT loop exceeded {max_iterations} iterations"
+            )
+        sat_result = sat.solve(assumptions)
+        if not sat_result.sat:
+            return CheckResult(sat=False, iterations=iterations)
+
+        # restrict the theory conjunction to atoms a live assertion can
+        # actually observe — a session's retired scopes still own SAT
+        # variables, but their unconstrained values must not burden (or
+        # refute) the model
+        literals = cnf.model_literals(sat_result.model)
+        theory_lits = [
+            (atom, pol)
+            for atom, pol in literals
+            if atom.kind is not Kind.VAR and atom in live_atoms
+        ]
+        ok, core, int_model = check_theory(tm, theory_lits)
+        if ok:
+            model = build_model(
+                sat_result.model, cnf, int_model, app_vars, flat, goal
+            )
+            return CheckResult(sat=True, model=model, iterations=iterations)
+
+        # a theory-conflict core is a lemma about arithmetic, valid in
+        # every scope: block it unguarded so a session's later checks
+        # inherit it
+        blocking: List[int] = []
+        for atom, pol in core:
+            lit = cnf.literal_for(atom)
+            blocking.append(-lit if pol else lit)
+        if not blocking:
+            raise SolverError("theory conflict produced an empty core")
+        sat.add_clause(blocking)
+
+
+def build_model(
+    sat_model: Dict[int, bool],
+    cnf: CnfConverter,
+    int_model: Dict[str, int],
+    app_vars: Iterable[Tuple[Term, Term]],
+    flat: Sequence[Term],
+    goal: Sequence[Term],
+) -> Model:
+    """The user-facing model of a theory-consistent SAT answer.
+
+    Integer values cover every variable of the ITE-free formulas ``flat``;
+    each ``(application, Ackermann variable)`` pair of ``app_vars`` becomes
+    a UF table entry.  Every formula of ``goal`` is evaluated under the
+    model while the ``_app_``/``_ite``/``_t`` helpers are still in it (a
+    failure raises :class:`~repro.errors.SolverError`); then they are
+    hidden.
+    """
+    from .evalmodel import evaluate  # local import to avoid a cycle
+
+    model = Model()
+    seen: Set[int] = set()
+    for f in flat:
+        for t in f.iter_dag(seen):
+            if t.is_var and t.sort is Sort.INT and t.name is not None:
+                model.ints.setdefault(t.name, int_model.get(t.name, 0))
+    for name, value in int_model.items():
+        model.ints.setdefault(name, value)
+    # boolean atoms that are plain variables
+    for atom, svar in cnf.atoms.items():
+        if atom.kind is Kind.VAR and atom.sort is Sort.BOOL and svar in sat_model:
+            model.bools[atom.name or f"b{atom.tid}"] = sat_model[svar]
+    for app, var in sorted(app_vars, key=lambda kv: kv[0].tid):
+        assert app.fn is not None
+        arg_values = tuple(int(evaluate(a, model)) for a in app.args)
+        value = model.ints.get(var.name or "", 0)
+        table = model.functions.setdefault(app.fn, {})
+        existing = table.get(arg_values)
+        if existing is not None and existing != value:
+            raise SolverError(
+                f"inconsistent UF table for {app.fn.name}{arg_values}: "
+                f"{existing} vs {value} (Ackermann constraints violated)"
+            )
+        table[arg_values] = value
+
+    for f in goal:
+        value = evaluate(f, model)
+        if value is not True:
+            raise SolverError(
+                f"model verification failed: {f} evaluates to {value} "
+                f"under {model}"
+            )
+    for name in list(model.ints):
+        if name.startswith(("_app_", "_ite", "_t")):
+            del model.ints[name]
+    return model
+
+
+def observe_check(
+    solver: str, assertions: int, run: Callable[[], CheckResult]
+) -> CheckResult:
+    """Run one check, recording it when a metrics or journal sink is live.
+
+    The verdict, lazy-loop iteration count and wall time go to the
+    default metrics registry (``smt.*``) and to the current journal as a
+    ``solver_query`` event labelled ``solver``.
+    """
+    registry = default_registry()
+    journal = current_journal()
+    if not registry.enabled and not journal.enabled:
+        return run()
+    start = perf_counter()
+    result = run()
+    elapsed = perf_counter() - start
+    registry.counter("smt.checks").inc()
+    registry.counter("smt.sat" if result.sat else "smt.unsat").inc()
+    registry.counter("smt.lazy_iterations").inc(result.iterations)
+    registry.histogram("smt.check_seconds").observe(elapsed)
+    journal.emit(
+        "solver_query",
+        solver=solver,
+        sat=result.sat,
+        iterations=result.iterations,
+        assertions=assertions,
+        seconds=round(elapsed, 6),
+    )
+    return result
+
+
 def result_to_cache_entry(result: CheckResult, cq: CanonicalQuery) -> CachedResult:
     """Project a :class:`CheckResult` onto the canonical numbering of ``cq``."""
     if not result.sat or result.model is None:
@@ -322,6 +483,8 @@ def cache_entry_to_result(entry: CachedResult, cq: CanonicalQuery) -> CheckResul
     return CheckResult(sat=True, model=model, iterations=entry.iterations)
 
 
+
+
 class Solver:
     """Incremental-feeling SMT solver for QF linear integer arithmetic + EUF.
 
@@ -337,13 +500,13 @@ class Solver:
 
     ``push``/``pop`` provide assertion scoping; each :meth:`check` call
     re-encodes from scratch (simple and robust at this project's scale).
+    Iteration and conflict limits come from the ambient
+    :func:`~repro.solver.budget.current_budget` at construction.
     """
 
     def __init__(
         self,
         manager: Optional[TermManager] = None,
-        max_iterations: Optional[int] = None,
-        max_conflicts: Optional[int] = None,
         verify_models: bool = True,
         use_cache: bool = True,
     ) -> None:
@@ -351,18 +514,13 @@ class Solver:
         self.tm = manager if manager is not None else TermManager()
         self._assertions: List[Term] = []
         self._scopes: List[int] = []
-        self._max_iterations = (
-            max_iterations if max_iterations is not None else budget.max_iterations
-        )
-        self._max_conflicts = (
-            max_conflicts if max_conflicts is not None else budget.max_conflicts
-        )
+        self._max_iterations = budget.max_iterations
+        self._max_conflicts = budget.max_conflicts
         self._verify_models = verify_models
         #: consult the process-wide normalized query cache; safe because
         #: every _check re-encodes from scratch (the answer is a pure
         #: function of the asserted formulas)
         self._use_cache = use_cache
-        self.last_iterations = 0
 
     # -- assertion management ---------------------------------------------------
 
@@ -383,64 +541,33 @@ class Solver:
             raise SolverError("pop without matching push")
         del self._assertions[self._scopes.pop():]
 
-    @property
-    def assertions(self) -> List[Term]:
-        return list(self._assertions)
-
     # -- solving -----------------------------------------------------------------
 
     def check(self, *extra: Term) -> CheckResult:
         """Decide the conjunction of all assertions (plus ``extra``).
 
-        Each query's verdict, lazy-loop iteration count, and wall time are
-        recorded into the default metrics registry and emitted as a
-        ``solver_query`` event on the current journal (both no-ops unless a
-        session installed live sinks).
+        Recorded by :func:`observe_check` as ``solver="smt"``.
         """
-        registry = default_registry()
-        journal = current_journal()
-        if not registry.enabled and not journal.enabled:
-            return self._check_cached(extra)
-        start = perf_counter()
-        result = self._check_cached(extra)
-        elapsed = perf_counter() - start
-        registry.counter("smt.checks").inc()
-        registry.counter("smt.sat" if result.sat else "smt.unsat").inc()
-        registry.counter("smt.lazy_iterations").inc(result.iterations)
-        registry.histogram("smt.check_seconds").observe(elapsed)
-        journal.emit(
-            "solver_query",
-            solver="smt",
-            sat=result.sat,
-            iterations=result.iterations,
-            assertions=len(self._assertions) + len(extra),
-            seconds=round(elapsed, 6),
-        )
-        return result
+        goal = self._assertions + list(extra)
+        return observe_check("smt", len(goal), lambda: self._check_cached(goal))
 
-    def _check_cached(self, extra: Tuple[Term, ...]) -> CheckResult:
+    def _check_cached(self, goal: List[Term]) -> CheckResult:
         """Answer from the normalized query cache when possible."""
-        cache = default_cache() if self._use_cache else None
-        if cache is None:
-            return self._check(extra)
-        goal = list(self._assertions) + list(extra)
         if not goal:
             return CheckResult(sat=True, model=Model())
+        cache = default_cache() if self._use_cache else None
+        if cache is None:
+            return self._check(goal)
         cq = canonical_query(goal)
         entry = cache.lookup(cq.key)
         if entry is not None:
-            result = cache_entry_to_result(entry, cq)
-            self.last_iterations = result.iterations
-            return result
-        result = self._check(extra)
+            return cache_entry_to_result(entry, cq)
+        result = self._check(goal)
         cache.store(cq.key, result_to_cache_entry(result, cq))
         return result
 
-    def _check(self, extra: Tuple[Term, ...]) -> CheckResult:
+    def _check(self, goal: List[Term]) -> CheckResult:
         tm = self.tm
-        goal = list(self._assertions) + list(extra)
-        if not goal:
-            return CheckResult(sat=True, model=Model())
         # fault-injection site: a forced ResourceLimitError here behaves
         # exactly like real budget exhaustion mid-query
         current_fault_plan().fire("solver")
@@ -462,102 +589,8 @@ class Solver:
         for f in all_formulas:
             cnf.assert_formula(f)
 
-        # 4) lazy theory loop
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > self._max_iterations:
-                raise ResourceLimitError(
-                    f"lazy SMT loop exceeded {self._max_iterations} iterations"
-                )
-            sat_result = sat.solve()
-            if not sat_result.sat:
-                self.last_iterations = iterations
-                return CheckResult(sat=False, iterations=iterations)
-
-            literals = cnf.model_literals(sat_result.model)
-            theory_lits = [
-                (atom, pol) for atom, pol in literals if atom.kind is not Kind.VAR
-            ]
-            ok, core, int_model = self._check_theory(theory_lits)
-            if ok:
-                model = self._build_model(
-                    tm, sat_result.model, cnf, int_model, app_to_var, flat
-                )
-                self.last_iterations = iterations
-                return CheckResult(sat=True, model=model, iterations=iterations)
-
-            # block this boolean assignment via the conflicting literals
-            blocking: List[int] = []
-            for atom, pol in core:
-                lit = cnf.literal_for(atom)
-                blocking.append(-lit if pol else lit)
-            if not blocking:
-                raise SolverError("theory conflict produced an empty core")
-            sat.add_clause(blocking)
-
-    # -- theory checking -------------------------------------------------------------
-
-    def _check_theory(
-        self, literals: List[Tuple[Term, bool]]
-    ) -> Tuple[bool, List[Tuple[Term, bool]], Dict[str, int]]:
-        return check_theory(self.tm, literals)
-
-    # -- model construction ----------------------------------------------------------
-
-    def _build_model(
-        self,
-        tm: TermManager,
-        sat_model: Dict[int, bool],
-        cnf: CnfConverter,
-        int_model: Dict[str, int],
-        app_to_var: Dict[Term, Term],
-        original: List[Term],
-    ) -> Model:
-        model = Model()
-        # integer variables mentioned anywhere in the (rewritten) formulas
-        seen: Set[int] = set()
-        for f in original:
-            for t in f.iter_dag(seen):
-                if t.is_var and t.sort is Sort.INT and t.name is not None:
-                    model.ints.setdefault(t.name, int_model.get(t.name, 0))
-        for name, value in int_model.items():
-            model.ints.setdefault(name, value)
-        # boolean atoms that are plain variables
-        for atom, svar in cnf.atoms.items():
-            if atom.kind is Kind.VAR and atom.sort is Sort.BOOL and svar in sat_model:
-                model.bools[atom.name or f"b{atom.tid}"] = sat_model[svar]
-        # UF tables from Ackermann variables
-        from .evalmodel import evaluate  # local import to avoid a cycle
-
-        for app, var in sorted(app_to_var.items(), key=lambda kv: kv[0].tid):
-            assert app.fn is not None
-            arg_values = tuple(int(evaluate(a, model)) for a in app.args)
-            value = model.ints.get(var.name or "", 0)
-            table = model.functions.setdefault(app.fn, {})
-            existing = table.get(arg_values)
-            if existing is not None and existing != value:
-                raise SolverError(
-                    f"inconsistent UF table for {app.fn.name}{arg_values}: "
-                    f"{existing} vs {value} (Ackermann constraints violated)"
-                )
-            table[arg_values] = value
-        # hide internal helper variables from the user-facing model
-        for name in list(model.ints):
-            if name.startswith(("_app_", "_ite", "_t")):
-                del model.ints[name]
-
-        if self._verify_models:
-            self._verify(model, app_to_var)
-        return model
-
-    def _verify(self, model: Model, app_to_var: Dict[Term, Term]) -> None:
-        from .evalmodel import evaluate
-
-        for f in self._assertions:
-            value = evaluate(f, model)
-            if value is not True:
-                raise SolverError(
-                    f"model verification failed: {f} evaluates to {value} "
-                    f"under {model}"
-                )
+        # 4) lazy theory loop, over every atom this check encoded
+        return solve_lazily(
+            tm, sat, cnf, (), cnf.atoms, self._max_iterations,
+            app_to_var.items(), flat, goal if self._verify_models else (),
+        )

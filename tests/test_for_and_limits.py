@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ParseError, ResourceLimitError, StepBudgetExceeded
 from repro.lang import Interpreter, NativeRegistry, parse_program
 from repro.search import DirectedSearch, SearchConfig
-from repro.solver import Solver, TermManager
+from repro.solver import Solver, SolverSession, TermManager
+from repro.solver.budget import current_budget, use_budget
 from repro.symbolic import ConcolicEngine, ConcretizationMode
 
 
@@ -126,7 +127,8 @@ class TestResourceLimits:
 
     def test_solver_iteration_budget(self):
         tm = TermManager()
-        solver = Solver(tm, max_iterations=1)
+        with use_budget(current_budget().with_(max_iterations=1)):
+            solver = Solver(tm)
         x = tm.mk_var("x")
         h = tm.mk_function("h", 1)
         # force at least one theory conflict so the loop needs 2 iterations
@@ -140,6 +142,19 @@ class TestResourceLimits:
             solver.check()
         except ResourceLimitError:
             pass  # acceptable: budget genuinely exhausted
+
+    @pytest.mark.parametrize("kind", ["solver", "session"])
+    def test_ambient_iteration_budget_is_enforced(self, kind):
+        # 5 < x < 3: the first boolean model is refuted by the theory, so
+        # the loop needs a second iteration the budget does not allow
+        tm = TermManager()
+        with use_budget(current_budget().with_(max_iterations=1)):
+            checker = (
+                Solver(tm, use_cache=False) if kind == "solver" else SolverSession(tm)
+            )
+        x = tm.mk_var("x")
+        with pytest.raises(ResourceLimitError):
+            checker.check(tm.mk_gt(x, tm.mk_int(5)), tm.mk_lt(x, tm.mk_int(3)))
 
     def test_lia_branch_budget(self):
         from repro.solver import LiaSolver

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
-from repro.solver import Solver, TermManager, ackermannize, evaluate
+from repro.solver import Solver, TermManager, ackermannize, evaluate, smt
+from repro.solver.session import SolverSession
 
 
 @pytest.fixture()
@@ -204,6 +205,29 @@ class TestModelQuality:
         r = solver.check()
         assert r.sat
         assert evaluate(f, r.model) is True
+
+    @pytest.mark.parametrize("route", ["add-then-check", "check-extra", "session-extra"])
+    def test_wrong_theory_model_is_caught(self, tm, monkeypatch, route):
+        # a theory solver that zeroes every value proposes x = 0 for 5 < x;
+        # the model must be refuted whether the goal was asserted or passed
+        # to check() as an extra
+        real = smt.check_theory
+
+        def zeroing(manager, literals):
+            ok, core, model = real(manager, literals)
+            return ok, core, {name: 0 for name in model}
+
+        monkeypatch.setattr(smt, "check_theory", zeroing)
+        goal = tm.mk_lt(tm.mk_int(5), tm.mk_var("x"))
+        with pytest.raises(SolverError, match="model verification failed"):
+            if route == "add-then-check":
+                solver = Solver(tm, use_cache=False)
+                solver.add(goal)
+                solver.check()
+            elif route == "check-extra":
+                Solver(tm, use_cache=False).check(goal)
+            else:
+                SolverSession(tm).check(goal)
 
 
 class TestPushPop:
