@@ -57,7 +57,7 @@ class StaticTestGenerator:
             tm,
             record_samples=False,  # a static tool observes nothing at runtime
         )
-        backend = ExistentialBackend(tm)
+        backend = ExistentialBackend()
         search = DirectedSearch(
             engine, self.entry, backend, config=self.config
         )

@@ -11,22 +11,20 @@ the paper's multi-step test generation (Example 7), implemented by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..errors import StrategyError
-from ..solver.terms import Term, TermManager
+from ..solver.terms import TermManager
 from ..solver.validity import (
     AppValue,
     Sample,
-    SampleRequest,
     Strategy,
     ValidityChecker,
     ValidityResult,
     ValidityStatus,
 )
-from ..search.request import GeneratedTest, GenerationRequest
-from .post import alternate_constraint, build_post
+from ..search.request import GeneratedTest, GenerationRequest, import_request
+from .post import alternate_constraint
 from .samples import SampleStore
 
 __all__ = ["HigherOrderBackend", "MultiStepDriver", "ProbeOutcome", "plan_validity"]
@@ -37,19 +35,16 @@ def plan_validity(
     request: GenerationRequest,
     samples: Sequence[Sample],
     use_antecedent: bool = True,
-    max_candidates: int = 24,
 ) -> ValidityResult:
     """The pure planning half of higher-order generation.
 
     Deterministic in (the structure of) ``request`` and ``samples``: no
     probe runs, no store access, no shared mutable state — which is what
-    lets the search kernel solve it against an imported copy of the
-    request (:func:`repro.search.kernel.generate_imported`).
+    lets :meth:`HigherOrderBackend.generate` solve it against an imported
+    copy of the request.
     """
     alt = alternate_constraint(tm, request.conditions, request.index)
-    checker = ValidityChecker(
-        tm, max_candidates=max_candidates, use_antecedent=use_antecedent
-    )
+    checker = ValidityChecker(tm, use_antecedent=use_antecedent)
     return checker.check(
         alt,
         list(request.input_vars.values()),
@@ -143,8 +138,6 @@ class HigherOrderBackend:
 
     Parameters
     ----------
-    manager:
-        Shared term manager (same one the concolic engine uses).
     store:
         The session's IOF :class:`SampleStore`.
     probe_runner:
@@ -161,39 +154,31 @@ class HigherOrderBackend:
 
     def __init__(
         self,
-        manager: TermManager,
         store: SampleStore,
         probe_runner: Optional[Callable[[Dict[str, int]], None]] = None,
         use_antecedent: bool = True,
         max_steps: int = 4,
-        max_candidates: int = 24,
     ) -> None:
-        self.tm = manager
         self.store = store
         self.probe_runner = probe_runner
         self.use_antecedent = use_antecedent
         self.max_steps = max_steps
-        self.max_candidates = max_candidates
-        self.solver_calls = 0
         #: per-request validity verdicts, for experiment reporting
         self.verdicts: List[ValidityResult] = []
         #: total intermediate probe runs spent on multi-step generation
         self.total_probe_runs = 0
 
     def generate(self, request: GenerationRequest) -> Optional[GeneratedTest]:
-        return self.apply_plan(request, self.plan_request(request, self.store.samples()))
+        """Plan validity on a private copy of ``request``, then finish here.
 
-    def plan_request(
-        self, request: GenerationRequest, samples: Sequence[Sample]
-    ) -> ValidityResult:
-        """Pure planning: decide validity of ``ALT(pc)`` against ``samples``."""
-        return plan_validity(
-            self.tm,
-            request,
-            samples,
-            use_antecedent=self.use_antecedent,
-            max_candidates=self.max_candidates,
+        ``plan_validity`` is looked up as a module global at call time, so
+        instrumentation that rebinds it sees every call.
+        """
+        tm, local = import_request(request)
+        verdict = plan_validity(
+            tm, local, self.store.samples(), use_antecedent=self.use_antecedent
         )
+        return self.apply_plan(request, verdict)
 
     def apply_plan(
         self, request: GenerationRequest, verdict: ValidityResult
@@ -205,7 +190,6 @@ class HigherOrderBackend:
         shared across term managers, so a verdict planned on an imported
         copy of the request concretizes directly against this store.
         """
-        self.solver_calls += 1
         self.verdicts.append(verdict)
         if verdict.status is not ValidityStatus.VALID or verdict.strategy is None:
             return None
@@ -228,14 +212,4 @@ class HigherOrderBackend:
             inputs=inputs,
             intermediate_runs=len(driver.probes),
             note=f"multi-step validity proof ({len(driver.probes)} probes)",
-        )
-
-    def post_formula(self, request: GenerationRequest):
-        """The structured ``POST(ALT(pc))`` for display/diagnostics."""
-        return build_post(
-            self.tm,
-            request.conditions,
-            request.index,
-            list(request.input_vars.values()),
-            self.store.samples() if self.use_antecedent else [],
         )

@@ -13,31 +13,20 @@ that step.  Three backends reproduce the paper's three worlds:
   unusable tests.  Divergence statistics then quantify the §1 claim.
 - ``HigherOrderBackend`` (in :mod:`repro.core.hotg`) — the paper's
   contribution: validity proofs over universally quantified UFs.
+
+Each backend solves a private :func:`~repro.search.request.import_request`
+copy of the request with a stateless :class:`~repro.solver.smt.Solver`
+(the :class:`~repro.search.request.TestGenBackend` contract).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, Optional, Tuple
 
-from ..solver.session import PrefixSession
-from ..solver.smt import Solver
-from ..solver.terms import Term, TermManager
+from ..solver.smt import Model, Solver
+from ..solver.terms import TermManager
 from ..core.post import alternate_constraint
-from .request import GeneratedTest, GenerationRequest, TestGenBackend
-
-
-def _alternate_prefix(tm: TermManager, request: GenerationRequest) -> List[Term]:
-    """``ALT(pc)`` as a list of conjuncts, for assertion-stack reuse.
-
-    Sibling flips of one path share every conjunct up to the flip point, so
-    a :class:`~repro.solver.session.PrefixSession` asserts the common part
-    once and only re-encodes the tail that actually changed.
-    """
-    if request.conditions[request.index].is_concretization:
-        raise ValueError("cannot negate a concretization constraint")
-    prefix = [pc.term for pc in request.conditions[: request.index]]
-    prefix.append(tm.mk_not(request.conditions[request.index].term))
-    return prefix
+from .request import GeneratedTest, GenerationRequest, TestGenBackend, import_request
 
 __all__ = [
     "GenerationRequest",
@@ -45,87 +34,74 @@ __all__ = [
     "TestGenBackend",
     "QuantifierFreeBackend",
     "ExistentialBackend",
+    "satisfy",
 ]
+
+#: cap on extra solver calls spent retaining defaults per generation
+MAX_RETENTION_CALLS = 8
+
+
+def _inputs(model: Model, request: GenerationRequest) -> Dict[str, int]:
+    """The model's input vector; inputs it leaves free keep their defaults."""
+    return {
+        name: model.ints.get(name, request.defaults.get(name, 0))
+        for name in request.input_vars
+    }
+
+
+def _first_model(
+    tm: TermManager, request: GenerationRequest
+) -> Tuple[Solver, Optional[Model]]:
+    """A solver holding ``ALT(pc)`` on ``tm``, and its first model (or None)."""
+    solver = Solver(tm)
+    solver.add(alternate_constraint(tm, request.conditions, request.index))
+    result = solver.check()
+    return solver, result.model if result.sat else None
+
+
+def satisfy(tm: TermManager, request: GenerationRequest) -> Optional[GeneratedTest]:
+    """DART's generation step for a request whose terms live on ``tm``.
+
+    A model of the quantifier-free ``ALT(pc)``, then greedily pinned back
+    to the previous inputs where the constraint allows it (at most
+    :data:`MAX_RETENTION_CALLS` extra checks), so the generated test
+    differs from its parent only where the flipped branch demands (paper
+    §2: inputs are *variants* of the previous vector).
+    """
+    solver, model = _first_model(tm, request)
+    if model is None:
+        return None
+    kept: list = []
+    calls = 0
+    for name, var in sorted(request.input_vars.items()):
+        if name not in request.defaults:
+            continue
+        default = request.defaults[name]
+        if model.ints.get(name, default) == default:
+            continue  # already at the old value
+        if calls >= MAX_RETENTION_CALLS:
+            break
+        pin = tm.mk_eq(var, tm.mk_int(default))
+        calls += 1
+        attempt = solver.check(*(kept + [pin]))
+        if attempt.sat and attempt.model is not None:
+            kept.append(pin)
+            model = attempt.model
+    return GeneratedTest(inputs=_inputs(model, request), note="satisfiability")
 
 
 class QuantifierFreeBackend:
     """Classic DART test generation: solve the quantifier-free ``ALT(pc)``.
 
     Constraints produced by the concretization modes contain no UF symbols,
-    so a plain satisfiability check suffices.  Unconstrained inputs keep
-    their previous concrete values (paper §2: inputs are *variants* of the
-    previous vector).
+    so a plain satisfiability check suffices (:func:`satisfy`, on a private
+    copy of the request).
     """
 
     name = "quantifier-free"
 
-    def __init__(
-        self,
-        manager: TermManager,
-        retain_defaults: bool = True,
-        use_session: bool = True,
-    ) -> None:
-        self.tm = manager
-        self.solver_calls = 0
-        #: first try a model that keeps every input at its previous value
-        #: except where the alternate constraint forces otherwise — tests
-        #: stay "variants of the previous inputs" (paper §2)
-        self.retain_defaults = retain_defaults
-        #: one incremental session for the whole search: the alternate
-        #: constraint is asserted once per flip and every retention pin is
-        #: solved as an assumption delta, while sibling flips reuse the
-        #: shared path-constraint prefix already on the assertion stack
-        self._session: Optional[PrefixSession] = (
-            PrefixSession(manager) if use_session else None
-        )
-
-    #: cap on extra solver calls spent retaining defaults per generation
-    MAX_RETENTION_CALLS = 8
-
     def generate(self, request: GenerationRequest) -> Optional[GeneratedTest]:
-        if self._session is not None:
-            prefix = _alternate_prefix(self.tm, request)
-            check = lambda *extra: self._session.solve(prefix, *extra)
-        else:
-            solver = Solver(self.tm)
-            solver.add(alternate_constraint(self.tm, request.conditions, request.index))
-            check = solver.check
-        self.solver_calls += 1
-        result = check()
-        if not result.sat or result.model is None:
-            return None
-
-        if self.retain_defaults:
-            # greedily pin inputs back to their previous values where the
-            # constraint allows it, so the generated test differs from its
-            # parent only where the flipped branch demands
-            kept: list = []
-            calls = 0
-            for name, var in sorted(request.input_vars.items()):
-                if name not in request.defaults:
-                    continue
-                default = request.defaults[name]
-                if result.model.ints.get(name, default) == default:
-                    continue  # already at the old value
-                if calls >= self.MAX_RETENTION_CALLS:
-                    break
-                pin = self.tm.mk_eq(var, self.tm.mk_int(default))
-                calls += 1
-                self.solver_calls += 1
-                attempt = check(*(kept + [pin]))
-                if attempt.sat and attempt.model is not None:
-                    kept.append(pin)
-                    result = attempt
-        return self._to_test(result, request)
-
-    def _to_test(self, result, request: GenerationRequest) -> GeneratedTest:
-        inputs = {}
-        for name in request.input_vars:
-            if name in result.model.ints:
-                inputs[name] = result.model.ints[name]
-            else:
-                inputs[name] = request.defaults.get(name, 0)
-        return GeneratedTest(inputs=inputs, note="satisfiability")
+        return satisfy(*import_request(request))
 
 
 class ExistentialBackend:
@@ -144,27 +120,11 @@ class ExistentialBackend:
 
     name = "existential (static)"
 
-    def __init__(self, manager: TermManager, use_session: bool = True) -> None:
-        self.tm = manager
-        self.solver_calls = 0
-        self._session: Optional[PrefixSession] = (
-            PrefixSession(manager) if use_session else None
-        )
-
     def generate(self, request: GenerationRequest) -> Optional[GeneratedTest]:
-        self.solver_calls += 1
-        if self._session is not None:
-            result = self._session.solve(_alternate_prefix(self.tm, request))
-        else:
-            solver = Solver(self.tm)
-            solver.add(alternate_constraint(self.tm, request.conditions, request.index))
-            result = solver.check()
-        if not result.sat or result.model is None:
+        tm, local = import_request(request)
+        _, model = _first_model(tm, local)
+        if model is None:
             return None
-        inputs = {}
-        for name in request.input_vars:
-            if name in result.model.ints:
-                inputs[name] = result.model.ints[name]
-            else:
-                inputs[name] = request.defaults.get(name, 0)
-        return GeneratedTest(inputs=inputs, note="existential satisfiability")
+        return GeneratedTest(
+            inputs=_inputs(model, local), note="existential satisfiability"
+        )

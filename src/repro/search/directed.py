@@ -340,7 +340,7 @@ class DirectedSearch:
         tm = TermManager()
         engine = ConcolicEngine(prog, natives, ConcretizationMode.HIGHER_ORDER, tm)
         store = SampleStore()
-        backend = HigherOrderBackend(tm, store)
+        backend = HigherOrderBackend(store)
         search = DirectedSearch(engine, "foo", backend, store)
         result = search.run({"x": 33, "y": 42})
 
@@ -398,14 +398,13 @@ class DirectedSearch:
         store = store if store is not None else SampleStore()
         if mode is ConcretizationMode.HIGHER_ORDER:
             backend: TestGenBackend = HigherOrderBackend(
-                tm,
                 store,
                 probe_runner=None,  # wired by __init__
                 use_antecedent=use_antecedent,
                 max_steps=(config or SearchConfig()).max_multistep_probes,
             )
         else:
-            backend = QuantifierFreeBackend(tm)
+            backend = QuantifierFreeBackend()
         return cls(engine, entry, backend, store, config, obs)
 
     # -- the session harness ------------------------------------------------------

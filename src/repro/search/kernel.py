@@ -44,7 +44,6 @@ state.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 import time
 from dataclasses import dataclass, field
@@ -65,18 +64,13 @@ from ..solver.terms import Term, TermManager
 from ..symbolic.concolic import ConcolicResult, PathCondition
 from ..core.post import negatable_indices
 from ..core.samples import SampleStore
-from .backends import (
-    ExistentialBackend,
-    GeneratedTest,
-    GenerationRequest,
-    QuantifierFreeBackend,
-    TestGenBackend,
-)
+from .backends import satisfy
 from .checkpoint import CheckpointWriter, ReplayCursor
 from .directed import CrashReport, ErrorReport, ExecutionRecord, SearchResult
+from .request import GeneratedTest, GenerationRequest, TestGenBackend, import_request
 from .scheduler import FrontierItem, FrontierScheduler
 
-__all__ = ["SearchKernel", "SearchState", "generate_imported", "import_request"]
+__all__ = ["SearchKernel", "SearchState"]
 
 #: sentinel: the flip was queued for the end-of-search retry phase
 _DEFERRED = object()
@@ -110,88 +104,6 @@ def _var_names(term: Term) -> Set[str]:
             names.add(t.name)
         stack.extend(t.args)
     return names
-
-
-def import_request(
-    request: GenerationRequest,
-    local: Optional[TermManager] = None,
-    cache: Optional[Dict[Term, Term]] = None,
-) -> Tuple[TermManager, GenerationRequest]:
-    """Deep-copy ``request`` into ``local`` (a fresh :class:`TermManager`
-    by default).
-
-    Path-condition terms and input variables are imported (function symbols
-    stay shared — they are immutable and identity-keyed everywhere), so
-    term ids in the copy depend only on the request's structure, never on
-    what the engine's manager interned before.  Subterms already in
-    ``cache`` (mapping to terms of ``local``) are replaced, not imported.
-    """
-    local = local if local is not None else TermManager()
-    cache = cache if cache is not None else {}
-    conditions = [
-        dataclasses.replace(pc, term=local.import_term(pc.term, cache))
-        for pc in request.conditions
-    ]
-    input_vars = {
-        name: local.import_term(var, cache)
-        for name, var in request.input_vars.items()
-    }
-    return local, GenerationRequest(
-        conditions=conditions,
-        index=request.index,
-        input_vars=input_vars,
-        defaults=dict(request.defaults),
-    )
-
-
-def generate_imported(
-    backend: TestGenBackend, request: GenerationRequest
-) -> Optional[GeneratedTest]:
-    """Full-strength generation for one flip, solved on a private manager.
-
-    The three known backends solve an :func:`import_request` copy, so
-    solver term ids — and with them SAT variable order and the models
-    found — are a function of the request alone (the pinned digests
-    depend on it):
-
-    - quantifier-free and existential backends are rebuilt on the copy's
-      manager without a prefix session;
-    - the higher-order backend plans validity on the copy against the
-      live sample store, then finishes on itself (records the verdict,
-      concretizes, probes).
-
-    Matching is by exact type: a subclass may override ``generate`` with
-    logic this dispatch would skip, so it — like any other backend —
-    runs ``generate`` on the shared manager.
-    """
-    from ..core import hotg  # deferred: core imports search
-
-    kind = type(backend)
-    if kind is hotg.HigherOrderBackend:
-        local_tm, local_request = import_request(request)
-        # called through the module so a rebinding of hotg.plan_validity
-        # (instrumentation) sees every call
-        verdict = hotg.plan_validity(
-            local_tm,
-            local_request,
-            backend.store.samples(),
-            use_antecedent=backend.use_antecedent,
-            max_candidates=backend.max_candidates,
-        )
-        return backend.apply_plan(request, verdict)
-    if kind is QuantifierFreeBackend:
-        local_tm, local_request = import_request(request)
-        solver = QuantifierFreeBackend(
-            local_tm, retain_defaults=backend.retain_defaults, use_session=False
-        )
-    elif kind is ExistentialBackend:
-        local_tm, local_request = import_request(request)
-        solver = ExistentialBackend(local_tm, use_session=False)
-    else:
-        return backend.generate(request)
-    generated = solver.generate(local_request)
-    backend.solver_calls += solver.solver_calls
-    return generated
 
 
 @dataclass
@@ -536,7 +448,7 @@ class SearchKernel:
         or with UNSAT — ends the ladder.
         """
         try:
-            return generate_imported(self.backend, request), "full"
+            return self.backend.generate(request), "full"
         except RunBudgetExhausted:
             raise
         except ResourceLimitError:
@@ -610,8 +522,7 @@ class SearchKernel:
             ]
             degraded.conditions = pins + degraded.conditions
             degraded.index += len(pins)
-        solver = QuantifierFreeBackend(local, retain_defaults=True, use_session=False)
-        generated = solver.generate(degraded)
+        generated = satisfy(local, degraded)
         if generated is None:
             return None
         kind = "sound" if pin else "unsound"

@@ -1,13 +1,13 @@
 """Incremental solver sessions: one SAT solver reused across related queries.
 
 The from-scratch :class:`~repro.solver.smt.Solver` re-encodes every query,
-which is robust but wasteful for the directed search: sibling branch flips
-share almost their entire path-constraint prefix, and the retention loop in
-the quantifier-free backend re-solves the same alternate constraint under a
-handful of different pins.  A :class:`SolverSession` keeps the CDCL solver,
-the Tseitin encoding, the integer-ITE eliminations and the Ackermann
-reduction alive across checks, so each new query only pays for its delta —
-and theory lemmas learned by earlier queries keep pruning later ones.
+which is robust but wasteful when one caller asks many related questions:
+a CEGIS loop adds one counterexample at a time, and sibling branch flips
+share almost their entire path-constraint prefix.  A :class:`SolverSession`
+keeps the CDCL solver, the Tseitin encoding, the integer-ITE eliminations
+and the Ackermann reduction alive across checks, so each new query only
+pays for its delta — and theory lemmas learned by earlier queries keep
+pruning later ones.
 
 Scoping uses the standard activation-literal technique: each pushed frame
 gets a fresh SAT variable ``act`` and all its root clauses are guarded as
@@ -338,6 +338,13 @@ class PrefixSession:
     The retained depth is observed as ``solver.session.reuse_depth``.
 
     Terms are hash-consed per manager, so prefix comparison is by identity.
+
+    No search path uses it today: every backend solves its flip statelessly
+    on a private copy of the request, so that a flip's answer does not
+    depend on which flips were solved before it.  The class stays as the
+    base for batching sibling flips of one path on one session (ROADMAP
+    9(b)), and the standing benchmark's tracer still instruments
+    :meth:`solve`.
     """
 
     def __init__(self, manager: TermManager) -> None:

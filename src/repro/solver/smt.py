@@ -508,7 +508,6 @@ class Solver:
         self,
         manager: Optional[TermManager] = None,
         verify_models: bool = True,
-        use_cache: bool = True,
     ) -> None:
         budget = current_budget()
         self.tm = manager if manager is not None else TermManager()
@@ -517,10 +516,6 @@ class Solver:
         self._max_iterations = budget.max_iterations
         self._max_conflicts = budget.max_conflicts
         self._verify_models = verify_models
-        #: consult the process-wide normalized query cache; safe because
-        #: every _check re-encodes from scratch (the answer is a pure
-        #: function of the asserted formulas)
-        self._use_cache = use_cache
 
     # -- assertion management ---------------------------------------------------
 
@@ -552,10 +547,15 @@ class Solver:
         return observe_check("smt", len(goal), lambda: self._check_cached(goal))
 
     def _check_cached(self, goal: List[Term]) -> CheckResult:
-        """Answer from the normalized query cache when possible."""
+        """Answer from the normalized query cache when possible.
+
+        Safe because every :meth:`_check` re-encodes from scratch: the
+        answer is a pure function of the goal.  ``use_cache(None)``
+        (:mod:`repro.solver.cache`) turns the cache off.
+        """
         if not goal:
             return CheckResult(sat=True, model=Model())
-        cache = default_cache() if self._use_cache else None
+        cache = default_cache()
         if cache is None:
             return self._check(goal)
         cq = canonical_query(goal)

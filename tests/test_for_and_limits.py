@@ -7,6 +7,7 @@ from repro.lang import Interpreter, NativeRegistry, parse_program
 from repro.search import DirectedSearch, SearchConfig
 from repro.solver import Solver, SolverSession, TermManager
 from repro.solver.budget import current_budget, use_budget
+from repro.solver.cache import use_cache
 from repro.symbolic import ConcolicEngine, ConcretizationMode
 
 
@@ -149,22 +150,21 @@ class TestResourceLimits:
         # the loop needs a second iteration the budget does not allow
         tm = TermManager()
         with use_budget(current_budget().with_(max_iterations=1)):
-            checker = (
-                Solver(tm, use_cache=False) if kind == "solver" else SolverSession(tm)
-            )
+            checker = Solver(tm) if kind == "solver" else SolverSession(tm)
         x = tm.mk_var("x")
-        with pytest.raises(ResourceLimitError):
+        with use_cache(None), pytest.raises(ResourceLimitError):
             checker.check(tm.mk_gt(x, tm.mk_int(5)), tm.mk_lt(x, tm.mk_int(3)))
 
     def test_lia_branch_budget(self):
         from repro.solver import LiaSolver
 
-        lia = LiaSolver(max_branches=1, presolve=False)
+        lia = LiaSolver(max_branches=1)
         x, y = lia.new_var("x"), lia.new_var("y")
         lia.add_ge({x: 2, y: 3}, 7)
         lia.add_le({x: 2, y: 3}, 7)
         with pytest.raises(ResourceLimitError):
             lia.check()
+        assert not lia.presolve_hit  # the bounds settle nothing here
 
     def test_search_multistep_budget_respected(self):
         natives = NativeRegistry()

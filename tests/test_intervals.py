@@ -1,10 +1,20 @@
-"""Tests for interval propagation and its integration into the LIA solver."""
+"""Tests for interval propagation and its integration into the LIA solver.
+
+The LIA solver always runs the presolve; the answers it must agree with
+come from the presolve-free reference in ``tests/_fraction_lia.py``.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.solver import LiaSolver
 from repro.solver.intervals import BoundsAnalysis
+from tests import _fraction_lia
+
+
+def _solvers():
+    """The live solver (presolve on) and the reference (presolve off)."""
+    return LiaSolver(), _fraction_lia.LiaSolver(presolve=False)
 
 
 class TestBoundsAnalysis:
@@ -84,7 +94,7 @@ class TestBoundsAnalysis:
 
 class TestLiaPresolveIntegration:
     def test_presolve_catches_bound_conflict(self):
-        lia = LiaSolver(presolve=True)
+        lia = LiaSolver()
         x = lia.new_var("x")
         lia.add_ge({x: 1}, 10, tag="ge")
         lia.add_le({x: 1}, 5, tag="le")
@@ -94,15 +104,14 @@ class TestLiaPresolveIntegration:
         assert set(result.core) == {"ge", "le"}
 
     def test_presolve_off_same_verdict(self):
-        for presolve in (True, False):
-            lia = LiaSolver(presolve=presolve)
+        for lia in _solvers():
             x = lia.new_var("x")
             lia.add_ge({x: 1}, 10)
             lia.add_le({x: 1}, 5)
             assert not lia.check().sat
 
     def test_presolve_does_not_break_sat(self):
-        lia = LiaSolver(presolve=True)
+        lia = LiaSolver()
         x, y = lia.new_var("x"), lia.new_var("y")
         lia.add_ge({x: 1}, 0)
         lia.add_le({x: 1, y: 1}, 10)
@@ -123,8 +132,7 @@ class TestLiaPresolveIntegration:
     @settings(max_examples=80, deadline=None)
     def test_presolve_agrees_with_full_solver(self, bounds):
         results = []
-        for presolve in (True, False):
-            lia = LiaSolver(presolve=presolve)
+        for lia in _solvers():
             variables = [lia.new_var(f"v{i}") for i in range(3)]
             for var, op, const in bounds:
                 if op == "le":

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang import Interpreter, NativeRegistry, parse_program
-from repro.search import DirectedSearch, QuantifierFreeBackend, SearchConfig
+from repro.search import DirectedSearch, SearchConfig
 from repro.search.minimize import minimize_error_inputs
 from repro.symbolic import ConcretizationMode
 
@@ -116,18 +116,3 @@ class TestDefaultRetention:
         err = result.errors[0]
         # a must be 3 and b forced to 7; the retention kept a at its seed
         assert err.inputs == {"a": 3, "b": 7}
-
-    def test_retention_can_be_disabled(self):
-        from repro.solver import TermManager
-        from repro.symbolic import ConcolicEngine
-        from repro.search import DirectedSearch
-
-        tm = TermManager()
-        engine = ConcolicEngine(
-            parse_program(self.SRC), NativeRegistry(),
-            ConcretizationMode.SOUND, tm,
-        )
-        backend = QuantifierFreeBackend(tm, retain_defaults=False)
-        search = DirectedSearch(engine, "main", backend)
-        result = search.run({"x": 0, "y": 77, "z": -9})
-        assert result.runs >= 2  # still works, just without the niceness

@@ -6,8 +6,9 @@ Three cooperating pieces, each with a determinism obligation:
    what a fresh solver would (same sat/unsat; verified models);
 2. :mod:`repro.solver.cache` — canonical-key hits must be indistinguishable
    from cold solves, so cache population order is unobservable;
-3. :func:`repro.search.kernel.generate_imported` — each flip is solved on
-   a private term manager whose ids depend only on the request.
+3. ``backend.generate`` — each flip is solved on a private
+   :func:`~repro.search.request.import_request` copy whose term ids depend
+   only on the request.
 """
 
 import random
@@ -19,8 +20,7 @@ from repro.lang import NativeRegistry, parse_program
 from repro.lang.randprog import generate_program
 from repro.obs import MetricsRegistry, use_registry
 from repro.search import DirectedSearch, SearchConfig
-from repro.search.kernel import generate_imported, import_request
-from repro.search.request import GeneratedTest, GenerationRequest
+from repro.search.request import GeneratedTest, GenerationRequest, import_request
 from repro.solver import (
     PrefixSession,
     QueryCache,
@@ -31,7 +31,7 @@ from repro.solver import (
 )
 from repro.solver.evalmodel import evaluate
 from repro.solver.terms import canonical_query
-from repro.symbolic import ConcretizationMode
+from repro.symbolic import ConcolicEngine, ConcretizationMode
 
 
 def natives_with_hash():
@@ -182,10 +182,11 @@ class TestSolverSession:
             for _ in range(3):
                 extra = _random_formula(tm, rng, variables, fn)
                 got = session.check(extra)
-                cold = Solver(tm, use_cache=False)
-                cold.add(base)
-                cold.add(extra)
-                want = cold.check()
+                with use_cache(None):
+                    cold = Solver(tm)
+                    cold.add(base)
+                    cold.add(extra)
+                    want = cold.check()
                 assert got.sat == want.sat, (seed, base, extra)
                 if got.sat:
                     assert evaluate(tm.mk_and(base, extra), got.model) is True
@@ -302,20 +303,29 @@ class TestParallelDeterminism:
             name = "odd"
 
             def __init__(self):
-                self.solver_calls = 0
                 self.calls = []
 
             def generate(self, request):
                 self.calls.append(request.index)
-                return GeneratedTest(inputs={"x": request.index})
+                return GeneratedTest(inputs={"x": 7 + request.index, "y": 2})
 
         backend = OddBackend()
-        request = GenerationRequest(
-            conditions=[], index=7, input_vars={}, defaults={}
+        engine = ConcolicEngine(
+            parse_program(FOO),
+            natives_with_hash(),
+            ConcretizationMode.UNSOUND,
+            TermManager(),
         )
-        test = generate_imported(backend, request)
-        assert test.inputs == {"x": 7}
-        assert backend.calls == [7]
+        search = DirectedSearch(
+            engine, "main", backend, config=SearchConfig(max_runs=5)
+        )
+        result = search.run({"x": 1, "y": 2})
+        # the kernel hands the seed's one flip to the backend's own generate
+        # and executes exactly what it returned
+        assert backend.calls == [0]
+        child = result.executions[1]
+        assert (child.parent, child.flipped_index) == (0, 0)
+        assert child.result.inputs == {"x": 7, "y": 2}
 
 
 class TestProbeDedupe:

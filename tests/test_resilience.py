@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from repro.apps.paper_programs import PAPER_EXAMPLES
 from repro.cli import main
 from repro.search.report import suite_digest
 from repro.core import SampleStore
@@ -225,7 +226,7 @@ class TestCrashContainment:
         return DirectedSearch(
             engine,
             "f",
-            QuantifierFreeBackend(tm),
+            QuantifierFreeBackend(),
             SampleStore(),
             SearchConfig(max_runs=max_runs),
         )
@@ -346,6 +347,47 @@ class TestDegradationLadder:
         assert result.deferred_flips > 0
         assert result.abandoned_flips > 0
         assert isinstance(result, SearchResult)
+
+
+#: suite digests of searches in which the escalated retry answers a
+#: deferred flip: (program, mode, fault plan) -> digest, recorded with
+#: the query cache off and ``max_runs=40``; never re-recorded
+ESCALATED_RETRY_PINS = {
+    ("chain", "unsound", "solver:rate=0.5,seed=2"):
+        "74722a3f04c9f7c87f3ad0664472cd66c5d6ffc1b34eb9f628fcc820fce0aa9f",
+    ("foo", "higher_order", "solver:rate=0.5,seed=4"):
+        "23344fca5bdfd27e7a8931d63102d3b83c6e84f446f60a5a4d6938590f7f657d",
+    ("foo_bis", "higher_order", "solver:rate=0.5,seed=5"):
+        "fc8c707f0b0ab0a4446edeae339d9186540f1ffce0a428cdb881e79ef401e0fe",
+    ("bar", "unsound", "solver:rate=0.5,seed=4"):
+        "44c6cad9b2787bd61f8bc0afdcea249004234d46acbe70f173509487a2fda4ac",
+}
+
+
+class TestEscalatedRetryPins:
+    @pytest.mark.parametrize(
+        "program, mode, spec", sorted(ESCALATED_RETRY_PINS), ids=str
+    )
+    def test_escalated_retry_suite_is_pinned(self, program, mode, spec):
+        if program == "chain":
+            source, entry, natives, seed = (
+                CHAIN, "main", natives_with_hash(), CHAIN_SEED,
+            )
+        else:
+            example = PAPER_EXAMPLES[program]
+            source, entry, natives, seed = (
+                example.source, example.entry, example.natives(),
+                example.initial_inputs,
+            )
+        search = DirectedSearch.for_mode(
+            parse_program(source), entry, natives,
+            ConcretizationMode(mode), SearchConfig(max_runs=40),
+        )
+        with use_cache(None), use_fault_plan(FaultPlan.parse(spec)):
+            result = search.run(dict(seed))
+        # some deferred flip was answered by the retry, not abandoned
+        assert result.deferred_flips > result.abandoned_flips
+        assert suite_digest(result) == ESCALATED_RETRY_PINS[(program, mode, spec)]
 
 
 class TestProbeBudgetGraceful:

@@ -5,13 +5,15 @@ import weakref
 
 import pytest
 
-from repro.core import SampleStore
+from repro.apps.paper_programs import PAPER_EXAMPLES
+from repro.core import SampleStore, build_post
 from repro.core.hotg import HigherOrderBackend, MultiStepDriver
 from repro.errors import ReproError
 from repro.lang import NativeRegistry, parse_program
 from repro.search import (
     BranchCoverage,
     DirectedSearch,
+    ExistentialBackend,
     QuantifierFreeBackend,
     SearchConfig,
 )
@@ -302,7 +304,7 @@ class TestHigherOrderBackendDirect:
         run = engine.run("f", {"x": 3, "y": 4})
         store = SampleStore()
         store.merge_from_run(run)
-        backend = HigherOrderBackend(tm, store)
+        backend = HigherOrderBackend(store)
         request = GenerationRequest(
             conditions=list(run.path_conditions),
             index=0,
@@ -323,13 +325,55 @@ class TestHigherOrderBackendDirect:
         run = engine.run("f", {"x": 3, "y": 4})
         store = SampleStore()
         store.merge_from_run(run)
-        backend = HigherOrderBackend(tm, store)
+        post = build_post(
+            tm,
+            run.path_conditions,
+            0,
+            list(run.input_vars.values()),
+            store.samples(),
+        )
+        text = post.render()
+        assert "∃" in text and "⇒" in text and "hash" in text
+
+
+class TestPrivateFlipSolving:
+    """Every backend solves its flip on a private copy of the request."""
+
+    @staticmethod
+    def _last_flip(mode):
+        example = PAPER_EXAMPLES["foo"]
+        tm = TermManager()
+        engine = ConcolicEngine(example.program(), example.natives(), mode, tm)
+        run = engine.run(example.entry, dict(example.initial_inputs))
+        store = SampleStore()
+        store.merge_from_run(run)
         request = GenerationRequest(
             conditions=list(run.path_conditions),
-            index=0,
+            index=len(run.path_conditions) - 1,
             input_vars=dict(run.input_vars),
             defaults=dict(run.inputs),
         )
-        post = backend.post_formula(request)
-        text = post.render()
-        assert "∃" in text and "⇒" in text and "hash" in text
+        return tm, store, request
+
+    @pytest.mark.parametrize(
+        "mode, make_backend",
+        [
+            (ConcretizationMode.UNSOUND, lambda store: QuantifierFreeBackend()),
+            (ConcretizationMode.HIGHER_ORDER, lambda store: ExistentialBackend()),
+            (ConcretizationMode.HIGHER_ORDER, HigherOrderBackend),
+        ],
+        ids=["quantifier-free", "existential", "higher-order"],
+    )
+    def test_generate_leaves_the_callers_manager_alone(self, mode, make_backend):
+        tm, store, request = self._last_flip(mode)
+        backend = make_backend(store)
+        before = tm.num_terms
+        first = backend.generate(request)
+        assert first is not None
+        assert tm.num_terms == before
+        # unrelated terms interned in the caller's manager do not move
+        # the answer: it is a function of the request alone
+        for i in range(5):
+            tm.mk_lt(tm.mk_var(f"unrelated{i}"), tm.mk_int(i))
+        again = backend.generate(request)
+        assert again == first

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
 from repro.solver import Solver, TermManager, ackermannize, evaluate, smt
+from repro.solver.cache import use_cache
 from repro.solver.session import SolverSession
 
 
@@ -219,13 +220,15 @@ class TestModelQuality:
 
         monkeypatch.setattr(smt, "check_theory", zeroing)
         goal = tm.mk_lt(tm.mk_int(5), tm.mk_var("x"))
-        with pytest.raises(SolverError, match="model verification failed"):
+        with use_cache(None), pytest.raises(
+            SolverError, match="model verification failed"
+        ):
             if route == "add-then-check":
-                solver = Solver(tm, use_cache=False)
+                solver = Solver(tm)
                 solver.add(goal)
                 solver.check()
             elif route == "check-extra":
-                Solver(tm, use_cache=False).check(goal)
+                Solver(tm).check(goal)
             else:
                 SolverSession(tm).check(goal)
 

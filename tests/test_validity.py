@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import StrategyError
 from repro.solver import Model, Solver, TermManager, evaluate
+from repro.solver.cache import use_cache
 from repro.solver.session import SolverSession
 from repro.solver.validity import (
     AppValue,
@@ -285,9 +286,10 @@ class TestCegis:
             }
             for cex in cexs:
                 hardened = tm.mk_and(pc, vc._pc_under_function(pc, cex))
-                solver = Solver(tm, use_cache=False)
+                solver = Solver(tm)
                 solver.add(antecedent, tm.substitute(hardened, mapping))
-                assert solver.check().sat, (candidate, cex)
+                with use_cache(None):
+                    assert solver.check().sat, (candidate, cex)
 
     def test_constructs_no_solver(self, tm, ctx, monkeypatch):
         import repro.solver.validity as validity
