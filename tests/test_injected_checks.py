@@ -60,17 +60,13 @@ class TestInjectedConditions:
         assert ConcolicEngine.CHECK_BOUNDS_LOW in ids
         assert ConcolicEngine.CHECK_BOUNDS_HIGH in ids
 
-    def test_checks_can_be_disabled(self):
-        engine = ConcolicEngine(
-            parse_program(DIV_SRC), NativeRegistry(),
-            ConcretizationMode.HIGHER_ORDER, TermManager(),
-            inject_checks=False,
-        )
-        run = engine.run("main", {"x": 10, "y": 3})
-        assert all(
-            p.branch_id != ConcolicEngine.CHECK_DIV
-            for p in run.path_conditions
-        )
+    def test_checks_cannot_be_disabled(self):
+        with pytest.raises(TypeError, match="inject_checks"):
+            ConcolicEngine(
+                parse_program(DIV_SRC), NativeRegistry(),
+                ConcretizationMode.HIGHER_ORDER, TermManager(),
+                inject_checks=False,
+            )
 
 
 class TestBugFinding:
