@@ -345,3 +345,104 @@ class TestPathConstraintSoundness:
         )
         replay = eng.run("foo", ints)
         assert replay.path != base.path
+
+
+class TestSymbolicIndexWrites:
+    """Theorem 2 for array *writes* at a symbolic index.
+
+    The index decides which cell a store changes, and no value carries
+    that dependency to a later condition, so every sound mode must pin
+    the index when it stores (a deferred pin would be dropped).  For
+    every input vector of a small box as the recorded run, every vector
+    of the box that satisfies the recorded path constraint must follow
+    the recorded path.  (A run that ends in a program error records no
+    condition for the check it fails, so only completed runs are bases.)
+    """
+
+    PROGRAMS = [
+        pytest.param(
+            """
+        int main(int x) {
+            int a[2];
+            a[x] = 1;
+            if (a[0] == 1) { return 5; }
+            return 0;
+        }
+        """,
+            id="other_cell",
+        ),
+        pytest.param(
+            """
+        int main(int x) {
+            int a[3];
+            a[x] = x + 1;
+            if (a[1] > 1) { return 1; }
+            return 0;
+        }
+        """,
+            id="symbolic_value",
+        ),
+        pytest.param(
+            """
+        int main(int x, int y) {
+            int a[4];
+            a[x] = 1;
+            a[y] = 2;
+            if (a[0] + a[1] == 3) { return 1; }
+            if (a[2] == 2) { return 2; }
+            return 0;
+        }
+        """,
+            id="two_writes",
+        ),
+        pytest.param(
+            """
+        int put(int i) {
+            int a[3];
+            a[i] = 9;
+            if (a[2] == 9) { return 1; }
+            return 0;
+        }
+        int main(int x) {
+            return put(x - 1) + 10;
+        }
+        """,
+            id="callee_write",
+        ),
+    ]
+
+    @pytest.mark.parametrize("src", PROGRAMS)
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ConcretizationMode.SOUND,
+            ConcretizationMode.SOUND_DELAYED,
+            ConcretizationMode.HIGHER_ORDER,
+        ],
+    )
+    def test_satisfying_inputs_follow_the_recorded_path(self, src, mode):
+        eng = engine_for(src, mode)
+        params = eng.program.function("main").params
+        box = [-1, 0, 1, 2, 3, 4]
+        vectors = [{params[0]: x} for x in box]
+        if len(params) == 2:
+            vectors = [{params[0]: x, params[1]: y} for x in box for y in box]
+        for base_inputs in vectors:
+            base = eng.run("main", dict(base_inputs))
+            if base.error:
+                continue
+            pc_terms = [p.term for p in base.path_conditions]
+            for ints in vectors:
+                if all(evaluate(t, Model(ints=ints)) is True for t in pc_terms):
+                    replay = eng.run("main", dict(ints))
+                    assert (replay.path, replay.error) == (
+                        base.path, base.error
+                    ), (base_inputs, ints)
+
+    def test_delayed_mode_pins_a_stored_index(self):
+        eng = engine_for(
+            self.PROGRAMS[0].values[0], ConcretizationMode.SOUND_DELAYED
+        )
+        r = eng.run("main", {"x": 1})
+        pins = [str(p) for p in r.path_conditions if p.is_concretization]
+        assert pins == ["(= x 1) [pin]"]
