@@ -1,8 +1,10 @@
 #!/usr/bin/env python
-"""CI gate: the bytecode VM beats the tree walker 2x; its shadow costs <= 3x.
+"""CI gate: the VM beats the concrete tree walker 2x; its shadow costs <= 3x.
 
-PR 7 replaced the recursive AST walker with a register-bytecode VM as
-the default concrete/concolic execution core.  The VM only earns its
+A register-bytecode VM is the concrete and concolic execution core.
+"The tree walker" here is always the concrete one,
+``Interpreter(backend="tree")``: the concolic executor has no tree arm
+(the VM's shadow loop is its only implementation).  The VM only earns its
 keep if it is *substantially* faster on the kind of program the paper's
 search actually runs — branch-dense integer code with function calls —
 while producing byte-identical results.  This gate measures both claims:
