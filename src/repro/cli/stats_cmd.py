@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..obs.export import load_journal
@@ -230,16 +230,15 @@ def _queued_jobs(state, record) -> int:
         return 0
 
 
-def _service_stats(args, directory: str) -> int:
-    if not args.follow:
-        print(render_service_view(directory))
-        return 0
+def _follow(args, render: Callable[[], str]) -> None:
+    """Redraw ``render()`` every ``--interval`` seconds until
+    ``--iterations`` redraws (0 = until Ctrl-C)."""
     import time as time_mod
 
     ticks = 0
     try:
         while True:
-            view = render_service_view(directory)
+            view = render()
             if not args.no_clear:
                 sys.stdout.write("\x1b[2J\x1b[H")
             print(view)
@@ -254,14 +253,26 @@ def _service_stats(args, directory: str) -> int:
             time_mod.sleep(args.interval)
     except KeyboardInterrupt:
         pass
+
+
+def _service_stats(args, directory: str) -> int:
+    if args.follow:
+        _follow(args, lambda: render_service_view(directory))
+    else:
+        print(render_service_view(directory))
     return 0
 
 
-def _campaign_snapshot(directory: str) -> CampaignStats:
-    """Fold checkpointed results and all currently-readable shard events."""
+def _campaign_snapshot(
+    directory: str, events: Optional[List[Tuple[str, dict]]] = None
+) -> CampaignStats:
+    """Fold checkpointed results and ``events`` (default: every
+    currently-readable shard event)."""
     stats = CampaignStats()
     stats.fold_checkpoint(directory)
-    for job, event in ShardReader(directory).poll():
+    if events is None:
+        events = ShardReader(directory).poll()
+    for job, event in events:
         stats.consume(job, event)
     return stats
 
@@ -286,45 +297,24 @@ def _export_campaign(args, directory: str, stats: CampaignStats) -> None:
     common.write_exports(args, snapshot, events)
 
 
-def _follow(args, directory: str) -> int:
-    """Tail the campaign's shards, redrawing the rollup every interval."""
-    import time as time_mod
-
-    reader = ShardReader(directory)
-    history: List[Tuple[str, dict]] = []
-    ticks = 0
-    stats = CampaignStats()
-    try:
-        while True:
-            history.extend(reader.poll())
-            # rebuilt each tick: fold_result/counters are not idempotent
-            # under re-folding, and a fresh fold keeps the view exact
-            stats = CampaignStats()
-            stats.fold_checkpoint(directory)
-            for job, event in history:
-                stats.consume(job, event)
-            view = render_campaign_view(stats, directory)
-            if not args.no_clear:
-                sys.stdout.write("\x1b[2J\x1b[H")
-            print(view)
-            print(f"  (follow: tick {ticks + 1}, interval {args.interval}s; Ctrl-C to stop)")
-            sys.stdout.flush()
-            ticks += 1
-            if args.iterations and ticks >= args.iterations:
-                break
-            time_mod.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
-    _export_campaign(args, directory, stats)
-    return 0
-
-
 def _campaign_stats(args) -> int:
     directory = args.directory
+    reader = ShardReader(directory)
+    history: List[Tuple[str, dict]] = []
+    stats = CampaignStats()
+
+    def render() -> str:
+        nonlocal stats
+        # refolded each tick: fold_result/counters are not idempotent
+        # under re-folding, and a fresh fold keeps the view exact
+        history.extend(reader.poll())
+        stats = _campaign_snapshot(directory, history)
+        return render_campaign_view(stats, directory)
+
     if args.follow:
-        return _follow(args, directory)
-    stats = _campaign_snapshot(directory)
-    print(render_campaign_view(stats, directory))
+        _follow(args, render)
+    else:
+        print(render())
     _export_campaign(args, directory, stats)
     return 0
 

@@ -132,7 +132,6 @@ class CampaignReport:
             "misses": misses,
             "stores": totals.get("disk_stores", 0),
             "corrupt_skipped": totals.get("disk_skipped", 0),
-            "corrupt_removed": totals.get("disk_corrupt_removed", 0),
             "hit_rate": round(hits / lookups, 4) if lookups else None,
         }
 

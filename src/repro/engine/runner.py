@@ -45,11 +45,11 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 from ..errors import DeadlineExceeded, ReproError, SearchInterrupted
@@ -493,9 +493,6 @@ def run_job(
         "disk_misses": disk.misses if disk is not None else 0,
         "disk_stores": disk.stores if disk is not None else 0,
         "disk_skipped": disk.skipped if disk is not None else 0,
-        "disk_corrupt_removed": (
-            disk.corrupt_removed if disk is not None else 0
-        ),
     }
     _seal_shard(shard, out)
     out.metrics = registry.snapshot()
@@ -624,7 +621,8 @@ class CampaignCheckpoint:
 
     Loading tolerates truncated tails (a write cut short by the
     interruption that the checkpoint exists to survive) and stale formats
-    by skipping them.
+    by skipping them.  It is the one reader of ``jobs.jsonl``: resume and
+    ``repro stats`` see the same finished jobs and attempt counts.
     """
 
     FILENAME = "jobs.jsonl"
@@ -667,6 +665,14 @@ class CampaignCheckpoint:
                     self._done[result.key] = result
         except FileNotFoundError:
             pass
+
+    def __iter__(self) -> Iterator[JobResult]:
+        """Every saved result, in journal order."""
+        return iter(list(self._done.values()))
+
+    def failed_attempts(self) -> Dict[str, int]:
+        """Failed attempts already spent, per job key with any."""
+        return dict(self._attempts)
 
     def completed(self, key: str) -> Optional[JobResult]:
         """The saved result for ``key``, if this campaign already ran it."""

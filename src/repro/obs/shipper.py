@@ -39,11 +39,14 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
+from ..atomic import publish_atomic
 from .journal import RunJournal, _ENCODE
+
+if TYPE_CHECKING:  # pragma: no cover - engine imports this package
+    from ..engine.runner import JobResult
 
 __all__ = [
     "SHARD_DIR",
@@ -160,28 +163,17 @@ def merge_shards(
     shards = list_shards(telemetry_dir)
     count = 0
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(out_path) or ".", prefix=".tmp-", suffix=".jsonl"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for job_key, path in shards:
-                events = sorted(
-                    iter_shard_events(path),
-                    key=lambda e: int(e.get("seq", 0)),  # type: ignore[call-overload]
-                )
-                for event in events:
-                    event["job"] = job_key
-                    event["gseq"] = count
-                    handle.write(_ENCODE(event) + "\n")
-                    count += 1
-        os.replace(tmp, out_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with publish_atomic(out_path) as handle:
+        for job_key, path in shards:
+            events = sorted(
+                iter_shard_events(path),
+                key=lambda e: int(e.get("seq", 0)),  # type: ignore[call-overload]
+            )
+            for event in events:
+                event["job"] = job_key
+                event["gseq"] = count
+                handle.write(_ENCODE(event) + "\n")
+                count += 1
     return out_path, count
 
 
@@ -327,9 +319,9 @@ class CampaignStats:
     Two inputs, folded in any order:
 
     - :meth:`consume` — one shard/campaign-stream event (live tail);
-    - :meth:`fold_result` — one checkpointed job-result payload
-      (authoritative once a job finished; overwrites the event-derived
-      approximation for that job).
+    - :meth:`fold_result` — one checkpointed
+      :class:`~repro.engine.runner.JobResult` (authoritative once a job
+      finished; overwrites the event-derived approximation for that job).
     """
 
     def __init__(self) -> None:
@@ -410,95 +402,67 @@ class CampaignStats:
 
     # -- input: checkpointed job results -----------------------------------
 
-    def fold_result(self, payload: Dict[str, object]) -> None:
-        """Fold one ``jobs.jsonl`` job-result payload (authoritative)."""
-        key = str(payload.get("key", ""))
-        if not key:
-            return
-        job = self.job(key)
-        if payload.get("quarantined"):
+    def fold_result(self, result: "JobResult") -> None:
+        """Fold one checkpointed job result (authoritative)."""
+        job = self.job(result.key)
+        if result.quarantined:
             job.state = "quarantined"
-        elif not payload.get("ok", True):
+        elif not result.ok:
             job.state = "failed"
         else:
             job.state = "done-checkpointed"
-        job.attempts = max(job.attempts, int(payload.get("attempts", 1) or 1))
-        job.scheduler = str(payload.get("scheduler", job.scheduler))
-        job.worker = int(payload.get("worker_pid", job.worker))  # type: ignore[call-overload]
-        job.runs = int(payload.get("runs", 0))  # type: ignore[call-overload]
-        job.paths = int(payload.get("paths", 0))  # type: ignore[call-overload]
-        job.tests = len(payload.get("corpus", []) or [])  # type: ignore[arg-type]
-        job.errors = len(payload.get("errors", []) or [])  # type: ignore[arg-type]
-        job.divergences = int(payload.get("divergences", 0))  # type: ignore[call-overload]
-        job.solver_calls = int(payload.get("solver_calls", 0))  # type: ignore[call-overload]
-        job.deferred = int(payload.get("deferred_flips", 0))  # type: ignore[call-overload]
-        job.abandoned = int(payload.get("abandoned_flips", 0))  # type: ignore[call-overload]
-        job.seconds = float(payload.get("seconds", 0.0))  # type: ignore[arg-type]
-        coverage = payload.get("coverage")
-        job.coverage = float(coverage) if coverage is not None else None  # type: ignore[arg-type]
-        job.downgrades = {
-            str(k): int(v)  # type: ignore[call-overload]
-            for k, v in dict(payload.get("downgrades", {}) or {}).items()
-        }
+        job.attempts = max(job.attempts, result.attempts)
+        job.scheduler = result.scheduler
+        job.worker = result.worker_pid
+        job.runs = result.runs
+        job.paths = result.paths
+        job.tests = len(result.corpus)
+        job.errors = len(result.errors)
+        job.divergences = result.divergences
+        job.solver_calls = result.solver_calls
+        job.deferred = result.deferred_flips
+        job.abandoned = result.abandoned_flips
+        job.seconds = result.seconds
+        job.coverage = (
+            float(result.coverage) if result.coverage is not None else None
+        )
+        job.downgrades = dict(result.downgrades)
         job.crashes = {}
-        for crash in payload.get("crashes", []) or []:  # type: ignore[union-attr]
-            bucket = str(dict(crash).get("bucket", "?"))
+        for crash in result.crashes:
+            bucket = str(crash.get("bucket", "?"))
             job.crashes[bucket] = job.crashes.get(bucket, 0) + int(
-                dict(crash).get("count", 1)
+                crash.get("count", 1)  # type: ignore[call-overload]
             )
-        job.cache = {
-            str(k): int(v)  # type: ignore[call-overload]
-            for k, v in dict(payload.get("cache", {}) or {}).items()
-        }
-        metrics = payload.get("metrics")
-        if isinstance(metrics, dict):
-            counters = metrics.get("counters")
-            if isinstance(counters, dict):
-                queries = counters.get("smt.checks")
-                if queries:
-                    job.solver_queries = int(queries)  # type: ignore[call-overload]
-                    job.sat_queries = int(counters.get("smt.sat", 0))  # type: ignore[call-overload]
-                for name, value in counters.items():
-                    name = str(name)
-                    if name.startswith(
-                        ("search.scheduler.", "engine.", "kernel.", "store.")
-                    ):
-                        self.counters[name] = self.counters.get(name, 0) + int(
-                            value  # type: ignore[call-overload]
-                        )
+        job.cache = dict(result.cache)
+        counters = result.metrics.get("counters")
+        if isinstance(counters, dict):
+            queries = counters.get("smt.checks")
+            if queries:
+                job.solver_queries = int(queries)
+                job.sat_queries = int(counters.get("smt.sat", 0))
+            for name, value in counters.items():
+                name = str(name)
+                if name.startswith(
+                    ("search.scheduler.", "engine.", "kernel.", "store.")
+                ):
+                    self.counters[name] = self.counters.get(name, 0) + int(value)
 
     def fold_checkpoint(self, campaign_dir: str) -> int:
-        """Fold every readable job line of ``<dir>/jobs.jsonl``; returns
-        how many finished jobs were folded."""
-        path = os.path.join(campaign_dir, "jobs.jsonl")
-        folded = 0
-        try:
-            handle = open(path, "r", encoding="utf-8")
-        except OSError:
-            return 0
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if not isinstance(payload, dict):
-                    continue
-                if "attempt_of" in payload:
-                    # supervisor attempt-ledger line: N failed attempts
-                    # means the job is on (or ended after) attempt N+1
-                    job = self.job(str(payload["attempt_of"]))
-                    job.attempts = max(
-                        job.attempts,
-                        int(payload.get("attempt", 0) or 0) + 1,
-                    )
-                    continue
-                self.fold_result(payload)
-                folded += 1
-        return folded
+        """Fold ``<dir>/jobs.jsonl`` as resume reads it (through
+        :class:`~repro.engine.runner.CampaignCheckpoint`); returns how
+        many finished jobs were folded."""
+        from ..engine.runner import CampaignCheckpoint
+
+        if not os.path.isdir(campaign_dir):
+            return 0  # a read-only view must not create the directory
+        checkpoint = CampaignCheckpoint(campaign_dir)
+        for key, failed in checkpoint.failed_attempts().items():
+            # N failed attempts: the job is on (or ended after) attempt N+1
+            job = self.job(key)
+            job.attempts = max(job.attempts, failed + 1)
+        for result in checkpoint:
+            self.fold_result(result)
+        return len(checkpoint)
 
     # -- derived totals ----------------------------------------------------
 

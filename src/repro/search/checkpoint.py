@@ -1,6 +1,8 @@
 """Checkpoint/resume for the directed search.
 
-A checkpoint directory makes an interrupted search continuable:
+The directed search is a deterministic function of its seed and its
+sequence of solver decisions, so a checkpoint is its decision log plus
+what replay cannot recompute.  A checkpoint directory holds three files:
 
 ``meta.json``
     Session identity: entry point, concretization mode, backend name, seed
@@ -10,19 +12,16 @@ A checkpoint directory makes an interrupted search continuable:
     in production order: which record/flip was attempted, which ladder rung
     answered it, the probe input vectors the multi-step driver ran, and the
     produced child inputs (or null).  Everything else a search does —
-    executing programs, merging samples, updating coverage — is a
-    deterministic function of these decisions plus the seed, so resuming is
-    *replay*: re-execute the cheap, deterministic program runs and skip the
-    expensive solver calls entirely.
+    executing programs, merging samples, updating coverage, scheduling the
+    frontier — is a deterministic function of these decisions plus the
+    seed, so resuming is *replay*: re-execute the cheap, deterministic
+    program runs and skip the expensive solver calls entirely.
 ``state.json``
-    Advisory counters: runs so far, decisions logged, and the fault plan's
-    per-site invocation counters (the search's only RNG-like state — rate
-    rules are pure functions of those counters) so an injected fault
-    sequence continues rather than repeats across a resume.
-``samples.jsonl`` / ``frontier.jsonl`` / ``corpus.json``
-    Advisory snapshots of the IOF sample table, the pending expansion
-    frontier, and the test corpus — for inspection and post-mortems; replay
-    rebuilds all three from the decision log.
+    ``{"fault_state": ...}``: the fault plan's per-site invocation
+    counters (the search's only RNG-like state — rate rules are pure
+    functions of those counters), rewritten every ``checkpoint_every``
+    runs, so an injected fault sequence continues rather than repeats
+    across a resume.
 
 Every write is guarded: an ``OSError`` (real or injected at the
 ``checkpoint`` fault site) disables the writer, counts
@@ -36,6 +35,7 @@ import json
 import os
 from typing import Dict, Iterable, List, Optional, TextIO
 
+from ..atomic import publish_atomic
 from ..errors import ReproError
 from ..faults import current_fault_plan
 
@@ -73,7 +73,6 @@ class CheckpointWriter:
     ) -> None:
         self.directory = directory
         self.enabled = True
-        self.decisions_written = 0
         self._decisions: Optional[TextIO] = None
         try:
             current_fault_plan().fire("checkpoint")
@@ -117,7 +116,6 @@ class CheckpointWriter:
             current_fault_plan().fire("checkpoint")
             self._decisions.write(json.dumps(entry, default=str) + "\n")
             self._decisions.flush()
-            self.decisions_written += 1
         except OSError as exc:
             self._disable(exc)
 
@@ -141,67 +139,25 @@ class CheckpointWriter:
             for entry in entries:
                 self._decisions.write(json.dumps(entry, default=str) + "\n")
             self._decisions.flush()
-            self.decisions_written = len(entries)
         except OSError as exc:
             self._disable(exc)
 
     # -- periodic state ----------------------------------------------------
 
-    def flush_state(
-        self,
-        runs: int,
-        samples: Iterable[object],
-        fault_state: Dict[str, object],
-        frontier: Iterable[Dict[str, object]] = (),
-        corpus: Optional[object] = None,
-        search_state: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """Write the advisory snapshots (state, samples, frontier, corpus).
-
-        ``search_state`` is the kernel's full
-        :meth:`~repro.search.kernel.SearchState.to_payload` snapshot —
-        scheduler queue included — stored under the ``"search"`` key of
-        ``state.json`` for inspection (replay rebuilds the live state from
-        the decision log, not from this snapshot).
-        """
+    def flush_state(self, fault_state: Dict[str, object]) -> None:
+        """Rewrite ``state.json`` with the fault plan's counters."""
         if not self.enabled:
             return
         try:
             current_fault_plan().fire("checkpoint")
-            payload: Dict[str, object] = {
-                "runs": runs,
-                "decisions": self.decisions_written,
-                "fault_state": fault_state,
-            }
-            if search_state is not None:
-                payload["search"] = search_state
-            self._write_json("state.json", payload)
-            with open(self._path("samples.jsonl"), "w", encoding="utf-8") as fh:
-                for sample in samples:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "fn": sample.fn.name,  # type: ignore[attr-defined]
-                                "args": list(sample.args),  # type: ignore[attr-defined]
-                                "value": sample.value,  # type: ignore[attr-defined]
-                            }
-                        )
-                        + "\n"
-                    )
-            with open(self._path("frontier.jsonl"), "w", encoding="utf-8") as fh:
-                for row in frontier:
-                    fh.write(json.dumps(row) + "\n")
-            if corpus is not None:
-                corpus.save(self._path("corpus.json"))  # type: ignore[attr-defined]
+            self._write_json("state.json", {"fault_state": fault_state})
         except OSError as exc:
             self._disable(exc)
 
     def _write_json(self, name: str, payload: Dict[str, object]) -> None:
-        tmp = self._path(name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with publish_atomic(self._path(name)) as fh:
             json.dump(payload, fh, indent=2, default=str)
             fh.write("\n")
-        os.replace(tmp, self._path(name))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -232,12 +188,10 @@ class ReplayCursor:
         meta: Dict[str, object],
         decisions: List[Dict[str, object]],
         fault_state: Dict[str, object],
-        runs: int,
     ) -> None:
         self.directory = directory
         self.meta = meta
         self.fault_state = fault_state
-        self.checkpoint_runs = runs
         self._decisions = decisions
         self._pos = 0
         #: decisions actually matched by the live expansion order
@@ -267,17 +221,14 @@ class ReplayCursor:
         except (OSError, ValueError):
             pass  # a missing/torn log means: replay nothing, start live
         fault_state: Dict[str, object] = {}
-        runs = 0
         try:
             with open(
                 os.path.join(directory, "state.json"), "r", encoding="utf-8"
             ) as fh:
-                state = json.load(fh)
-            fault_state = dict(state.get("fault_state") or {})
-            runs = int(state.get("runs") or 0)
+                fault_state = dict(json.load(fh).get("fault_state") or {})
         except (OSError, ValueError):
             pass
-        return cls(directory, meta, decisions, fault_state, runs)
+        return cls(directory, meta, decisions, fault_state)
 
     # -- consumption -------------------------------------------------------
 

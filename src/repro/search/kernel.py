@@ -16,10 +16,10 @@ One iteration of the directed search is a five-stage pipeline:
    the search state, and push it back onto the scheduler
    (:meth:`SearchKernel.reconstitute`).
 
-All mutable loop state lives in one explicit, serializable
-:class:`SearchState` — the scheduler queue, the path/input dedupe sets,
-and the deferred-flip retry queue — whose :meth:`SearchState.to_payload`
-snapshot is written into every checkpoint's advisory ``state.json``.
+All mutable loop state lives in one explicit :class:`SearchState` — the
+scheduler queue, the path/input dedupe sets, and the deferred-flip retry
+queue.  A checkpoint never stores it: resume replays the decision log,
+which rebuilds the same state (see :mod:`repro.search.checkpoint`).
 
 Stage boundaries are refactoring seams, not behaviour changes: under the
 ``dfs`` scheduler the kernel reproduces the pre-kernel monolith's suite
@@ -108,14 +108,11 @@ def _var_names(term: Term) -> Set[str]:
 
 @dataclass
 class SearchState:
-    """The kernel's explicit mutable state, serializable as one snapshot.
+    """The kernel's explicit mutable state.
 
     Everything the expansion loop reads or writes between stages lives
     here: the scheduler (owning the pending frontier), the dedupe sets,
-    the deferred-flip queue, and the stop flag.  :meth:`to_payload`
-    renders a deterministic JSON-able snapshot for the checkpoint's
-    advisory ``state.json`` — replay rebuilds the same state from the
-    decision log, so the snapshot is for inspection, not correctness.
+    the deferred-flip queue, and the stop flag.
     """
 
     scheduler: FrontierScheduler
@@ -129,24 +126,6 @@ class SearchState:
     )
     #: the run budget is exhausted; the expansion loop must end
     stop: bool = False
-
-    def to_payload(self) -> Dict[str, object]:
-        """Deterministic JSON-able snapshot of the whole search state."""
-        return {
-            "scheduler": self.scheduler.state(),
-            "seen_paths": [
-                [[bid, taken] for bid, taken in key]
-                for key in sorted(self.seen_paths)
-            ],
-            "seen_inputs": [
-                [[name, value] for name, value in key]
-                for key in sorted(self.seen_inputs)
-            ],
-            "deferred": [
-                [record.index, flip] for record, flip, _ in self.deferred
-            ],
-            "stop": self.stop,
-        }
 
 
 class SearchKernel:
@@ -646,30 +625,7 @@ class SearchKernel:
         if ckpt is None or not ckpt.enabled:
             return
         result = self.result
-        frontier_rows = [
-            {
-                "record": item.record.index,
-                "start": item.start,
-                "inputs": dict(item.record.result.inputs),
-            }
-            for item in self.state.scheduler._items
-        ]
-        corpus = None
-        try:
-            from .corpus import TestCorpus  # deferred: corpus imports this package
-
-            corpus = TestCorpus()
-            corpus.add_from_search(result)
-        except ReproError:  # pragma: no cover - snapshot is advisory
-            corpus = None
-        ckpt.flush_state(
-            result.runs,
-            self.store.samples(),
-            current_fault_plan().state(),
-            frontier_rows,
-            corpus=corpus,
-            search_state=self.state.to_payload(),
-        )
+        ckpt.flush_state(current_fault_plan().state())
         if ckpt.enabled:
             if self.obs.metrics.enabled:
                 self.obs.metrics.counter("search.checkpoint.writes").inc()

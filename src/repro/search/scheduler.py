@@ -29,12 +29,9 @@ Three schedulers ship:
 
 Every scheduler is deterministic — selection is a pure function of the
 pushed items and (for ``coverage``) the coverage set, both of which
-evolve identically on every run of the same search — and serializable:
-:meth:`~FrontierScheduler.state` snapshots the pending queue for the
-checkpoint's advisory ``state.json``, and :meth:`~FrontierScheduler.restore`
-rebuilds it.  Checkpoint *replay* does not need the snapshot (replaying
-the decision log under the same scheduler reproduces the queue exactly);
-the snapshot exists for inspection and post-mortems.
+evolve identically on every run of the same search — so a checkpoint
+stores no queue: replaying the decision log under the same scheduler
+rebuilds it exactly.
 """
 
 from __future__ import annotations
@@ -98,8 +95,6 @@ class FrontierScheduler:
         self._next_seq = 0
         #: times select() returned an item that was not the oldest pending
         self.promotions = 0
-        #: total select() calls answered
-        self.selections = 0
 
     # -- queue management --------------------------------------------------
 
@@ -123,7 +118,6 @@ class FrontierScheduler:
             raise IndexError("select() on an empty frontier")
         pos = self._pick()
         item = self._items.pop(pos)
-        self.selections += 1
         if pos != 0:
             self.promotions += 1
         return item
@@ -132,7 +126,6 @@ class FrontierScheduler:
         """FIFO fallback: the containment path for a failing scheduler."""
         if not self._items:
             raise IndexError("select_oldest() on an empty frontier")
-        self.selections += 1
         return self._items.pop(0)
 
     def _pick(self) -> int:
@@ -151,58 +144,6 @@ class FrontierScheduler:
 
     def __bool__(self) -> bool:
         return bool(self._items)
-
-    # -- serialization -----------------------------------------------------
-
-    def state(self) -> Dict[str, object]:
-        """JSON-able snapshot of the pending queue (advisory; replay
-        rebuilds the queue from the decision log instead)."""
-        return {
-            "scheduler": self.name,
-            "next_seq": self._next_seq,
-            "promotions": self.promotions,
-            "selections": self.selections,
-            "queue": [
-                {
-                    "record": item.record.index,
-                    "start": item.start,
-                    "indices": list(item.indices),
-                    "seq": item.seq,
-                }
-                for item in self._items
-            ],
-        }
-
-    def restore(
-        self,
-        state: Dict[str, object],
-        records: Dict[int, "ExecutionRecord"],
-    ) -> None:
-        """Rebuild the queue from a :meth:`state` snapshot.
-
-        Entries whose record index is not in ``records`` (the caller's
-        index -> live ExecutionRecord map) are dropped — the snapshot is
-        advisory and a partial restore must not invent runs.
-        """
-        self._items = []
-        for row in state.get("queue") or []:  # type: ignore[union-attr]
-            entry = dict(row)
-            index = int(entry.get("record", -1))
-            if index not in records:
-                continue
-            self._items.append(
-                FrontierItem(
-                    record=records[index],
-                    start=int(entry.get("start", 0)),
-                    indices=tuple(
-                        int(i) for i in (entry.get("indices") or [])
-                    ),
-                    seq=int(entry.get("seq", 0)),
-                )
-            )
-        self._next_seq = int(state.get("next_seq") or len(self._items))
-        self.promotions = int(state.get("promotions") or 0)
-        self.selections = int(state.get("selections") or 0)
 
 
 class DfsScheduler(FrontierScheduler):

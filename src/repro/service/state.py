@@ -35,11 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..atomic import publish_atomic
 from ..engine.merger import TERMINAL, CampaignReport
 from ..errors import ReproError
 
@@ -87,21 +87,6 @@ def submission_ticket(
         separators=(",", ":"),
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass
@@ -260,10 +245,9 @@ class ServiceState:
 
     def update(self, record: SubmissionRecord) -> None:
         """Atomically (re)publish a submission record."""
-        _write_atomic(
-            self.record_path(record.ticket),
-            json.dumps(record.to_payload(), sort_keys=True, indent=2) + "\n",
-        )
+        with publish_atomic(self.record_path(record.ticket)) as handle:
+            json.dump(record.to_payload(), handle, sort_keys=True, indent=2)
+            handle.write("\n")
 
     def _next_seq(self) -> int:
         return max((r.seq for r in self.records()), default=0) + 1
@@ -294,10 +278,9 @@ class ServiceState:
         return os.path.join(self.campaigns_dir, ticket, RESULT_FILE)
 
     def write_result(self, ticket: str, report: CampaignReport) -> None:
-        _write_atomic(
-            self.result_path(ticket),
-            json.dumps(report.to_payload(), sort_keys=True) + "\n",
-        )
+        with publish_atomic(self.result_path(ticket)) as handle:
+            json.dump(report.to_payload(), handle, sort_keys=True)
+            handle.write("\n")
 
     def load_result(self, ticket: str) -> Optional[CampaignReport]:
         try:

@@ -37,9 +37,9 @@ Every entry embeds a format header (:data:`DISKCACHE_FORMAT`).  An entry
 with the wrong header, malformed JSON (truncated write, disk corruption),
 or a payload that fails shape validation is treated as a **miss** — never
 an error — counted as ``solver.diskcache.skipped``, and **quarantined on
-first detection** (counted as ``solver.diskcache.corrupt_removed``) so a
-poisoned entry costs one failed parse ever, not one per lookup until the
-next store happens to replace it.  Bumping :data:`DISKCACHE_FORMAT`
+first detection** (counted by the store as ``store.solver.quarantined``)
+so a poisoned entry costs one failed parse ever, not one per lookup
+until the next store happens to replace it.  Bumping :data:`DISKCACHE_FORMAT`
 therefore self-invalidates a whole cache directory without tooling.
 
 Determinism contract
@@ -130,8 +130,6 @@ class DiskCache:
         self.stores = 0
         #: entries found on disk but unreadable (corrupt/stale format)
         self.skipped = 0
-        #: corrupt entries quarantined on first detection
-        self.corrupt_removed = 0
 
     # -- addressing --------------------------------------------------------
 
@@ -160,8 +158,8 @@ class DiskCache:
             except (ValueError, KeyError, TypeError):
                 # shape violation the store's format check let through:
                 # quarantine it here, same one-parse-ever policy
-                corrupt = self._store.quarantine("solver", path)
-        removed = corrupt  # quarantined = gone from its address
+                self._store.quarantine("solver", path)
+                corrupt = True
         with self._lock:
             if entry is not None:
                 self.hits += 1
@@ -169,8 +167,6 @@ class DiskCache:
                 self.misses += 1
                 if corrupt:
                     self.skipped += 1
-                if removed:
-                    self.corrupt_removed += 1
         registry = default_registry()
         if registry.enabled:
             registry.counter(
@@ -179,8 +175,6 @@ class DiskCache:
             ).inc()
             if corrupt:
                 registry.counter("solver.diskcache.skipped").inc()
-            if removed:
-                registry.counter("solver.diskcache.corrupt_removed").inc()
         return entry
 
     def store(self, key: Tuple[object, ...], entry: CachedResult) -> None:

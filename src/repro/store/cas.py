@@ -63,9 +63,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..atomic import publish_atomic
 from ..obs.metrics import default_registry
 
 __all__ = [
@@ -318,19 +318,8 @@ class ContentStore:
         data = json.dumps(payload, sort_keys=True)
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            with publish_atomic(path) as handle:
+                handle.write(data)
         except OSError:
             return False
         self._count(namespace, "stores")
@@ -518,19 +507,8 @@ class ContentStore:
                     )
                 )
         try:
-            fd, tmp = tempfile.mkstemp(
-                dir=self.root, prefix=".tmp-journal-", suffix=".jsonl"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write("\n".join(lines) + "\n")
-                os.replace(tmp, self._journal_path())
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            with publish_atomic(self._journal_path()) as handle:
+                handle.write("\n".join(lines) + "\n")
         except OSError:
             pass
 
@@ -574,12 +552,10 @@ class ContentStore:
             target = os.path.join(os.path.abspath(dest), relpath)
             os.makedirs(os.path.dirname(target), exist_ok=True)
             try:
-                fd, tmp = tempfile.mkstemp(
-                    dir=os.path.dirname(target), prefix=".tmp-", suffix=".json"
-                )
-                os.close(fd)
-                shutil.copyfile(src, tmp)
-                os.replace(tmp, target)
+                with open(src, "rb") as source:
+                    with publish_atomic(target) as handle:
+                        # byte-exact: an unreadable entry exports as is
+                        shutil.copyfileobj(source, handle.buffer)
             except OSError:
                 continue
             count += 1

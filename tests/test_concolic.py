@@ -446,3 +446,57 @@ class TestSymbolicIndexWrites:
         r = eng.run("main", {"x": 1})
         pins = [str(p) for p in r.path_conditions if p.is_concretization]
         assert pins == ["(= x 1) [pin]"]
+
+
+class TestFailingRunPathConstraints:
+    """Theorem 2 for runs that end in a program error.
+
+    A run that fails an injected bounds or division check records no
+    condition for that check, so its path constraint also admits inputs
+    that complete.  Recording the violated check's negation closes the
+    gap; it changes search answers, so it waits for the digest matrix
+    (ROADMAP item 5) and is pinned here until then.
+    """
+
+    PROGRAMS = [
+        pytest.param(
+            "int main(int x) { int a[2]; a[x] = 1; return 0; }",
+            {"x": -1},
+            id="out_of_bounds_write",
+        ),
+        pytest.param(
+            "int main(int x, int y) { return 10 / (x - y); }",
+            {"x": -1, "y": -1},
+            id="division_by_zero",
+        ),
+    ]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a failing check records no condition (ROADMAP item 5)",
+    )
+    @pytest.mark.parametrize("src,failing", PROGRAMS)
+    @pytest.mark.parametrize("mode", list(ConcretizationMode))
+    def test_pc_excludes_every_completing_input(self, src, failing, mode):
+        from repro.lang.interp import c_div
+        from repro.solver.evalmodel import evaluate_with_oracle
+
+        def oracle(name, args):
+            assert name == "__div__", name
+            return c_div(args[0], args[1])
+
+        eng = engine_for(src, mode)
+        base = eng.run("main", dict(failing))
+        assert base.error
+        pc_terms = [p.term for p in base.path_conditions]
+        box = range(-3, 4)
+        names = sorted(failing)
+        vectors = [{names[0]: x} for x in box]
+        if len(names) == 2:
+            vectors = [{names[0]: x, names[1]: y} for x in box for y in box]
+        for ints in vectors:
+            if eng.run("main", dict(ints)).error:
+                continue
+            assert not all(
+                evaluate_with_oracle(t, ints, oracle) is True for t in pc_terms
+            ), f"{ints} completes but satisfies the failing run's pc"

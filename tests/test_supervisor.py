@@ -860,12 +860,31 @@ class TestCorruptCacheRemoval:
         fresh = DiskCache(str(tmp_path))
         assert fresh.lookup(key) is None
         assert fresh.skipped == 1
-        assert fresh.corrupt_removed == 1
         assert not os.path.exists(path)  # one failed parse, ever
         # the second lookup is a clean miss, not another corrupt skip
         assert fresh.lookup(key) is None
         assert fresh.skipped == 1
-        assert fresh.corrupt_removed == 1
+
+    def test_shape_invalid_entry_counts_one_skip_when_quarantine_fails(
+        self, tmp_path, monkeypatch
+    ):
+        import json
+
+        from repro.solver.diskcache import DISKCACHE_FORMAT, DiskCache
+        from repro.store import ContentStore
+
+        cache = DiskCache(str(tmp_path))
+        key = ("check", ("var", 0))
+        path = cache.path_for(key)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"format": DISKCACHE_FORMAT, "sat": True}, handle)
+        monkeypatch.setattr(
+            ContentStore, "quarantine", lambda self, namespace, path: False
+        )
+        assert cache.lookup(key) is None
+        assert (cache.hits, cache.misses, cache.skipped) == (0, 1, 1)
+        assert os.path.exists(path)  # the failed quarantine left it in place
 
 
 # -- CLI flags ---------------------------------------------------------------

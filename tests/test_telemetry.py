@@ -221,6 +221,33 @@ class TestCampaignTelemetry:
             assert job.runs == by_key[job.key].runs
             assert job.tests == len(by_key[job.key].corpus)
 
+    def test_rollup_folds_only_results_resume_would_skip_on(self, tmp_path):
+        """``repro stats`` reads jobs.jsonl as resume does: a stale-format
+        or malformed result line is a job resume re-runs, not a done job."""
+        from repro.cli.stats_cmd import render_campaign_view
+        from repro.engine.runner import CampaignCheckpoint
+
+        d = str(tmp_path / "camp")
+        report = api.Client().submit(_tiny_spec(), checkpoint=d).wait()
+        path = os.path.join(d, "jobs.jsonl")
+        with open(path, encoding="utf-8") as handle:
+            line = json.loads(handle.readline())
+        stale = dict(line, key="stale//main//higher_order//dfs", format=3)
+        no_ok = dict(line, key="no-ok//main//higher_order//dfs")
+        del no_ok["ok"]
+        with open(path, "a", encoding="utf-8") as handle:
+            for payload in (stale, no_ok):
+                handle.write(json.dumps(payload) + "\n")
+        checkpoint = CampaignCheckpoint(d)
+        assert checkpoint.completed(stale["key"]) is None
+        assert checkpoint.completed(no_ok["key"]) is None
+
+        stats = CampaignStats()
+        assert stats.fold_checkpoint(d) == len(report.jobs)
+        assert sorted(stats.jobs) == sorted(j.key for j in report.jobs)
+        view = render_campaign_view(stats, d)
+        assert "stale//" not in view and "no-ok//" not in view
+
     def test_disk_cache_rollup_in_report_payload(self, tmp_path):
         store_dir = str(tmp_path / "store")
         api.Client(store_dir=store_dir).submit(_tiny_spec()).wait()  # warm
