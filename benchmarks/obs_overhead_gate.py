@@ -1,15 +1,16 @@
 #!/usr/bin/env python
 """CI gate: campaign telemetry must be cheap and answer-preserving.
 
-Runs a fixed four-job campaign with telemetry off and on for
-``--rounds`` rounds (plus one unmeasured warmup) and compares the
-**minimum** wall time of each arm — min-of-N is the standard
-noise-robust statistic for short benchmarks, since scheduling noise only
-ever adds time.  The two arms alternate order within each round so CPU
-frequency drift cannot systematically favour whichever arm runs first.
-Fails when
+Runs a fixed four-job campaign with telemetry off and on, once each per
+round, for ``--rounds`` rounds (default 20, plus one unmeasured warmup).
+The two arms alternate order from round to round so CPU frequency drift
+cannot systematically favour whichever arm runs first.  Each round gives
+one paired ratio, on-time / off-time; the gate reads the **median** of
+those ratios: pairing cancels the slow drifts a shared host adds to
+both runs of a round, and the median ignores the rounds where noise hit
+only one arm.  Fails when
 
-- telemetry costs more than ``--threshold`` (default 3%) wall time, or
+- the median ratio exceeds ``1 + --threshold`` (default 3%), or
 - any run's campaign digest differs from any other's (telemetry touched
   the answers — the one thing it must never do).
 
@@ -22,7 +23,7 @@ fixed cost look enormous.
 Usage::
 
     PYTHONPATH=src python benchmarks/obs_overhead_gate.py
-    PYTHONPATH=src python benchmarks/obs_overhead_gate.py --rounds 6 --json out.json
+    PYTHONPATH=src python benchmarks/obs_overhead_gate.py --rounds 30 --json out.json
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -81,7 +83,7 @@ def _run_once(spec: CampaignSpec, telemetry: bool) -> tuple[float, str]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument(
         "--threshold",
         type=float,
@@ -106,20 +108,23 @@ def main() -> int:
             digests.add(digest)
         print(
             f"round {round_index + 1}/{args.rounds}: "
-            f"off={off_times[-1]:.3f}s on={on_times[-1]:.3f}s"
+            f"off={off_times[-1]:.3f}s on={on_times[-1]:.3f}s "
+            f"ratio={on_times[-1] / off_times[-1]:.3f}"
         )
 
-    base, shipped = min(off_times), min(on_times)
-    overhead = (shipped - base) / base
+    ratios = [on / off for on, off in zip(on_times, off_times)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    overhead = median - 1.0
     print(
-        f"min wall time: telemetry off {base:.3f}s, on {shipped:.3f}s "
+        f"paired on/off ratio: median {median:.3f} (IQR {q1:.3f}-{q3:.3f}) "
         f"-> overhead {overhead:+.1%} (threshold {args.threshold:.0%})"
     )
     payload = {
         "off_seconds": off_times,
         "on_seconds": on_times,
-        "min_off": base,
-        "min_on": shipped,
+        "ratios": ratios,
+        "median_ratio": median,
+        "ratio_iqr": [q1, q3],
         "overhead": overhead,
         "threshold": args.threshold,
         "digests": sorted(digests),

@@ -638,10 +638,13 @@ class CampaignCheckpoint:
         self._broken = False
 
     def _load(self) -> None:
+        self._torn_tail = False
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
+                for raw in handle:
+                    # a last line without its newline is a torn write
+                    self._torn_tail = not raw.endswith("\n")
+                    line = raw.strip()
                     if not line:
                         continue
                     try:
@@ -725,6 +728,10 @@ class CampaignCheckpoint:
             return
         try:
             with open(self.path, "a", encoding="utf-8") as handle:
+                if self._torn_tail:
+                    # start past the fragment, or the two share one line
+                    handle.write("\n")
+                    self._torn_tail = False
                 handle.write(json.dumps(payload, sort_keys=True))
                 handle.write("\n")
                 handle.flush()

@@ -119,7 +119,7 @@ class TestDfsBaselines:
                 seed=dict(example.initial_inputs),
                 config=SearchConfig(max_runs=40, scheduler="dfs"),
             )
-        assert suite_digest(result) == baselines["foo"]
+        assert suite_digest(result) == baselines["dfs_jobs"]["foo"]
 
 
 class TestSchedulerDeterminism:

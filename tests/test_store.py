@@ -423,6 +423,12 @@ class TestSeeding:
         assert not any("foo bug" in e for e in cold.errors)
         assert any("foo bug" in e for e in seeded.errors)
         assert seeded.paths > cold.paths
+        budget = unsound.config["max_runs"]
+        # cold, the frontier runs dry before the budget: the plateau is
+        # not a budget artifact, no larger budget reaches the bug
+        assert cold.runs < budget
+        # seeded, the bug falls well inside the same budget
+        assert seeded.runs < budget
 
     def test_explicit_seed_corpus_wins_over_store(self, tmp_path):
         store_dir = str(tmp_path / "store")
@@ -541,3 +547,14 @@ class TestStoreCli:
         assert rc == 0
         assert "store:" in capsys.readouterr().out
         assert ContentStore(store_dir).stats()["total_bytes"] > 0
+        seeded = tmp_path / "seeded.json"
+        rc = cli_main(
+            [
+                "campaign", str(spec), "--quiet", "--store-dir", store_dir,
+                "--seed-from-store", "--json", str(seeded),
+            ]
+        )
+        assert rc == 0
+        assert json.loads(seeded.read_text())["totals"]["failed_jobs"] == 0
+        # the seeded campaign read its seeds from the corpus namespace
+        assert ContentStore(store_dir).stats()["hits"].get("corpus", 0) > 0

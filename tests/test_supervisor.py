@@ -204,6 +204,20 @@ class TestAttemptLedger:
         ckpt = CampaignCheckpoint(str(tmp_path))
         assert ckpt.completed("old//main//higher_order//dfs") is None
 
+    def test_append_after_torn_tail_starts_a_fresh_line(self, tmp_path):
+        # a kill mid-write leaves a last line without its newline; the
+        # next record must not be glued onto it and lost on reload
+        ckpt = CampaignCheckpoint(str(tmp_path))
+        ckpt.record_attempt("a//x", 1, "deadline")
+        with open(ckpt.path, "a", encoding="utf-8") as handle:
+            handle.write('{"attempt_of": "b//y", "att')
+        CampaignCheckpoint(str(tmp_path)).record_attempt("c//z", 1, "pool")
+        reloaded = CampaignCheckpoint(str(tmp_path))
+        assert reloaded.failed_attempts() == {"a//x": 1, "c//z": 1}
+        reloaded.record(JobResult(key="d//main//higher_order//dfs"))
+        again = CampaignCheckpoint(str(tmp_path))
+        assert again.completed("d//main//higher_order//dfs") is not None
+
 
 # -- retry: answer-preserving recovery ---------------------------------------
 

@@ -504,6 +504,7 @@ class TestStatsCli:
         prom = str(tmp_path / "m.prom")
         trace = str(tmp_path / "t.json")
         metrics = str(tmp_path / "m.json")
+        journal = str(tmp_path / "t.jsonl")
         assert (
             cli_main(
                 [
@@ -517,12 +518,20 @@ class TestStatsCli:
                     prom,
                     "--metrics-out",
                     metrics,
+                    "--trace",
+                    journal,
                 ]
             )
             == 0
         )
+        with open(journal, "r", encoding="utf-8") as handle:
+            events = [json.loads(line) for line in handle]
+        assert events and all("kind" in e for e in events)
+        assert [e["seq"] for e in events] == list(range(len(events)))
         with open(prom, "r", encoding="utf-8") as handle:
-            assert "# TYPE repro_search_runs counter" in handle.read()
+            exposition = handle.read()
+        assert "# TYPE repro_search_runs counter" in exposition
+        assert "repro_kernel_stage_execute_seconds_count" in exposition
         with open(metrics, "r", encoding="utf-8") as handle:
             assert json.load(handle)["counters"]["search.runs"] > 0
         with open(trace, "r", encoding="utf-8") as handle:
