@@ -94,7 +94,7 @@ class InvalidityCertificate:
         checker = ValidityChecker(manager)
         if not checker._consistent_with_samples(self.adversary, self.samples):
             return False
-        grounded = checker._pc_under_function_general(self.pc, self.adversary)
+        grounded = checker._pc_under_function(self.pc, self.adversary)
         solver = Solver(manager)
         return not solver.check(grounded).sat
 

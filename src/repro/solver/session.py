@@ -2,12 +2,13 @@
 
 The from-scratch :class:`~repro.solver.smt.Solver` re-encodes every query,
 which is robust but wasteful when one caller asks many related questions:
-a CEGIS loop adds one counterexample at a time, and sibling branch flips
-share almost their entire path-constraint prefix.  A :class:`SolverSession`
-keeps the CDCL solver, the Tseitin encoding, the integer-ITE eliminations
-and the Ackermann reduction alive across checks, so each new query only
-pays for its delta — and theory lemmas learned by earlier queries keep
-pruning later ones.
+a validity check verifies several candidate strategies against one
+antecedent, and sibling branch flips share almost their entire
+path-constraint prefix.  A :class:`SolverSession` keeps the CDCL solver,
+the Tseitin encoding, the integer-ITE eliminations and the Ackermann
+reduction alive across checks, so each new query only pays for its
+delta — and theory lemmas learned by earlier queries keep pruning later
+ones.
 
 Scoping uses the standard activation-literal technique: each pushed frame
 gets a fresh SAT variable ``act`` and all its root clauses are guarded as
@@ -30,12 +31,9 @@ literals are the assumptions, their theory atoms the live-atom set, and
 every SAT answer is verified against all live assertions, extras
 included.
 
-A validity check keeps two sessions.  One holds the antecedent as its
-base, and each candidate strategy is checked against it as a delta.  The
-other serves the CEGIS rounds: it only ever gains base assertions (the
-path constraint, then counterexample constraints and blocking clauses),
-so every encoding and lemma survives from one round to the next, and its
-one conflict budget covers all rounds.
+A validity check keeps one session.  It holds the antecedent as its
+base; the probe of ``A ∧ pc`` and each candidate strategy's verification
+are checked against it as deltas.
 
 Because the answer to an incremental check depends on session history
 (learned lemmas steer which model comes back first), sessions are *not*

@@ -25,7 +25,7 @@ terms, the remaining formula has only the universal ``F``, and::
 answer this module returns is backed by such an UNSAT certificate; we never
 trust a heuristic guess.
 
-**Candidate synthesis.**  Candidates come from
+**Candidate synthesis.**  Candidates come from two stages, tried in order:
   1. *sample grounding*: an SMT encoding that forces every UF application's
      arguments onto recorded sample points, so its value is fixed by ``A``
      (this generalizes the paper's §7 pre-processing trick, including hash
@@ -33,9 +33,9 @@ trust a heuristic guess.
   2. *triangular extraction*: definitional constraints ``x = f(t)`` give
      non-constant strategies such as ``x := h(10)`` whose concrete value may
      be unknown until an additional program run records the sample — the
-     paper's *multi-step test generation* (Example 7);
-  3. a CEGIS loop: models of ``A ∧ pc`` as constant candidates, refined
-     against counterexample functions found during verification.
+     paper's *multi-step test generation* (Example 7).
+Grounding yields at most 4 candidates and triangular extraction at most
+one per conjunctive branch (8), so a check verifies at most 12.
 
 **Adversary search (invalidity).**  To prove INVALID we exhibit a function
 interpretation consistent with ``A`` under which no input works: we try a
@@ -50,7 +50,6 @@ the result is UNKNOWN — reported honestly, never as a guess.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -259,8 +258,6 @@ class ValidityChecker:
     ----------
     manager:
         The :class:`TermManager` that built ``pc``.
-    max_candidates:
-        Budget on candidate strategies tried before giving up on VALID.
     use_antecedent:
         When False, samples are ignored in verification — reproducing the
         paper's Example 4 contrast (validity *requires* the antecedent).
@@ -273,12 +270,10 @@ class ValidityChecker:
     def __init__(
         self,
         manager: TermManager,
-        max_candidates: int = 24,
         use_antecedent: bool = True,
         enable_offsets: bool = True,
     ) -> None:
         self.tm = manager
-        self.max_candidates = max_candidates
         self.use_antecedent = use_antecedent
         #: allow offset strategies (``x := h(c) + k``); disabling them
         #: recreates the expressiveness of the paper's literal §7 prototype
@@ -363,14 +358,13 @@ class ValidityChecker:
                 note="A ∧ pc unsatisfiable (no function interpretation works)",
             )
 
+        # counter-models of failed verifications: the adversary search
+        # tries them after its fixed candidates
         counter_functions: List[Model] = []
         tried = 0
 
-        for candidate, origin in self._candidates(pc, input_vars, samples, defaults,
-                                                  counter_functions):
+        for candidate, origin in self._candidates(pc, input_vars, samples, defaults):
             tried += 1
-            if tried > self.max_candidates:
-                break
             verdict = self._verify(pc, candidate, input_vars, session)
             if verdict is None:
                 return ValidityResult(
@@ -455,19 +449,10 @@ class ValidityChecker:
         input_vars: Sequence[Term],
         samples: Sequence[Sample],
         defaults: Dict[str, int],
-        counter_functions: List[Model],
     ):
-        """Yield (strategy, origin) candidates, best-first.
-
-        The generator re-reads ``counter_functions`` between yields, so the
-        CEGIS stage naturally reacts to counterexamples discovered while
-        verifying earlier candidates.
-        """
+        """Yield (strategy, origin) candidates, best-first."""
         yield from self._grounded_candidates(pc, input_vars, samples, defaults)
         yield from self._triangular_candidates(pc, input_vars, samples, defaults)
-        yield from self._cegis_candidates(
-            pc, input_vars, samples, defaults, counter_functions
-        )
 
     # .. stage 1: sample grounding ..................................................
 
@@ -781,78 +766,6 @@ class ValidityChecker:
 
         return Strategy({(v.name or ""): val for v, val in sigma.items()})
 
-    # .. stage 3: CEGIS over counterexample functions ...............................
-
-    def _cegis_candidates(
-        self,
-        pc: Term,
-        input_vars: Sequence[Term],
-        samples: Sequence[Sample],
-        defaults: Dict[str, int],
-        counter_functions: List[Model],
-    ):
-        """Constant candidates from models of ``A ∧ pc``, hardened against
-        every counterexample function collected so far.
-
-        One incremental :class:`SolverSession` serves every round: ``A`` and
-        ``pc`` are asserted once, each counterexample's ``pc_under(pc, cex)``
-        once it appears in ``counter_functions`` (re-read before each round),
-        and each model's blocking disjunction after it is yielded.  A block
-        mentions only input variables, never a UF application, so
-        ``pc_under(pc ∧ blocks, cex) ≡ pc_under(pc, cex) ∧ blocks``: each
-        round asks what a from-scratch solve of the hardened ``pc`` would,
-        while ITE eliminations, Ackermann variables, Tseitin definitions and
-        theory lemmas carry over between rounds.  The session's conflict
-        budget covers all rounds.
-        """
-        tm = self.tm
-        session = SolverSession(tm)
-        session.assert_base(self._antecedent(samples), pc)
-        hardened = 0
-        for _ in range(8):
-            for cex in counter_functions[hardened:]:
-                session.assert_base(self._pc_under_function(pc, cex))
-            hardened = len(counter_functions)
-            result = session.check()
-            if not result.sat or result.model is None:
-                return
-            yield self._model_to_strategy(
-                result.model, input_vars, defaults
-            ), "CEGIS"
-            # force a different input vector next round
-            diff = [
-                tm.mk_ne(v, tm.mk_int(result.model.int_value(v.name or "")))
-                for v in input_vars
-            ]
-            if not diff:
-                return
-            session.assert_base(tm.mk_or(*diff))
-
-    def _pc_under_function(self, pc: Term, interp: Model) -> Term:
-        """Rewrite ``pc`` replacing UF applications by finite-table ITEs.
-
-        Encodes "pc must hold when F behaves like ``interp``" — used to rule
-        out candidates already defeated by a discovered counterexample.
-        """
-        tm = self.tm
-        apps = pc.uf_applications()
-        mapping: Dict[Term, Term] = {}
-        for app in apps:
-            assert app.fn is not None
-            table = interp.functions.get(app.fn, {})
-            rewritten_args = [tm.substitute(a, mapping) for a in app.args]
-            expr: Term = tm.mk_int(interp.default)
-            for args, value in sorted(table.items()):
-                cond = tm.mk_and(
-                    *[
-                        tm.mk_eq(ra, tm.mk_int(av))
-                        for ra, av in zip(rewritten_args, args)
-                    ]
-                )
-                expr = tm.mk_ite(cond, tm.mk_int(value), expr)
-            mapping[app] = expr
-        return tm.substitute(pc, mapping)
-
     # -- adversaries ------------------------------------------------------------------
 
     def _find_adversary(
@@ -883,7 +796,7 @@ class ValidityChecker:
         for adversary in candidates:
             if not self._consistent_with_samples(adversary, samples):
                 continue
-            grounded = self._pc_under_function_general(pc, adversary)
+            grounded = self._pc_under_function(pc, adversary)
             solver = Solver(tm)
             if not solver.check(grounded).sat:
                 return adversary
@@ -905,7 +818,7 @@ class ValidityChecker:
         """Injective 'fresh oracle' adversaries: f(x̄) = base + sum(x̄).
 
         Encoded via the ``offset`` marker understood by
-        :meth:`_pc_under_function_general`; sampled points keep their
+        :meth:`_pc_under_function`; sampled points keep their
         recorded values.
         """
         out = []
@@ -920,23 +833,27 @@ class ValidityChecker:
             out.append(model)
         return out
 
-    def _pc_under_function_general(self, pc: Term, adversary: Model) -> Term:
-        """Like :meth:`_pc_under_function` but supporting offset adversaries."""
+    def _pc_under_function(self, pc: Term, interp: Model) -> Term:
+        """Rewrite ``pc`` with every UF application replaced by ``interp``.
+
+        Each application becomes ITEs over ``interp``'s table, falling back
+        to the constant ``interp.default`` — or, for an offset adversary
+        (``__offset__`` set), to ``default + sign·Σargs`` with ``sign`` from
+        ``__offset_sign__``.  The result encodes "pc holds when F behaves
+        like ``interp``".
+        """
         tm = self.tm
-        if not adversary.bools.get("__offset__"):
-            return self._pc_under_function(pc, adversary)
-        sign = adversary.ints.get("__offset_sign__", 1)
-        base = adversary.default
-        apps = pc.uf_applications()
+        offset = interp.bools.get("__offset__")
+        sign = interp.ints.get("__offset_sign__", 1)
         mapping: Dict[Term, Term] = {}
-        for app in apps:
+        for app in pc.uf_applications():
             assert app.fn is not None
             rewritten_args = [tm.substitute(a, mapping) for a in app.args]
-            acc: Term = tm.mk_int(base)
-            for ra in rewritten_args:
-                acc = tm.mk_add(acc, tm.mk_mul(tm.mk_int(sign), ra))
-            expr = acc
-            table = adversary.functions.get(app.fn, {})
+            expr: Term = tm.mk_int(interp.default)
+            if offset:
+                for ra in rewritten_args:
+                    expr = tm.mk_add(expr, tm.mk_mul(tm.mk_int(sign), ra))
+            table = interp.functions.get(app.fn, {})
             for args, value in sorted(table.items()):
                 cond = tm.mk_and(
                     *[

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import StrategyError
-from repro.solver import Model, Solver, TermManager, evaluate
-from repro.solver.cache import use_cache
+from repro.solver import Model, TermManager, evaluate
 from repro.solver.session import SolverSession
 from repro.solver.validity import (
     AppValue,
@@ -241,68 +240,24 @@ class TestEdgeCases:
         assert evaluate(pc, hostile) is True
 
 
-class TestCegis:
-    """The CEGIS stage, driven the way ``check`` drives it: every candidate
-    is verified against the antecedent, and each failure's counterexample
-    function joins the list the stage re-reads before its next round."""
-
-    @staticmethod
-    def _drive(tm, vc, pc, inputs, samples):
-        session = SolverSession(tm)
-        session.assert_base(vc._antecedent(samples))
-        counter_functions = []
-        yielded = []
-        for candidate, origin in vc._cegis_candidates(
-            pc, inputs, samples, {}, counter_functions
-        ):
-            assert origin == "CEGIS"
-            yielded.append((candidate, list(counter_functions)))
-            cex = vc._verify(pc, candidate, inputs, session)
-            if cex is None:
-                break
-            counter_functions.append(cex)
-        return yielded
-
-    @staticmethod
-    def _unverifiable(tm, ctx):
-        """``h(x) < x`` with ``h(1) = 1`` recorded: no constant candidate
-        survives every ``h``, so each round meets a new counterexample
-        function, and one whose default is 0 rules out every ``x ≤ 0``."""
-        x, h = ctx["x"], ctx["h"]
-        return tm.mk_lt(tm.mk_app(h, [x]), x), [x], [Sample(h, (1,), 1)]
-
-    def test_candidates_are_distinct_and_respect_counterexamples(self, tm, ctx):
-        vc = ctx["vc"]
-        pc, inputs, samples = self._unverifiable(tm, ctx)
-        yielded = self._drive(tm, vc, pc, inputs, samples)
-        assert len(yielded) >= 2
-        assert any(cexs for _, cexs in yielded)
-        keys = [tuple(sorted(c.assignments.items())) for c, _ in yielded]
-        assert len(set(keys)) == len(keys)
-        antecedent = vc._antecedent(samples)
-        for candidate, cexs in yielded:
-            mapping = {
-                v: tm.mk_int(candidate.assignments[v.name]) for v in inputs
-            }
-            for cex in cexs:
-                hardened = tm.mk_and(pc, vc._pc_under_function(pc, cex))
-                solver = Solver(tm)
-                solver.add(antecedent, tm.substitute(hardened, mapping))
-                with use_cache(None):
-                    assert solver.check().sat, (candidate, cex)
-
-    def test_constructs_no_solver(self, tm, ctx, monkeypatch):
+class TestOneSessionPerCheck:
+    def test_unverifiable_check_opens_one_session(self, tm, ctx, monkeypatch):
+        """``h(x) < x`` with ``h(1) = 1`` recorded: no candidate is valid,
+        and the check still opens one solver session, the antecedent
+        session that verifies every candidate."""
         import repro.solver.validity as validity
 
         built = []
 
-        class Recording(Solver):
+        class Recording(SolverSession):
             def __init__(self, *args, **kwargs):
                 built.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(validity, "Solver", Recording)
-        pc, inputs, samples = self._unverifiable(tm, ctx)
-        yielded = self._drive(tm, ctx["vc"], pc, inputs, samples)
-        assert len(yielded) >= 2
-        assert built == []
+        monkeypatch.setattr(validity, "SolverSession", Recording)
+        x, h = ctx["x"], ctx["h"]
+        pc = tm.mk_lt(tm.mk_app(h, [x]), x)
+        r = ctx["vc"].check(pc, [x], [Sample(h, (1,), 1)])
+        assert r.status is not ValidityStatus.VALID
+        assert r.candidates_tried >= 1
+        assert len(built) == 1
