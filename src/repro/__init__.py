@@ -46,78 +46,50 @@ Quickstart::
     assert result.found_error
 """
 
-from .errors import (
-    InterpError,
-    ParseError,
-    ReproError,
-    ResourceLimitError,
-    SolverError,
-    StepBudgetExceeded,
-    StrategyError,
-    SymbolicExecutionError,
-)
-from .lang import (
-    Interpreter,
-    NativeRegistry,
-    Program,
-    RunResult,
-    parse_expression,
-    parse_program,
-)
-from .solver import (
-    CongruenceClosure,
-    FunctionSymbol,
-    LiaSolver,
-    Model,
-    SatSolver,
-    Solver,
-    Sort,
-    Term,
-    TermManager,
-    evaluate,
-)
-from .solver.validity import (
-    AppValue,
-    Sample,
-    SampleRequest,
-    Strategy,
-    ValidityChecker,
-    ValidityResult,
-    ValidityStatus,
-)
-from .symbolic import (
-    ConcolicEngine,
-    ConcolicResult,
-    ConcretizationMode,
-    PathCondition,
-)
-from .core import (
-    HigherOrderBackend,
-    MultiStepDriver,
-    PostFormula,
-    SampleStore,
-    alternate_constraint,
-    build_post,
-    negatable_indices,
-)
-from .search import (
-    BranchCoverage,
-    DirectedSearch,
-    ErrorReport,
-    ExistentialBackend,
-    QuantifierFreeBackend,
-    SearchConfig,
-    SearchResult,
-)
-from .baselines import FuzzResult, RandomFuzzer, StaticTestGenerator
-from . import api
-from .api import (
-    CampaignReport,
-    CampaignSpec,
-    JobResult,
-    SearchJob,
-    generate_tests,
-    replay,
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".errors": [
+            "InterpError", "ParseError", "ReproError", "ResourceLimitError",
+            "SolverError", "StepBudgetExceeded", "StrategyError",
+            "SymbolicExecutionError",
+        ],
+        ".lang": [
+            "Interpreter", "NativeRegistry", "Program", "RunResult",
+            "parse_expression", "parse_program",
+        ],
+        ".solver": [
+            "CongruenceClosure", "FunctionSymbol", "LiaSolver", "Model",
+            "SatSolver", "Solver", "Sort", "Term", "TermManager", "evaluate",
+        ],
+        ".solver.validity": [
+            "AppValue", "Sample", "SampleRequest", "Strategy",
+            "ValidityChecker", "ValidityResult", "ValidityStatus",
+        ],
+        ".symbolic": [
+            "ConcolicEngine", "ConcolicResult", "ConcretizationMode",
+            "PathCondition",
+        ],
+        ".core": [
+            "HigherOrderBackend", "MultiStepDriver", "PostFormula",
+            "SampleStore", "alternate_constraint", "build_post",
+            "negatable_indices",
+        ],
+        ".search": [
+            "BranchCoverage", "DirectedSearch", "ErrorReport",
+            "ExistentialBackend", "QuantifierFreeBackend", "SearchConfig",
+            "SearchResult",
+        ],
+        ".baselines": ["FuzzResult", "RandomFuzzer", "StaticTestGenerator"],
+        ".": ["api"],
+        ".api": [
+            "CampaignReport", "CampaignSpec", "JobResult", "SearchJob",
+            "generate_tests", "replay",
+        ],
+    },
 )
 
 __version__ = "1.0.0"

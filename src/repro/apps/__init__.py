@@ -1,44 +1,35 @@
 """Application substrates: hash zoo, paper examples, the §7 lexer."""
 
-from .hashes import (
-    codes_to_word,
-    crc32,
-    djb2,
-    flex_hash,
-    fnv1a,
-    register_word_hash,
-    sdbm,
-    standard_registry,
-    toy_block_cipher,
-    word_to_codes,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".hashes": [
+            "codes_to_word", "crc32", "djb2", "flex_hash", "fnv1a",
+            "register_word_hash", "sdbm", "standard_registry",
+            "toy_block_cipher", "word_to_codes",
+        ],
+        ".paper_programs": [
+            "PAPER_EXAMPLES", "PaperExample", "make_paper_natives",
+            "paper_hash",
+        ],
+        ".lexer_app": [
+            "DEFAULT_KEYWORDS", "LexerApp", "build_hardcoded_lexer_program",
+            "build_lexer_program", "build_table_lexer_program",
+            "keyword_hashes",
+        ],
+        ".protocol_app": [
+            "AUTH_SECRET_KEY", "ProtocolApp", "build_auth_app",
+            "build_protocol_app",
+        ],
+        ".calculator_app": [
+            "COMMANDS", "REGISTERS", "CalculatorApp", "build_calculator_app",
+        ],
+        ".tinyvm_app": ["OPCODES", "TinyVmApp", "build_tinyvm_app"],
+    },
 )
-from .paper_programs import (
-    PAPER_EXAMPLES,
-    PaperExample,
-    make_paper_natives,
-    paper_hash,
-)
-from .lexer_app import (
-    DEFAULT_KEYWORDS,
-    LexerApp,
-    build_hardcoded_lexer_program,
-    build_lexer_program,
-    build_table_lexer_program,
-    keyword_hashes,
-)
-from .protocol_app import (
-    AUTH_SECRET_KEY,
-    ProtocolApp,
-    build_auth_app,
-    build_protocol_app,
-)
-from .calculator_app import (
-    COMMANDS,
-    REGISTERS,
-    CalculatorApp,
-    build_calculator_app,
-)
-from .tinyvm_app import OPCODES, TinyVmApp, build_tinyvm_app
 
 __all__ = [
     "codes_to_word",

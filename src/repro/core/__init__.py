@@ -1,18 +1,22 @@
 """Higher-order test generation: samples, POST formulas, multi-step driver."""
 
-from .samples import SampleStore
-from .post import (
-    PostFormula,
-    alternate_constraint,
-    build_post,
-    negatable_indices,
-)
-from .hotg import HigherOrderBackend, MultiStepDriver, ProbeOutcome
-from .summaries import (
-    CompositionalReachability,
-    FunctionSummary,
-    SummaryCase,
-    SummaryExtractor,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".samples": ["SampleStore"],
+        ".post": [
+            "PostFormula", "alternate_constraint", "build_post",
+            "negatable_indices",
+        ],
+        ".hotg": ["HigherOrderBackend", "MultiStepDriver", "ProbeOutcome"],
+        ".summaries": [
+            "CompositionalReachability", "FunctionSummary", "SummaryCase",
+            "SummaryExtractor",
+        ],
+    },
 )
 
 __all__ = [

@@ -35,10 +35,20 @@ written across processes and across runs; hits are answer-preserving,
 so warmth changes wall time, never suites.
 """
 
-from .merger import Campaign, CampaignReport, ResultMerger
-from .planner import BatchPlanner, CampaignSpec, SearchJob
-from .runner import CampaignCheckpoint, JobResult, ProcessPoolRunner, run_job
-from .supervisor import CampaignSupervisor, SupervisorConfig
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".merger": ["Campaign", "CampaignReport", "ResultMerger"],
+        ".planner": ["BatchPlanner", "CampaignSpec", "SearchJob"],
+        ".runner": [
+            "CampaignCheckpoint", "JobResult", "ProcessPoolRunner", "run_job",
+        ],
+        ".supervisor": ["CampaignSupervisor", "SupervisorConfig"],
+    },
+)
 
 __all__ = [
     "BatchPlanner",

@@ -4,43 +4,30 @@ Exports the parser, the concrete interpreter, and the native-function
 registry used to model the paper's "unknown functions".
 """
 
-from .ast import (
-    ArrayAssign,
-    ArrayDecl,
-    ArrayRef,
-    Assign,
-    AssertStmt,
-    Binary,
-    Block,
-    Call,
-    ErrorStmt,
-    Expr,
-    ExprStmt,
-    FunctionDef,
-    If,
-    IntLit,
-    Program,
-    Return,
-    Stmt,
-    Unary,
-    VarDecl,
-    VarRef,
-    While,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".ast": [
+            "ArrayAssign", "ArrayDecl", "ArrayRef", "Assign", "AssertStmt",
+            "Binary", "Block", "Call", "ErrorStmt", "Expr", "ExprStmt",
+            "FunctionDef", "If", "IntLit", "Program", "Return", "Stmt",
+            "Unary", "VarDecl", "VarRef", "While",
+        ],
+        ".lexer": ["Token", "tokenize"],
+        ".parser": ["parse_expression", "parse_program"],
+        ".natives": ["NativeFunction", "NativeRegistry"],
+        ".interp": ["Interpreter", "RunResult", "c_div", "c_mod", "truthy"],
+        ".bytecode": [
+            "CompiledFunction", "CompiledProgram", "clear_compile_cache",
+            "compile_cache_stats", "compile_program", "run_concrete",
+        ],
+        ".pretty": ["pretty_expr", "pretty_program", "pretty_stmt"],
+        ".randprog": ["RandomProgram", "generate_program"],
+    },
 )
-from .lexer import Token, tokenize
-from .parser import parse_expression, parse_program
-from .natives import NativeFunction, NativeRegistry
-from .interp import Interpreter, RunResult, c_div, c_mod, truthy
-from .bytecode import (
-    CompiledFunction,
-    CompiledProgram,
-    clear_compile_cache,
-    compile_cache_stats,
-    compile_program,
-    run_concrete,
-)
-from .pretty import pretty_expr, pretty_program, pretty_stmt
-from .randprog import RandomProgram, generate_program
 
 __all__ = [
     "ArrayAssign",

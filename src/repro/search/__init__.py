@@ -1,35 +1,31 @@
 """Directed search (systematic dynamic test generation) over MiniC."""
 
-from .backends import (
-    ExistentialBackend,
-    GeneratedTest,
-    GenerationRequest,
-    QuantifierFreeBackend,
-    TestGenBackend,
-)
-from .checkpoint import CheckpointWriter, ReplayCursor
-from .coverage import BranchCoverage
-from .corpus import CorpusEntry, ReplayReport, TestCorpus
-from .directed import (
-    CrashReport,
-    DirectedSearch,
-    ErrorReport,
-    ExecutionRecord,
-    SearchConfig,
-    SearchResult,
-)
-from .kernel import SearchKernel, SearchState
-from .minimize import MinimizationResult, minimize_error_inputs
-from .report import render_report, suite_digest
-from .scheduler import (
-    CoverageScheduler,
-    DfsScheduler,
-    FrontierItem,
-    FrontierScheduler,
-    GenerationalScheduler,
-    SCHEDULERS,
-    make_scheduler,
-    scheduler_names,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".backends": [
+            "ExistentialBackend", "GeneratedTest", "GenerationRequest",
+            "QuantifierFreeBackend", "TestGenBackend",
+        ],
+        ".checkpoint": ["CheckpointWriter", "ReplayCursor"],
+        ".coverage": ["BranchCoverage"],
+        ".corpus": ["CorpusEntry", "ReplayReport", "TestCorpus"],
+        ".directed": [
+            "CrashReport", "DirectedSearch", "ErrorReport", "ExecutionRecord",
+            "SearchConfig", "SearchResult",
+        ],
+        ".kernel": ["SearchKernel", "SearchState"],
+        ".minimize": ["MinimizationResult", "minimize_error_inputs"],
+        ".report": ["render_report", "suite_digest"],
+        ".scheduler": [
+            "CoverageScheduler", "DfsScheduler", "FrontierItem",
+            "FrontierScheduler", "GenerationalScheduler", "SCHEDULERS",
+            "make_scheduler", "scheduler_names",
+        ],
+    },
 )
 
 __all__ = [

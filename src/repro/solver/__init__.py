@@ -11,19 +11,33 @@ Public entry points:
 - :class:`~repro.solver.sat.SatSolver` — standalone CDCL SAT.
 """
 
-from .terms import FunctionSymbol, Kind, Sort, Term, TermManager
-from .sat import SatSolver, SatResult, SatStats
-from .euf import CongruenceClosure, EufResult, check_euf_conjunction
-from .simplex import Simplex, SimplexResult
-from .lia import LiaSolver, LiaResult
-from .intervals import Bound, BoundsAnalysis
-from .cache import QueryCache, default_cache, set_default_cache, use_cache
-from .session import PrefixSession, SolverSession
-from .smt import Solver, Model, CheckResult, ackermannize
-from .evalmodel import evaluate, evaluate_with_oracle
-from .nnf import atoms_of, conjunctive_branches, to_nnf
-from .printer import script_for_sat, script_for_validity, term_to_smtlib
-from .certificates import InvalidityCertificate, ValidityCertificate, certify
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".terms": ["FunctionSymbol", "Kind", "Sort", "Term", "TermManager"],
+        ".sat": ["SatSolver", "SatResult", "SatStats"],
+        ".euf": ["CongruenceClosure", "EufResult", "check_euf_conjunction"],
+        ".simplex": ["Simplex", "SimplexResult"],
+        ".lia": ["LiaSolver", "LiaResult"],
+        ".intervals": ["Bound", "BoundsAnalysis"],
+        ".cache": [
+            "QueryCache", "default_cache", "set_default_cache", "use_cache",
+        ],
+        ".session": ["PrefixSession", "SolverSession"],
+        ".smt": ["Solver", "Model", "CheckResult", "ackermannize"],
+        ".evalmodel": ["evaluate", "evaluate_with_oracle"],
+        ".nnf": ["atoms_of", "conjunctive_branches", "to_nnf"],
+        ".printer": [
+            "script_for_sat", "script_for_validity", "term_to_smtlib",
+        ],
+        ".certificates": [
+            "InvalidityCertificate", "ValidityCertificate", "certify",
+        ],
+    },
+)
 
 __all__ = [
     "Bound",

@@ -7,8 +7,11 @@ docs/API.md, so an accidental surface change fails loudly here before it
 reaches a user.
 """
 
+import importlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -328,3 +331,56 @@ class TestSurfaceContracts:
         out = capsys.readouterr().out
         assert code == 0
         assert "campaign digest:" in out
+
+
+# the packages whose __init__ re-exports lazily (repro._lazy)
+LAZY_PACKAGES = [
+    "repro",
+    "repro.apps",
+    "repro.core",
+    "repro.engine",
+    "repro.lang",
+    "repro.search",
+    "repro.solver",
+]
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("name", LAZY_PACKAGES)
+    def test_every_export_resolves(self, name):
+        package = importlib.import_module(name)
+        for attr in package.__all__:
+            assert getattr(package, attr) is not None, f"{name}.{attr}"
+        assert set(package.__all__) <= set(dir(package))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            package.no_such_name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        assert namespace["generate_tests"] is api.generate_tests
+        assert namespace["api"] is api
+
+    def test_worker_imports_only_what_jobs_use(self):
+        # a spawned campaign worker's first import is the runner, which
+        # the pool pickles run_job from; the facade, the service, the
+        # supervisor and unused submodules stay unloaded
+        code = "import sys, repro.engine.runner; print(*sorted(sys.modules))"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(repro.__path__[0]))
+        loaded = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert "repro.engine.runner" in loaded
+        for unused in (
+            "repro.api",
+            "repro.service",
+            "repro.baselines",
+            "repro.engine.merger",
+            "repro.engine.supervisor",
+            "repro.apps.lexer_app",
+            "repro.lang.randprog",
+            "repro.search.minimize",
+            "repro.solver.certificates",
+        ):
+            assert unused not in loaded, unused

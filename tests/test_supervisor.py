@@ -420,6 +420,31 @@ class TestPoolBreakBlame:
         assert supervisor.pool_rebuilds == 1  # bounded by rebuilds instead
 
 
+# -- the pool's workers ------------------------------------------------------
+
+
+def _no_children_within(seconds):
+    import multiprocessing
+
+    deadline = time.monotonic() + seconds
+    while multiprocessing.active_children():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+class TestPoolWorkers:
+    def test_jobs_run_in_workers_and_leave_no_child(self):
+        spec = CampaignSpec.paper_suite(max_runs=10)
+        serial = api.Client(workers=1).submit(spec).wait()
+        pooled = api.Client(workers=2).submit(spec).wait()
+        assert pooled.campaign_digest == serial.campaign_digest
+        # every job ran in a pool worker, none in the parent
+        assert all(j.worker_pid not in (0, os.getpid()) for j in pooled.jobs)
+        assert _no_children_within(5.0)
+
+
 # -- the watchdog's clocks ---------------------------------------------------
 
 
