@@ -26,11 +26,11 @@ while producing byte-identical results.  This gate measures both claims:
   all-concrete loop before two input guards, in every concretization
   mode.  Nothing in the loop depends on the inputs, so the concolic
   shadow should cost little over concrete execution; fails when the
-  min-of-N concolic/concrete ratio of any mode exceeds
-  :data:`SHADOW_THRESHOLD` (3x).  Each mode keeps one engine
-  across its rounds, as a directed search keeps one term manager across
-  its runs: the ratio measures the shadow loop, not the first run's
-  interning of the loop's integer constants.
+  min-of-N concolic/concrete ratio of any row exceeds
+  :data:`SHADOW_THRESHOLD` (3x).  Each mode has two rows: a warm one
+  keeps one engine across its rounds, as a directed search keeps one
+  term manager across its runs, and a cold one builds a fresh engine
+  and term manager each round, as every campaign job starts.
 
 The workload mixes the shapes that dominate the paper suite: two-sided
 conditionals on variables, accumulator arithmetic with a modulus guard,
@@ -108,7 +108,8 @@ def _outcome(res):
 
 
 def shadow_overhead(rounds: int) -> dict:
-    """Min-of-``rounds`` concolic/concrete wall-time ratio per mode."""
+    """Min-of-``rounds`` concolic/concrete wall-time ratio per mode,
+    keyed ``"{mode} warm"`` and ``"{mode} cold"``."""
     program = parse_program(CHURN_SOURCE)
     concrete = Interpreter(program, make_paper_natives())
     ratios = {}
@@ -117,24 +118,30 @@ def shadow_overhead(rounds: int) -> dict:
             program, make_paper_natives(), mode, TermManager()
         )
         arms = {
-            "concolic": lambda: engine.run("churn", dict(CHURN_INPUTS)),
+            "warm": lambda: engine.run("churn", dict(CHURN_INPUTS)),
+            "cold": lambda: ConcolicEngine(
+                program, make_paper_natives(), mode, TermManager()
+            ).run("churn", dict(CHURN_INPUTS)),
             "concrete": lambda: concrete.run("churn", dict(CHURN_INPUTS)),
         }
         for run in arms.values():  # warmup
             run()
-        times: dict[str, list[float]] = {"concolic": [], "concrete": []}
+        times: dict[str, list[float]] = {arm: [] for arm in arms}
+        order = tuple(arms)
         for round_index in range(rounds):
-            order = ("concolic", "concrete")
-            for arm in order if round_index % 2 == 0 else order[::-1]:
+            shift = round_index % len(order)
+            for arm in order[shift:] + order[:shift]:
                 start = time.perf_counter()
                 arms[arm]()
                 times[arm].append(time.perf_counter() - start)
-        ratios[mode.value] = min(times["concolic"]) / min(times["concrete"])
-        print(
-            f"shadow {mode.value}: concolic {min(times['concolic']):.4f}s, "
-            f"concrete {min(times['concrete']):.4f}s "
-            f"-> {ratios[mode.value]:.2f}x"
-        )
+        base = min(times["concrete"])
+        for arm in ("warm", "cold"):
+            row = f"{mode.value} {arm}"
+            ratios[row] = min(times[arm]) / base
+            print(
+                f"shadow {row}: concolic {min(times[arm]):.4f}s, "
+                f"concrete {base:.4f}s -> {ratios[row]:.2f}x"
+            )
     return ratios
 
 

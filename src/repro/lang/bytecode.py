@@ -15,10 +15,12 @@ dispatch loop.  Two loops share one compiled artifact:
   plain ints until a value carries a term: plain operations compute as
   :func:`run_concrete` does, and only values with a term, bool term or
   pins (boxed as ``SymValue``) go through the engine's operand-level
-  helpers.  Two traps: the plain path must make the engine's ``mk_int``
-  calls in the engine's order, because term-creation order fixes every
-  ``tid`` and so every digest; and runtime ints are boxed with a fresh
-  ``SymValue``, never the process-global compile-time constant table.
+  helpers.  Two traps: the plain path must take the ids of the engine's
+  ``mk_int`` calls in the engine's order, because the manager's id
+  counter fixes every ``tid`` and so every digest (it reserves them,
+  ``TermManager.reserve_int``, and builds no ``Term``); and runtime ints
+  are boxed with a fresh ``SymValue``, never the process-global
+  compile-time constant table.
 
 Correctness contract (digest-gated by tests and CI): for every program
 and input vector :func:`run_concrete` and the tree-walking
@@ -1422,23 +1424,25 @@ _INT_BINOPS = {
 }
 
 
-def _plain_binop(ints, mk_int, cop, a, b, line):
-    """``a cop b`` on two plain ints, with the engine's term order.
+def _plain_binop(ints, reserve, cop, a, b, line):
+    """``a cop b`` on two plain ints, with the engine's id order.
 
-    ``ConcolicEngine._apply_binary`` interns ``mk_int(a)`` and then
+    ``ConcolicEngine._apply_binary`` calls ``mk_int(a)`` and then
     ``mk_int(b)`` for every arithmetic op and comparison (not for
     ``&&``/``||``), even on two constants, and a term's ``tid`` is its
-    creation rank; so the same calls come first, in the same order, and
-    before a division by zero raises.  ``ints`` is the manager's
-    ``int_terms``: a constant already in it would be a hit, so the call
-    is skipped.  Then the value is what :func:`run_concrete` computes,
+    rank in the manager's id counter; so each operand without an id
+    takes one, in the same order and before a division by zero raises,
+    but as a bare reservation: ``ints`` is the manager's ``int_ids`` and
+    ``reserve`` its ``reserve_int``, and no ``Term`` is built until the
+    value meets a symbolic operand, where ``mk_int`` gives it the
+    reserved id.  Then the value is what :func:`run_concrete` computes,
     or the ``"division by zero"`` program error at ``line``.
     """
     if cop < OP_AND:
         if a not in ints:
-            mk_int(a)
+            reserve(a)
         if b not in ints:
-            mk_int(b)
+            reserve(b)
     try:
         return _INT_BINOPS[cop](a, b)
     except DivisionByZero:
@@ -1493,12 +1497,15 @@ def exec_concolic(engine, cp: CompiledProgram, entry: str, args, result):
     ``SymValue``; a program error raises the interpreter's
     ``_ErrorSignal``, as in :func:`run_concrete`.
 
-    The fast path keeps the engine's term-creation order, which fixes
-    every term's ``tid`` and so every digest: for an arithmetic op or a
-    comparison on two plain ints it makes the ``mk_int(left)``,
-    ``mk_int(right)`` calls the engine would make, skipping each only
-    when the constant is already interned; ``&&``, ``||``, unary ops,
-    plain branch conditions and plain array indices make none.
+    The fast path keeps the engine's id order, which fixes every term's
+    ``tid`` and so every digest: for an arithmetic op or a comparison on
+    two plain ints it reserves an id for the left and then the right
+    operand, where the engine would call ``mk_int``, skipping each that
+    already has an id; ``&&``, ``||``, unary ops, plain branch
+    conditions and plain array indices reserve none.  A reservation
+    builds no ``Term``: all-concrete code runs near concrete cost on a
+    fresh manager, and a reserved constant that later reaches a
+    condition is built with the id it would always have had.
     """
     _sym_module()
     return _box(
@@ -1511,8 +1518,8 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
     apply_binary = engine._apply_binary
     record = engine._record_condition
     tm = engine.tm
-    ints = tm.int_terms
-    mk_int = tm.mk_int
+    ints = tm.int_ids
+    reserve = tm.reserve_int
     budget = engine.step_budget
     regs: List[object] = [UNDEF] * cf.nregs
     regs[: len(args)] = args
@@ -1588,7 +1595,7 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
             k = ins[7]
             if v.__class__ is int:
                 cond = None
-                taken = _plain_binop(ints, mk_int, ins[2], v, k, 0) != 0
+                taken = _plain_binop(ints, reserve, ins[2], v, k, 0) != 0
             else:
                 res.steps = steps
                 cond = apply_binary(_OPSTR[ins[2]], _box(v), _sym_const(k), 0, res)
@@ -1637,7 +1644,7 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
                 )
             if v.__class__ is int and w.__class__ is int:
                 cond = None
-                taken = _plain_binop(ints, mk_int, ins[2], v, w, 0) != 0
+                taken = _plain_binop(ints, reserve, ins[2], v, w, 0) != 0
             else:
                 res.steps = steps
                 cond = apply_binary(_OPSTR[ins[2]], _box(v), _box(w), 0, res)
@@ -1687,7 +1694,7 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
             cop = ins[2]
             res.steps = steps
             if v.__class__ is int and w.__class__ is int:
-                regs[ins[3]] = _plain_binop(ints, mk_int, cop, v, w, ins[11])
+                regs[ins[3]] = _plain_binop(ints, reserve, cop, v, w, ins[11])
             else:
                 regs[ins[3]] = _unbox(
                     apply_binary(_OPSTR[cop], _box(v), _box(w), ins[11], res)
@@ -1698,7 +1705,7 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
             b = regs[ins[4]]
             if a.__class__ is int and b.__class__ is int:
                 cond = None
-                taken = _plain_binop(ints, mk_int, ins[2], a, b, 0) != 0
+                taken = _plain_binop(ints, reserve, ins[2], a, b, 0) != 0
             else:
                 res.steps = steps
                 cond = apply_binary(_OPSTR[ins[2]], _box(a), _box(b), 0, res)
@@ -1738,7 +1745,7 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
             k = ins[8]
             res.steps = steps
             if v.__class__ is int:
-                regs[ins[3]] = _plain_binop(ints, mk_int, cop, v, k, ins[9])
+                regs[ins[3]] = _plain_binop(ints, reserve, cop, v, k, ins[9])
             else:
                 regs[ins[3]] = _unbox(
                     apply_binary(_OPSTR[cop], _box(v), _sym_const(k), ins[9], res)
@@ -1750,7 +1757,7 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
             k = ins[5]
             res.steps = steps
             if a.__class__ is int:
-                regs[ins[3]] = _plain_binop(ints, mk_int, cop, a, k, ins[6])
+                regs[ins[3]] = _plain_binop(ints, reserve, cop, a, k, ins[6])
             else:
                 regs[ins[3]] = _unbox(
                     apply_binary(_OPSTR[cop], _box(a), _sym_const(k), ins[6], res)
@@ -1772,7 +1779,7 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
             cop = ins[2]
             res.steps = steps
             if a.__class__ is int and v.__class__ is int:
-                regs[ins[3]] = _plain_binop(ints, mk_int, cop, a, v, ins[8])
+                regs[ins[3]] = _plain_binop(ints, reserve, cop, a, v, ins[8])
             else:
                 regs[ins[3]] = _unbox(
                     apply_binary(_OPSTR[cop], _box(a), _box(v), ins[8], res)
@@ -1840,7 +1847,7 @@ def _frame_concolic(engine, cp: CompiledProgram, cf: CompiledFunction, args, res
             line = ins[5] if (op == OP_DIV or op == OP_MOD) else 0
             res.steps = steps
             if a.__class__ is int and b.__class__ is int:
-                regs[ins[2]] = _plain_binop(ints, mk_int, op, a, b, line)
+                regs[ins[2]] = _plain_binop(ints, reserve, op, a, b, line)
             else:
                 regs[ins[2]] = _unbox(
                     apply_binary(_OPSTR[op], _box(a), _box(b), line, res)

@@ -243,9 +243,12 @@ class TermManager:
 
     def __init__(self) -> None:
         self._table: Dict[Tuple[object, ...], Term] = {}
+        #: int constant -> its term id, for every constant that has one:
+        #: set by :meth:`reserve_int` or :meth:`mk_int`; read-only
+        #: elsewhere (the concolic VM tests membership to reserve on a miss)
+        self.int_ids: Dict[int, int] = {}
         #: int constant -> its CONST_INT term, filled only by :meth:`mk_int`;
-        #: read-only elsewhere (the concolic VM tests membership to skip
-        #: the call on a hit)
+        #: a reserved constant joins it only when it is built
         self.int_terms: Dict[int, Term] = {}
         self._next_id = 0
         self._vars: Dict[str, Term] = {}
@@ -277,19 +280,33 @@ class TermManager:
 
     @property
     def num_terms(self) -> int:
-        """Number of distinct terms created so far."""
+        """Number of term ids handed out so far: the terms built plus
+        the int constants reserved and not built yet."""
         return self._next_id
 
     # -- leaves -----------------------------------------------------------
 
+    def reserve_int(self, value: int) -> int:
+        """Give the int ``value``, which has no id yet, the next term id.
+
+        No :class:`Term` is built: :meth:`mk_int` builds it with this id
+        if the constant is ever needed, so reserving and building later
+        numbers every term as building at once would.
+        """
+        tid = self.int_ids[value] = self._next_id
+        self._next_id += 1
+        return tid
+
     def mk_int(self, value: int) -> Term:
-        """An integer constant."""
+        """An integer constant, with its reserved id if it has one."""
         if isinstance(value, bool) or not isinstance(value, int):
             raise SortError(f"mk_int expects a Python int, got {value!r}")
         term = self.int_terms.get(value)
         if term is None:
-            term = Term(Kind.CONST_INT, Sort.INT, (), value, None, None, self._next_id)
-            self._next_id += 1
+            tid = self.int_ids.get(value)
+            if tid is None:
+                tid = self.reserve_int(value)
+            term = Term(Kind.CONST_INT, Sort.INT, (), value, None, None, tid)
             self.int_terms[value] = term
         return term
 

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.apps.paper_programs import churn_source, make_paper_natives
 from repro.lang import NativeRegistry, parse_program
-from repro.solver import TermManager, Solver, evaluate, Model
+from repro.solver import Kind, TermManager, Solver, evaluate, Model
 from repro.symbolic import ConcolicEngine, ConcretizationMode
 
 
@@ -500,3 +501,32 @@ class TestFailingRunPathConstraints:
             assert not all(
                 evaluate_with_oracle(t, ints, oracle) is True for t in pc_terms
             ), f"{ints} completes but satisfies the failing run's pc"
+
+
+class TestConcreteCodeBuildsNoTerms:
+    """A plain int reserves a term id and builds no ``Term``."""
+
+    # ``num_terms`` after one churn run: the count the VM gave when it
+    # built every plain operand's constant at once
+    @pytest.mark.parametrize("mode, num_terms", [
+        (ConcretizationMode.UNSOUND, 9724),
+        (ConcretizationMode.SOUND, 9726),
+        (ConcretizationMode.SOUND_DELAYED, 9726),
+        (ConcretizationMode.HIGHER_ORDER, 9726),
+    ])
+    def test_cold_churn_run_builds_few_constants(self, mode, num_terms):
+        tm = TermManager()
+        engine = ConcolicEngine(
+            parse_program(churn_source(2500, 23, 97)),
+            make_paper_natives(), mode, tm,
+        )
+        res = engine.run("churn", {"x": 5, "y": 9})
+        assert len(tm.int_terms) < 50
+        assert tm.num_terms == num_terms
+        assert res.path_conditions
+        seen = set()
+        for pc in res.path_conditions:
+            for node in pc.term.iter_dag(seen):
+                if node.kind is Kind.CONST_INT:
+                    assert tm.int_terms[node.value] is node
+                    assert tm.int_ids[node.value] == node.tid

@@ -19,9 +19,10 @@ fixed instance of the benchmark's execution-bound churn loop.  Those
 re-recorded; ``ORIGINAL_ENTRIES_SHA256`` pins them as a whole.
 
 Two later families add the manager's *interning record* to every run
--- ``sorted((tid, value))`` over ``tm.int_terms`` -- so two ``mk_int``
-calls made in the wrong order show even when neither constant reaches a
-path condition:
+-- ``sorted((tid, value))`` over ``tm.int_ids``, every constant that has
+an id whether reserved or built -- so two ``mk_int`` calls (or their
+reservations) made in the wrong order show even when neither constant
+reaches a path condition:
 
 - ``interned:{case}/{mode}``: the same 100 (case, mode) pairs;
 - ``handcrafted:{name}/{mode}``: the crash and fast-path programs of
@@ -113,7 +114,7 @@ def _handcrafted_cases():
 
 
 def _interning(tm):
-    return sorted((term.tid, value) for value, term in tm.int_terms.items())
+    return sorted((tid, value) for value, tid in tm.int_ids.items())
 
 
 def _run_record(engine, entry, inputs):

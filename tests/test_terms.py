@@ -43,6 +43,38 @@ class TestHashConsing:
         assert tm.num_terms > before
 
 
+class TestReservedIntIds:
+    """``reserve_int`` gives a constant its id; ``mk_int`` builds it later."""
+
+    def test_reserved_value_is_built_with_its_reserved_id(self, tm):
+        start = tm.num_terms
+        tm.reserve_int(7)
+        assert tm.num_terms == start + 1
+        assert tm.int_ids[7] == start
+        assert 7 not in tm.int_terms
+        x = tm.mk_var("x")
+        seven = tm.mk_int(7)
+        assert seven.tid == start < x.tid
+        assert tm.int_terms[7] is seven
+        assert tm.mk_int(7) is seven
+        assert tm.num_terms == start + 2
+
+    def test_unreserved_value_takes_the_next_id(self, tm):
+        tm.reserve_int(7)
+        start = tm.num_terms
+        eight = tm.mk_int(8)
+        assert eight.tid == tm.int_ids[8] == start
+        assert tm.num_terms == start + 1
+
+    def test_num_terms_counts_reservations(self, tm):
+        start = tm.num_terms
+        for value in (3, -1, 40):
+            tm.reserve_int(value)
+        assert tm.num_terms == start + 3
+        assert sorted(tm.int_ids.values()) == [start, start + 1, start + 2]
+        assert tm.int_terms == {}
+
+
 class TestArithmeticConstruction:
     def test_add_constant_folding(self, tm):
         assert tm.mk_add(tm.mk_int(2), tm.mk_int(3)) is tm.mk_int(5)
