@@ -37,8 +37,8 @@ and what its axis values promise:
   tagged with ``job``/``gseq``/``mono``, and the ``repro stats
   --trace-out`` export holds all five kernel stages;
 - faults: exactly :data:`FAULT_RETRIES` jobs were retried, the hang's
-  and the pool break's (a restarted server re-arms the fault plan, so a
-  served+kill cell only checks that some job was retried);
+  and the pool break's, also in a served+kill cell (a restarted server
+  continues the fault plan it saved in its state dir);
 - served+kill: no job has two result lines or more than
   ``--max-attempts`` attempt lines.
 
@@ -261,8 +261,7 @@ def run_cell(cell: Cell, work: str) -> Dict[PinKey, str]:
           f"quarantined {totals['quarantined_jobs']}")
     if faulted:
         retried = totals["retried_jobs"]
-        check(retried > 0 if cell.door == "served+kill"
-              else retried == FAULT_RETRIES, f"{retried} retried jobs")
+        check(retried == FAULT_RETRIES, f"{retried} retried jobs")
     if cell.store == "warm":
         disk = report["disk_cache"]
         check(disk["hits"] > 0 and disk["misses"] == 0,

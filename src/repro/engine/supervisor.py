@@ -180,9 +180,10 @@ class JobLease:
 class JobLeaseSource:
     """Protocol for the sources :class:`CampaignSupervisor` drives.
 
-    A duck-typed base (subclassing is optional): the supervisor only
-    calls these four methods.  The loop leases until ``lease`` returns
-    None, so the source alone decides how many jobs are in flight.
+    A duck-typed base: the supervisor calls these six methods, and
+    subclassing supplies the fault-state pair, which keeps nothing.  The
+    loop leases until ``lease`` returns None, so the source alone
+    decides how many jobs are in flight.
     ``lease`` may raise :class:`~repro.errors.SearchInterrupted` (e.g.
     the injected ``service`` fault site) — the supervisor tears the
     fleet down and lets it propagate.
@@ -204,6 +205,16 @@ class JobLeaseSource:
     def released(self, job: SearchJob) -> None:
         """A granted lease was abandoned un-run (shutdown); re-queue it."""
         raise NotImplementedError
+
+    def fault_state(self) -> Optional[Dict[str, object]]:
+        """Dispatch-time fault-plan counters an earlier run of this
+        source saved (see :meth:`save_fault_state`), or None."""
+        return None
+
+    def save_fault_state(self, state: Dict[str, object]) -> None:
+        """Keep the dispatch-time fault plan's counters, saved before the
+        leases that moved them are dispatched, so a restarted source
+        continues the plan instead of firing it again."""
 
 
 class _PlanSource(JobLeaseSource):
@@ -332,6 +343,9 @@ class CampaignSupervisor:
         self._by_key: Dict[str, _JobState] = {}
         #: jobs settled (finished or quarantined) by this supervisor
         self._settled = 0
+        #: dispatch-time fault decisions (worker-proc, hang, pool) by
+        #: campaign directory and job key, saved with the plan's counters
+        self._decisions: Dict[str, List[bool]] = {}
 
     # -- entry points ------------------------------------------------------
 
@@ -387,6 +401,11 @@ class CampaignSupervisor:
             if self.runner.fault_spec
             else current_fault_plan()
         )
+        # a restarted source continues its plan: the counters, and the
+        # decisions of jobs leased before the restart (see _lease_state)
+        saved = (source.fault_state() if plan.enabled else None) or {}
+        plan.restore_state(saved.get("plan", {}))  # type: ignore[arg-type]
+        self._decisions = dict(saved.get("decisions", {}))  # type: ignore[arg-type]
         self._source = source
         self._fleet = fleet
         self._serial_only = fleet <= 1
@@ -409,6 +428,10 @@ class CampaignSupervisor:
                     queue.append(self._lease_state(lease, plan))
                     leased = True
                     lease = source.lease()
+                if leased and plan.enabled:
+                    source.save_fault_state(
+                        {"plan": plan.state(), "decisions": self._decisions}
+                    )
                 deferred: List[_JobState] = []
                 while queue and not interrupt_requested():
                     state = queue.popleft()
@@ -457,16 +480,29 @@ class CampaignSupervisor:
 
         The fault sites are consulted in a frozen order (worker-proc,
         then hang, then pool); each site counts separately, so fault
-        plans fire on the same jobs whatever the leasing pattern.
+        plans fire on the same jobs whatever the leasing pattern.  A job
+        is consulted once: re-leased after a restart, it keeps its
+        decisions while its first (faulted) attempt is unrecorded, and
+        has none once that attempt is spent.
         """
         job = lease.job
         checkpoint = lease.checkpoint
+        spent = checkpoint.attempts(job.key) if checkpoint is not None else 0
+        # the owning campaign's directory tells apart equal job keys of
+        # two campaigns on one fleet
+        where = checkpoint.directory if checkpoint is not None else ""
+        key = f"{where}//{job.key}"
+        flags = self._decisions.get(key)
+        if flags is None:
+            flags = self._decisions[key] = [
+                plan.should_fire(site) for site in ("worker-proc", "hang", "pool")
+            ]
+        elif spent:
+            flags = [False, False, False]
         state = _JobState(
             job,
-            plan.should_fire("worker-proc"),
-            plan.should_fire("hang"),
-            plan.should_fire("pool"),
-            spent=checkpoint.attempts(job.key) if checkpoint is not None else 0,
+            *flags,
+            spent=spent,
             checkpoint=checkpoint,
             telemetry=lease.telemetry_dir,
             tenant=lease.tenant,

@@ -174,6 +174,12 @@ class ServiceScheduler(JobLeaseSource):
             tenant=self._records[ticket].tenant,
         )
 
+    def fault_state(self) -> Optional[Dict[str, object]]:
+        return self.state.load_fault_state()
+
+    def save_fault_state(self, state: Dict[str, object]) -> None:
+        self.state.save_fault_state(state)
+
     def _pick(self) -> "tuple[Optional[str], Optional[SearchJob]]":
         inflight = self._tenant_inflight()
         candidates = [

@@ -60,6 +60,8 @@ QUEUE_DIR = "queue"
 CAMPAIGNS_DIR = "campaigns"
 #: the finished report payload inside a campaign directory
 RESULT_FILE = "result.json"
+#: the supervisor's dispatch-time fault-plan counters (faulted servers only)
+FAULT_STATE_FILE = "fault_state.json"
 
 #: submission record schema version (stale records self-invalidate)
 SUBMISSION_FORMAT = 1
@@ -294,6 +296,27 @@ class ServiceState:
             return CampaignReport.from_payload(payload)
         except (ReproError, KeyError, ValueError, TypeError):
             return None
+
+    # -- dispatch-time fault plan -------------------------------------------
+
+    @property
+    def fault_state_path(self) -> str:
+        return os.path.join(self.state_dir, FAULT_STATE_FILE)
+
+    def save_fault_state(self, state: Dict[str, object]) -> None:
+        """Keep the supervisor's fault-plan counters across a restart."""
+        with publish_atomic(self.fault_state_path) as handle:
+            json.dump(state, handle, sort_keys=True)
+            handle.write("\n")
+
+    def load_fault_state(self) -> Optional[Dict[str, object]]:
+        """The counters :meth:`save_fault_state` kept, or None."""
+        try:
+            with open(self.fault_state_path, "r", encoding="utf-8") as f:
+                payload = json.load(f)
+        except (OSError, json.JSONDecodeError):
+            return None
+        return payload if isinstance(payload, dict) else None
 
     # -- lookup ------------------------------------------------------------
 

@@ -20,7 +20,7 @@ conflicts report valid (if not minimal) unsatisfiable cores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 __all__ = ["Bound", "BoundsAnalysis"]
 
@@ -33,14 +33,21 @@ class Bound:
     tags: FrozenSet[object] = frozenset()
 
 
+#: ``((variable, nonzero coefficient), ...)``, a :class:`LinearConstraint`'s row
+Coeffs = Tuple[Tuple[int, int], ...]
+
+
 @dataclass
 class BoundsAnalysis:
     """Interval propagation over normalized linear integer constraints.
 
+    Coefficients come as the LIA solver stores them: a tuple of
+    ``(variable, coefficient)`` pairs with no zero coefficient.
+
     Usage::
 
         ba = BoundsAnalysis(num_vars)
-        ba.add_le({0: 2, 1: -1}, 5, tag="c1")   # 2*x0 - x1 <= 5
+        ba.add_le(((0, 2), (1, -1)), 5, tag="c1")   # 2*x0 - x1 <= 5
         outcome = ba.propagate()
         if outcome is not None:     # conflict core
             ...
@@ -49,7 +56,7 @@ class BoundsAnalysis:
 
     num_vars: int
     max_rounds: int = 30
-    _les: List[Tuple[Dict[int, int], int, object]] = field(default_factory=list)
+    _les: List[Tuple[Coeffs, int, object]] = field(default_factory=list)
     _lower: List[Optional[Bound]] = field(default_factory=list)
     _upper: List[Optional[Bound]] = field(default_factory=list)
 
@@ -59,95 +66,69 @@ class BoundsAnalysis:
 
     # -- constraint intake -------------------------------------------------
 
-    def add_le(self, coeffs: Dict[int, int], const: int, tag: object = None) -> None:
+    def add_le(self, coeffs: Coeffs, const: int, tag: object = None) -> None:
         """Register ``sum(coeffs) <= const``."""
-        nonzero = {v: c for v, c in coeffs.items() if c != 0}
-        if nonzero:
-            self._les.append((nonzero, const, tag))
+        if coeffs:
+            self._les.append((coeffs, const, tag))
 
-    def add_eq(self, coeffs: Dict[int, int], const: int, tag: object = None) -> None:
+    def add_eq(self, coeffs: Coeffs, const: int, tag: object = None) -> None:
         """Register ``sum(coeffs) = const`` as two inequalities."""
         self.add_le(coeffs, const, tag)
-        self.add_le({v: -c for v, c in coeffs.items()}, -const, tag)
+        self.add_le(tuple((v, -c) for v, c in coeffs), -const, tag)
 
     # -- propagation -----------------------------------------------------------
-
-    def _tighten_upper(self, var: int, value: int, tags: FrozenSet[object]) -> bool:
-        current = self._upper[var]
-        if current is None or value < current.value:
-            self._upper[var] = Bound(value, tags)
-            return True
-        return False
-
-    def _tighten_lower(self, var: int, value: int, tags: FrozenSet[object]) -> bool:
-        current = self._lower[var]
-        if current is None or value > current.value:
-            self._lower[var] = Bound(value, tags)
-            return True
-        return False
 
     def propagate(self) -> Optional[List[object]]:
         """Run propagation; returns a conflict core or None.
 
         A returned core is a list of constraint tags whose conjunction is
-        integer-infeasible.
+        integer-infeasible.  Propagation stops at the first conflict, which
+        can only follow a tightened bound.
         """
+        lower, upper = self._lower, self._upper
         for _round in range(self.max_rounds):
             changed = False
             for coeffs, const, tag in self._les:
                 # residual = const - sum over other vars of their minimal
                 # contribution; derive a bound for each var in turn
-                for var, coeff in coeffs.items():
+                for var, coeff in coeffs:
                     residual = const
-                    tags = {tag} if tag is not None else set()
-                    feasible = True
-                    for other, c2 in coeffs.items():
+                    for other, c2 in coeffs:
                         if other == var:
                             continue
-                        contrib = self._min_contribution(other, c2)
-                        if contrib is None:
-                            feasible = False
+                        bound = lower[other] if c2 > 0 else upper[other]
+                        if bound is None:
                             break
-                        value, used = contrib
-                        residual -= value
-                        tags |= used
-                    if not feasible:
-                        continue
-                    frozen = frozenset(tags)
-                    if coeff > 0:
-                        # var <= floor(residual / coeff)
-                        bound = _floor_div(residual, coeff)
-                        changed |= self._tighten_upper(var, bound, frozen)
+                        residual -= c2 * bound.value
                     else:
-                        # var >= ceil(residual / coeff) with coeff < 0
-                        bound = _ceil_div(residual, coeff)
-                        changed |= self._tighten_lower(var, bound, frozen)
-                    conflict = self._conflict_at(var)
-                    if conflict is not None:
-                        return conflict
+                        if coeff > 0:
+                            # var <= floor(residual / coeff)
+                            value = residual // coeff
+                            current = upper[var]
+                            if current is not None and value >= current.value:
+                                continue
+                        else:
+                            # var >= ceil(residual / coeff) with coeff < 0
+                            value = -(residual // -coeff)
+                            current = lower[var]
+                            if current is not None and value <= current.value:
+                                continue
+                        changed = True
+                        # the bound's provenance: this constraint and the
+                        # bounds its residual used, gathered in that order
+                        tags = {tag} if tag is not None else set()
+                        for other, c2 in coeffs:
+                            if other != var:
+                                tags |= (lower[other] if c2 > 0 else upper[other]).tags
+                        if coeff > 0:
+                            upper[var] = Bound(value, frozenset(tags))
+                        else:
+                            lower[var] = Bound(value, frozenset(tags))
+                        lo, hi = lower[var], upper[var]
+                        if lo is not None and hi is not None and lo.value > hi.value:
+                            return list(lo.tags | hi.tags)
             if not changed:
                 return None
-        return None
-
-    def _min_contribution(
-        self, var: int, coeff: int
-    ) -> Optional[Tuple[int, FrozenSet[object]]]:
-        """Minimum of ``coeff * var`` under current bounds, or None."""
-        if coeff > 0:
-            bound = self._lower[var]
-            if bound is None:
-                return None
-            return coeff * bound.value, bound.tags
-        bound = self._upper[var]
-        if bound is None:
-            return None
-        return coeff * bound.value, bound.tags
-
-    def _conflict_at(self, var: int) -> Optional[List[object]]:
-        lo, hi = self._lower[var], self._upper[var]
-        if lo is not None and hi is not None and lo.value > hi.value:
-            core = list(lo.tags | hi.tags)
-            return core
         return None
 
     # -- results --------------------------------------------------------------
@@ -165,14 +146,3 @@ class BoundsAnalysis:
             for v in range(self.num_vars)
             if self._lower[v] is not None or self._upper[v] is not None
         ]
-
-
-def _floor_div(a: int, b: int) -> int:
-    """Floor division valid for b > 0 (Python's // already floors)."""
-    return a // b
-
-
-def _ceil_div(a: int, b: int) -> int:
-    """Ceiling of a / b for b != 0."""
-    q, r = divmod(a, b)
-    return q + (1 if r else 0)

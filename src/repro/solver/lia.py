@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, TypeVar
 
 from time import perf_counter
 
@@ -33,24 +33,39 @@ from ..errors import ResourceLimitError
 from ..obs.metrics import default_registry
 from .simplex import Simplex
 
-__all__ = ["LiaSolver", "LiaResult", "LinearConstraint"]
+__all__ = [
+    "LiaSolver",
+    "LiaResult",
+    "LinearConstraint",
+    "NormalForm",
+    "normalize_constraint",
+]
+
+K = TypeVar("K")
 
 
-@dataclass(frozen=True)
 class LinearConstraint:
     """A normalized linear constraint ``sum(coeffs) OP const``.
 
     ``op`` is one of ``"<="``, ``"="``, ``"!="``.  Coefficients and the
-    constant are integers; coefficient keys are solver variable indices.
+    constant are integers; ``coeffs`` holds ``(variable index, nonzero
+    coefficient)`` pairs sorted by index.  A plain slotted class: a lazy
+    loop builds tens of thousands of these.
     """
 
-    coeffs: Tuple[Tuple[int, int], ...]
-    op: str
-    const: int
-    tag: object = None
+    __slots__ = ("coeffs", "op", "const", "tag")
 
-    def coeff_dict(self) -> Dict[int, int]:
-        return dict(self.coeffs)
+    def __init__(
+        self,
+        coeffs: Tuple[Tuple[int, int], ...],
+        op: str,
+        const: int,
+        tag: object = None,
+    ) -> None:
+        self.coeffs = coeffs
+        self.op = op
+        self.const = const
+        self.tag = tag
 
 
 @dataclass
@@ -63,18 +78,57 @@ class LiaResult:
     branches: int = 0
 
 
-def _normalize_le(coeffs: Dict[int, int], const: int) -> Tuple[Dict[int, int], int]:
-    """Tighten ``sum <= const`` by the coefficient GCD (sound over Z)."""
-    nonzero = {v: c for v, c in coeffs.items() if c != 0}
+#: ops of :func:`normalize_constraint` for a constraint that holds, or
+#: fails, whatever its variables are
+TRUE, FALSE = "true", "false"
+
+#: ``(op, ((key, coeff), ...), const)``: a :func:`normalize_constraint` answer
+NormalForm = Tuple[str, Tuple[Tuple[K, int], ...], int]
+
+
+def normalize_constraint(
+    op: str, pairs: Iterable[Tuple[K, int]], const: int
+) -> NormalForm:
+    """Normalize ``sum(coeff * key) OP const`` over the integers.
+
+    ``op`` is one of ``<=``, ``>=``, ``<``, ``>``, ``=``, ``!=``.  The
+    answer's op is ``<=``, ``=`` or ``!=`` with the zero coefficients
+    dropped and the rest kept in input order: ``>=`` and ``>`` are
+    negated, strict bounds move the constant by one, an inequality is
+    divided by its coefficient GCD with the constant floored, and an
+    equality is divided by its GCD when that divides the constant.  It is
+    :data:`TRUE` or :data:`FALSE` (with no pairs) when no variable is left
+    or the GCD test refutes an equality.  Keys are opaque:
+    :class:`LiaSolver` passes variable indices, ``TermManager.lia_literal``
+    passes term ids.
+    """
+    if op == ">=" or op == ">":
+        pairs = [(v, -c) for v, c in pairs]
+        const = -const - 1 if op == ">" else -const
+        op = "<="
+    elif op == "<":
+        const -= 1
+        op = "<="
+    nonzero = tuple((v, c) for v, c in pairs if c != 0)
     if not nonzero:
-        return {}, const
+        if op == "<=":
+            holds = const >= 0
+        elif op == "=":
+            holds = const == 0
+        else:
+            holds = const != 0
+        return (TRUE if holds else FALSE), (), 0
+    if op == "!=":
+        return op, nonzero, const
     g = 0
-    for c in nonzero.values():
-        g = math.gcd(g, abs(c))
+    for _, c in nonzero:
+        g = math.gcd(g, c)
     if g > 1:
-        nonzero = {v: c // g for v, c in nonzero.items()}
+        if op == "=" and const % g:
+            return FALSE, (), 0
         const //= g
-    return nonzero, const
+        nonzero = tuple((v, c // g) for v, c in nonzero)
+    return op, nonzero, const
 
 
 class LiaSolver:
@@ -99,6 +153,7 @@ class LiaSolver:
         self._les: List[LinearConstraint] = []
         self._eqs: List[LinearConstraint] = []
         self._diseqs: List[LinearConstraint] = []
+        self._rows = {"<=": self._les, "=": self._eqs, "!=": self._diseqs}
         self._trivially_unsat: Optional[List[object]] = None
         self._max_branches = max_branches
         self._max_pivots = max_pivots
@@ -117,53 +172,46 @@ class LiaSolver:
 
     def add_le(self, coeffs: Dict[int, int], const: int, tag: object = None) -> None:
         """Add ``sum(coeffs) <= const``."""
-        norm, c = _normalize_le(coeffs, const)
-        if not norm:
-            if 0 > c:
-                self._mark_unsat([tag])
-            return
-        self._les.append(LinearConstraint(tuple(sorted(norm.items())), "<=", c, tag))
+        self.add_normal(*normalize_constraint("<=", coeffs.items(), const), tag)
 
     def add_ge(self, coeffs: Dict[int, int], const: int, tag: object = None) -> None:
         """Add ``sum(coeffs) >= const`` as ``-sum <= -const``."""
-        self.add_le({v: -c for v, c in coeffs.items()}, -const, tag)
+        self.add_normal(*normalize_constraint(">=", coeffs.items(), const), tag)
 
     def add_lt(self, coeffs: Dict[int, int], const: int, tag: object = None) -> None:
         """Add strict ``sum < const``, i.e. ``sum <= const - 1`` over Z."""
-        self.add_le(coeffs, const - 1, tag)
+        self.add_normal(*normalize_constraint("<", coeffs.items(), const), tag)
 
     def add_gt(self, coeffs: Dict[int, int], const: int, tag: object = None) -> None:
         """Add strict ``sum > const``, i.e. ``sum >= const + 1`` over Z."""
-        self.add_ge(coeffs, const + 1, tag)
+        self.add_normal(*normalize_constraint(">", coeffs.items(), const), tag)
 
     def add_eq(self, coeffs: Dict[int, int], const: int, tag: object = None) -> None:
         """Add ``sum(coeffs) = const`` (with GCD divisibility check)."""
-        nonzero = {v: c for v, c in coeffs.items() if c != 0}
-        if not nonzero:
-            if const != 0:
-                self._mark_unsat([tag])
-            return
-        g = 0
-        for c in nonzero.values():
-            g = math.gcd(g, abs(c))
-        if g > 1:
-            if const % g != 0:
-                self._mark_unsat([tag])
-                return
-            nonzero = {v: c // g for v, c in nonzero.items()}
-            const //= g
-        self._eqs.append(LinearConstraint(tuple(sorted(nonzero.items())), "=", const, tag))
+        self.add_normal(*normalize_constraint("=", coeffs.items(), const), tag)
 
     def add_diseq(self, coeffs: Dict[int, int], const: int, tag: object = None) -> None:
         """Add ``sum(coeffs) != const``."""
-        nonzero = {v: c for v, c in coeffs.items() if c != 0}
-        if not nonzero:
-            if const == 0:
-                self._mark_unsat([tag])
-            return
-        self._diseqs.append(
-            LinearConstraint(tuple(sorted(nonzero.items())), "!=", const, tag)
-        )
+        self.add_normal(*normalize_constraint("!=", coeffs.items(), const), tag)
+
+    def add_normal(
+        self,
+        op: str,
+        pairs: Iterable[Tuple[int, int]],
+        const: int,
+        tag: object = None,
+    ) -> None:
+        """Add a :func:`normalize_constraint` answer keyed by variable index.
+
+        Every constraint enters here: the ``add_*`` methods normalize
+        first, and ``check_theory`` passes a manager's memoized form with
+        its term ids replaced by this solver's variables.
+        """
+        rows = self._rows.get(op)
+        if rows is not None:
+            rows.append(LinearConstraint(tuple(sorted(pairs)), op, const, tag))
+        elif op == FALSE:
+            self._mark_unsat([tag])
 
     def _mark_unsat(self, core: List[object]) -> None:
         if self._trivially_unsat is None:
@@ -243,9 +291,9 @@ class LiaSolver:
 
         ba = BoundsAnalysis(num_vars=len(self._names))
         for con in self._les:
-            ba.add_le(con.coeff_dict(), con.const, con.tag)
+            ba.add_le(con.coeffs, con.const, con.tag)
         for con in self._eqs:
-            ba.add_eq(con.coeff_dict(), con.const, con.tag)
+            ba.add_eq(con.coeffs, con.const, con.tag)
         core = ba.propagate()
         if core is None:
             return None

@@ -168,20 +168,21 @@ class SatSolver:
             raise SolverError("add_clause requires decision level 0")
         if not self._ok:
             return False
+        assign, level, num_vars = self._assign, self._level, self._num_vars
         seen: Set[int] = set()
         out: List[int] = []
         for lit in lits:
-            var = abs(lit)
-            if var == 0 or var > self._num_vars:
+            var = lit if lit > 0 else -lit
+            if var == 0 or var > num_vars:
                 raise SolverError(f"unknown variable in literal {lit}")
             if -lit in seen:
                 return True  # tautology
             if lit in seen:
                 continue
-            val = self._value(lit)
-            if val == 1 and self._level[var - 1] == 0:
-                return True  # already satisfied at root
-            if val == -1 and self._level[var - 1] == 0:
+            val = assign[var - 1]
+            if val and level[var - 1] == 0:
+                if val == (1 if lit > 0 else -1):
+                    return True  # already satisfied at root
                 continue  # falsified at root; drop literal
             seen.add(lit)
             out.append(lit)
@@ -228,43 +229,61 @@ class SatSolver:
         return True
 
     def _propagate(self) -> Optional[_Clause]:
-        """Unit propagation; returns a conflicting clause or None."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            watchers = self._watches.get(lit)
+        """Unit propagation; returns a conflicting clause or None.
+
+        :meth:`_value` and :meth:`_enqueue` are inlined: this loop is the
+        solver's hottest.
+        """
+        trail, watches, assign = self._trail, self._watches, self._assign
+        level, reason = self._level, self._reason
+        depth = len(self._trail_lim)
+        qhead = self._qhead
+        enqueued = 0
+        conflict_clause: Optional[_Clause] = None
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            watchers = watches.get(lit)
             if not watchers:
                 continue
             keep: List[_Clause] = []
-            conflict_clause: Optional[_Clause] = None
             for idx, clause in enumerate(watchers):
                 lits = clause.lits
                 # ensure the false literal is at position 1
-                if lits[0] == -lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                if self._value(lits[0]) == 1:
+                first = lits[0]
+                if first == -lit:
+                    first = lits[0] = lits[1]
+                    lits[1] = -lit
+                val = assign[first - 1] if first > 0 else -assign[-first - 1]
+                if val == 1:
                     keep.append(clause)
                     continue
                 # look for a new literal to watch
-                moved = False
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) != -1:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches.setdefault(-lits[1], []).append(clause)
-                        moved = True
+                    other = lits[k]
+                    if (assign[other - 1] if other > 0 else -assign[-other - 1]) != -1:
+                        lits[1], lits[k] = other, lits[1]
+                        watches.setdefault(-other, []).append(clause)
                         break
-                if moved:
-                    continue
-                keep.append(clause)
-                if not self._enqueue(lits[0], clause):
-                    # conflict: restore untouched watchers and report
-                    keep.extend(watchers[idx + 1:])
-                    conflict_clause = clause
-                    break
-            self._watches[lit] = keep
+                else:
+                    keep.append(clause)
+                    if val == -1:
+                        # conflict: restore untouched watchers and report
+                        keep.extend(watchers[idx + 1:])
+                        conflict_clause = clause
+                        break
+                    var = first if first > 0 else -first
+                    assign[var - 1] = 1 if first > 0 else -1
+                    level[var - 1] = depth
+                    reason[var - 1] = clause
+                    trail.append(first)
+                    enqueued += 1
+            watches[lit] = keep
             if conflict_clause is not None:
-                return conflict_clause
-        return None
+                break
+        self._qhead = qhead
+        self.stats.propagations += enqueued
+        return conflict_clause
 
     # -- conflict analysis --------------------------------------------------------
 
@@ -491,9 +510,7 @@ class SatSolver:
 
             var = self._decide()
             if var == 0:
-                model = {
-                    v: self._assign[v - 1] == 1 for v in range(1, self._num_vars + 1)
-                }
+                model = {v: a == 1 for v, a in enumerate(self._assign, 1)}
                 self._backtrack(0)
                 self._n_assumed = 0
                 return SatResult(sat=True, model=model)

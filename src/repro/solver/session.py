@@ -57,23 +57,46 @@ from ..obs.metrics import default_registry
 from .budget import current_budget
 from .cnf import CnfConverter
 from .sat import SatSolver
-from .smt import CheckResult, Model, eliminate_int_ite, observe_check, solve_lazily
+from .smt import (
+    CheckResult,
+    Model,
+    eliminate_int_ite,
+    int_var_names,
+    observe_check,
+    solve_lazily,
+)
 from .terms import FunctionSymbol, Kind, Sort, Term, TermManager
 
 __all__ = ["SolverSession", "PrefixSession"]
 
+#: atom kinds the lazy loop hands to the theory solver
+_THEORY_KINDS = frozenset({Kind.EQ, Kind.LE, Kind.LT, Kind.DISTINCT})
+
 
 def _theory_atoms(term: Term) -> Set[Term]:
-    """Theory atoms of ``term`` as the CNF encoder would register them."""
+    """Theory atoms of ``term`` as the CNF encoder would register them.
+
+    Only the boolean skeleton is walked: below a theory atom there are
+    integer terms alone (``term`` is ITE-free), so no atom hides there.
+    """
     out: Set[Term] = set()
-    for t in term.iter_dag():
-        if not t.is_atom:
+    seen: Set[int] = set()
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if t.tid in seen:
             continue
-        if t.kind in (Kind.VAR, Kind.CONST_BOOL):
+        seen.add(t.tid)
+        kind = t.kind
+        if kind is Kind.VAR or kind is Kind.CONST_BOOL:
             continue
-        if t.kind is Kind.EQ and t.args[0].sort is Sort.BOOL:
-            continue  # boolean iff, handled propositionally
-        out.add(t)
+        if kind in _THEORY_KINDS and not (
+            kind is Kind.EQ and t.args[0].sort is Sort.BOOL
+        ):
+            out.add(t)
+            continue
+        # a connective, or a boolean iff (handled propositionally)
+        stack.extend(t.args)
     return out
 
 
@@ -82,20 +105,24 @@ class _Frame:
 
     ``act`` is the frame's activation literal (0 for the unguarded base
     frame).  ``original`` keeps the formulas as asserted (for model
-    verification), ``flat`` their ITE-free rewrites (for model variable
-    collection), ``atoms`` / ``apps`` what this frame contributes to the
+    verification), ``int_vars`` the named integer variables of their
+    ITE-free rewrites in walk order (the model's variables), ``atoms`` /
+    ``apps`` what this frame contributes to the
     *live* sets consulted by the lazy theory loop, and ``ite_keys`` /
     ``app_keys`` which session-cache entries this frame owns — evicted when
     the frame is popped so a reappearing subterm is re-registered against a
     live definition.
     """
 
-    __slots__ = ("act", "original", "flat", "atoms", "apps", "ite_keys", "app_keys")
+    __slots__ = (
+        "act", "original", "int_vars", "atoms", "apps", "ite_keys", "app_keys"
+    )
 
     def __init__(self, act: int) -> None:
         self.act = act
         self.original: List[Term] = []
-        self.flat: List[Term] = []
+        #: an ordered set: names only, first appearance first
+        self.int_vars: Dict[str, None] = {}
         self.atoms: Set[Term] = set()
         self.apps: Set[Term] = set()
         self.ite_keys: List[Term] = []
@@ -204,14 +231,38 @@ class SolverSession:
         for side in sides:
             self._assert_into(frame, side)
         # one walk of ``rewritten`` finds its applications, for the frame's
-        # live set and for the Ackermann registration alike
-        apps = [t for t in rewritten.iter_dag() if t.is_app]
+        # live set and for the Ackermann registration alike, and its named
+        # integer variables, for the model
+        apps: List[Term] = []
+        int_vars: List[str] = []
+        for t in rewritten.iter_dag():
+            if t.kind is Kind.APP:
+                apps.append(t)
+            elif t.kind is Kind.VAR and t.sort is Sort.INT and t.name is not None:
+                int_vars.append(t.name)
         pure = self._ackermannize(frame, rewritten, apps)
-        frame.original.append(formula)
-        frame.flat.append(rewritten)
-        frame.atoms |= _theory_atoms(pure)
+        self._record(frame, formula, int_vars, pure)
         frame.apps.update(apps)
         return self._cnf.literal_for(pure)
+
+    def _record(
+        self, frame: _Frame, formula: Term, int_vars: List[str], pure: Term
+    ) -> None:
+        """Add an asserted formula's artifacts to ``frame``."""
+        frame.original.append(formula)
+        frame.int_vars.update(dict.fromkeys(int_vars))
+        frame.atoms |= _theory_atoms(pure)
+
+    def _assert_pure(self, frame: _Frame, formula: Term) -> None:
+        """Assert an ITE- and application-free ``formula`` into ``frame``.
+
+        The short path of :meth:`_assert_into` for the functional-
+        consistency constraints: ITE elimination and purification would
+        return ``formula`` itself, so only its artifacts are recorded.
+        """
+        self._record(frame, formula, list(int_var_names([formula])), formula)
+        lit = self._cnf.literal_for(formula)
+        self._sat.add_clause([-frame.act, lit] if frame.act else [lit])
 
     def _ackermannize(self, frame: _Frame, term: Term, apps: List[Term]) -> Term:
         """Register ``term``'s new UF applications and purify ``term``.
@@ -222,6 +273,8 @@ class SolverSession:
         ``frame`` (the newer of the two frames involved in any pair), so
         they die no earlier than either endpoint.
         """
+        if not apps:
+            return term  # nothing to register or replace
         tm = self.tm
         new_apps = sorted(
             (t for t in apps if t not in self._app_mapping), key=lambda t: t.tid
@@ -260,7 +313,7 @@ class SolverSession:
             self._apps_by_fn.setdefault(app.fn, []).append(app)
             frame.app_keys.append(app)
         for c in constraints:
-            self._assert_into(frame, c)
+            self._assert_pure(frame, c)
         return tm.substitute(term, self._app_mapping, memo)
 
     # -- solving ----------------------------------------------------------------
@@ -309,12 +362,12 @@ class SolverSession:
             return CheckResult(sat=True, model=Model())
         live_atoms: Set[Term] = set()
         live_apps: Set[Term] = set()
-        flat: List[Term] = []
+        int_vars: List[str] = []
         originals: List[Term] = []
         for f in live:
             live_atoms |= f.atoms
             live_apps |= f.apps
-            flat.extend(f.flat)
+            int_vars.extend(f.int_vars)
             originals.extend(f.original)
 
         # session originals include the ITE side conditions and Ackermann
@@ -322,7 +375,8 @@ class SolverSession:
         return solve_lazily(
             self.tm, self._sat, self._cnf, [f.act for f in live if f.act],
             live_atoms, self._max_iterations,
-            ((app, self._app_mapping[app]) for app in live_apps), flat, originals,
+            ((app, self._app_mapping[app]) for app in live_apps), int_vars,
+            originals,
         )
 
 

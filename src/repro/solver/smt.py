@@ -36,6 +36,7 @@ from typing import (
     Container,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -236,53 +237,40 @@ def check_theory(
 
     Returns ``(sat, conflict_core, int_model)`` where the core entries are
     (atom, polarity) pairs from the input.  :func:`solve_lazily` calls it
-    once per proposed boolean model.  Branch and pivot limits come from
-    the ambient :func:`~repro.solver.budget.current_budget`.
+    once per proposed boolean model.  Each literal's constraint is
+    compiled once per manager (:meth:`TermManager.lia_literal`); a call
+    numbers the leaves and hands the rows to :meth:`LiaSolver.add_normal`.
+    Branch and pivot limits come from the ambient
+    :func:`~repro.solver.budget.current_budget`.
     """
     budget = current_budget()
     lia = LiaSolver(
         max_branches=budget.max_branches, max_pivots=budget.max_pivots
     )
-    var_ids: Dict[Term, int] = {}
+    # leaf term id -> LIA variable, numbered on first sight
+    var_ids: Dict[int, int] = {}
+    names: List[str] = []
     new_var = lia.new_var
+    add = lia.add_normal
+    compiled = tm.lia_literal
 
-    for atom, pol in literals:
+    for literal in literals:
+        atom = literal[0]
         if atom.kind is Kind.CONST_BOOL:
-            if bool(atom.value) != pol:
-                return False, [(atom, pol)], {}
+            if bool(atom.value) != literal[1]:
+                return False, [literal], {}
             continue
-        # lhs - rhs = sum(pairs) + offset, so the atom reads
-        # sum(pairs) <= / = / != -offset; leaves are numbered on first sight
-        pairs, offset = tm.linear_atom(atom)
-        coeffs: Dict[int, int] = {}
-        for leaf, c in pairs:
-            idx = var_ids.get(leaf)
-            if idx is None:
-                idx = var_ids[leaf] = new_var(leaf.name or f"t{leaf.tid}")
-            coeffs[idx] = c
-        const = -offset
-        tag = (atom, pol)
-        if atom.kind is Kind.EQ:
-            if pol:
-                lia.add_eq(coeffs, const, tag)
-            else:
-                lia.add_diseq(coeffs, const, tag)
-        elif atom.kind is Kind.LE:
-            if pol:
-                lia.add_le(coeffs, const, tag)
-            else:
-                lia.add_gt(coeffs, const, tag)
-        elif pol:  # Kind.LT: linear_atom admits relational atoms only
-            lia.add_lt(coeffs, const, tag)
-        else:
-            lia.add_ge(coeffs, const, tag)
+        leaves, op, pairs, const, tag = compiled(literal)
+        for tid, name in leaves:
+            if tid not in var_ids:
+                var_ids[tid] = new_var(name)
+                names.append(name)
+        add(op, [(var_ids[tid], c) for tid, c in pairs], const, tag)
 
     result = lia.check()
     if result.sat:
-        model = {
-            v.name or f"t{v.tid}": result.model.get(idx, 0)
-            for v, idx in var_ids.items()
-        }
+        values = result.model
+        model = {name: values.get(idx, 0) for idx, name in enumerate(names)}
         return True, [], model
     core = [t for t in result.core if isinstance(t, tuple) and len(t) == 2]
     if not core:
@@ -298,7 +286,7 @@ def solve_lazily(
     live_atoms: Container[Term],
     max_iterations: int,
     app_vars: Iterable[Tuple[Term, Term]],
-    flat: Sequence[Term],
+    int_vars: Iterable[str],
     goal: Sequence[Term],
 ) -> CheckResult:
     """The lazy DPLL(T) loop of :class:`Solver` and the session.
@@ -307,7 +295,7 @@ def solve_lazily(
     :func:`check_theory` either accepts its arithmetic literals among
     ``live_atoms`` or refutes them, and the refuted assignment is blocked
     by the negated conflict core.  An accepted one becomes the answer's
-    model through :func:`build_model` (``app_vars``, ``flat``, ``goal``).
+    model through :func:`build_model` (``app_vars``, ``int_vars``, ``goal``).
     """
     iterations = 0
     while True:
@@ -333,7 +321,7 @@ def solve_lazily(
         ok, core, int_model = check_theory(tm, theory_lits)
         if ok:
             model = build_model(
-                sat_result.model, cnf, int_model, app_vars, flat, goal
+                sat_result.model, cnf, int_model, app_vars, int_vars, goal
             )
             return CheckResult(sat=True, model=model, iterations=iterations)
 
@@ -349,18 +337,32 @@ def solve_lazily(
         sat.add_clause(blocking)
 
 
+def int_var_names(formulas: Iterable[Term]) -> Iterator[str]:
+    """Names of the named integer variables of ``formulas``.
+
+    In one :meth:`~repro.solver.terms.Term.iter_dag` walk shared by the
+    formulas, so each name comes once, in the order the model lists it.
+    """
+    seen: Set[int] = set()
+    for f in formulas:
+        for t in f.iter_dag(seen):
+            if t.kind is Kind.VAR and t.sort is Sort.INT and t.name is not None:
+                yield t.name
+
+
 def build_model(
     sat_model: Dict[int, bool],
     cnf: CnfConverter,
     int_model: Dict[str, int],
     app_vars: Iterable[Tuple[Term, Term]],
-    flat: Sequence[Term],
+    int_vars: Iterable[str],
     goal: Sequence[Term],
 ) -> Model:
     """The user-facing model of a theory-consistent SAT answer.
 
-    Integer values cover every variable of the ITE-free formulas ``flat``;
-    each ``(application, Ackermann variable)`` pair of ``app_vars`` becomes
+    Integer values cover every name of ``int_vars`` (the named integer
+    variables of the ITE-free formulas, in :func:`int_var_names` order)
+    and then the rest of ``int_model``; each ``(application, Ackermann variable)`` pair of ``app_vars`` becomes
     a UF table entry.  Every formula of ``goal`` is evaluated under the
     model while the ``_app_``/``_ite``/``_t`` helpers are still in it (a
     failure raises :class:`~repro.errors.SolverError`); then they are
@@ -369,11 +371,8 @@ def build_model(
     from .evalmodel import evaluate  # local import to avoid a cycle
 
     model = Model()
-    seen: Set[int] = set()
-    for f in flat:
-        for t in f.iter_dag(seen):
-            if t.is_var and t.sort is Sort.INT and t.name is not None:
-                model.ints.setdefault(t.name, int_model.get(t.name, 0))
+    for name in int_vars:
+        model.ints.setdefault(name, int_model.get(name, 0))
     for name, value in int_model.items():
         model.ints.setdefault(name, value)
     # boolean atoms that are plain variables
@@ -592,5 +591,6 @@ class Solver:
         # 4) lazy theory loop, over every atom this check encoded
         return solve_lazily(
             tm, sat, cnf, (), cnf.atoms, self._max_iterations,
-            app_to_var.items(), flat, goal if self._verify_models else (),
+            app_to_var.items(), int_var_names(flat),
+            goal if self._verify_models else (),
         )

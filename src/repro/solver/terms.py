@@ -25,6 +25,7 @@ from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SortError
+from .lia import NormalForm, normalize_constraint
 
 __all__ = [
     "Sort",
@@ -77,6 +78,24 @@ _RELATIONAL_KINDS = frozenset({Kind.EQ, Kind.LE, Kind.LT})
 
 #: ``(((leaf, coeff), ...), const)``: the result of :meth:`TermManager.linear_atom`
 LinearForm = Tuple[Tuple[Tuple["Term", int], ...], int]
+
+#: ``(leaves, op, pairs, const, tag)``: the result of
+#: :meth:`TermManager.lia_literal`; ``leaves`` holds ``(term id, LIA
+#: variable name)`` per leaf of the atom's linear form, in its order
+LiaLiteral = Tuple[
+    Tuple[Tuple[int, str], ...], str, Tuple[Tuple[int, int], ...], int,
+    Tuple["Term", bool],
+]
+
+#: the relation ``check_theory`` asserts for an atom kind at a polarity
+_LIA_OPS = {
+    (Kind.EQ, True): "=",
+    (Kind.EQ, False): "!=",
+    (Kind.LE, True): "<=",
+    (Kind.LE, False): ">",
+    (Kind.LT, True): "<",
+    (Kind.LT, False): ">=",
+}
 
 
 class FunctionSymbol:
@@ -255,6 +274,8 @@ class TermManager:
         self._functions: Dict[str, FunctionSymbol] = {}
         #: relational atom -> memoized :meth:`linear_atom` result
         self._linear: Dict[Term, LinearForm] = {}
+        #: (atom, polarity) -> memoized :meth:`lia_literal` result
+        self._lia_literals: Dict[Tuple[Term, bool], LiaLiteral] = {}
         self.true_ = self._intern(Kind.CONST_BOOL, Sort.BOOL, (), True, None, None)
         self.false_ = self._intern(Kind.CONST_BOOL, Sort.BOOL, (), False, None, None)
 
@@ -744,6 +765,32 @@ class TermManager:
             coeffs[leaf] = coeffs.get(leaf, 0) - c
         entry = (tuple(coeffs.items()), const_l - const_r)
         self._linear[atom] = entry
+        return entry
+
+    def lia_literal(self, literal: Tuple[Term, bool]) -> LiaLiteral:
+        """The LIA constraint of an ``(atom, polarity)`` literal, compiled once.
+
+        ``leaves`` names every leaf of :meth:`linear_atom` in its pair
+        order, cancelled ones included, so a caller numbering them on
+        first sight numbers exactly as it would from the linear form.
+        ``op``/``pairs``/``const`` are the answer of
+        :func:`~repro.solver.lia.normalize_constraint` for the literal's
+        relation (``=``, ``!=``, ``<=``, ``>``, ``<``, ``>=``) over leaf
+        term ids; ``tag`` is ``literal`` itself, the constraint's tag.
+        Memoized per literal for the manager's lifetime, like
+        :meth:`linear_atom`.
+        """
+        hit = self._lia_literals.get(literal)
+        if hit is not None:
+            return hit
+        atom, pol = literal
+        pairs, offset = self.linear_atom(atom)
+        form: NormalForm = normalize_constraint(
+            _LIA_OPS[atom.kind, pol], [(leaf.tid, c) for leaf, c in pairs], -offset
+        )
+        leaves = tuple((leaf.tid, leaf.name or f"t{leaf.tid}") for leaf, _ in pairs)
+        entry = (leaves, *form, literal)
+        self._lia_literals[literal] = entry
         return entry
 
 

@@ -1,7 +1,10 @@
 # Reference copy of the ``LiaSolver`` that ran on the all-``Fraction``
-# simplex (tests/_fraction_simplex.py); tests/test_solver_kernels.py checks
-# ``check_theory`` against it.  Verbatim apart from this header and the
-# absolute imports.
+# simplex (tests/_fraction_simplex.py), plus the from-scratch
+# ``check_theory`` that drove it (at the end); tests/test_solver_kernels.py
+# and tests/test_theory_memo.py check ``check_theory`` against the two.
+# Verbatim apart from these headers, the absolute imports, and the
+# presolve's intake, which passes the coefficient tuples
+# ``BoundsAnalysis`` takes.
 """Linear integer arithmetic decision procedure.
 
 Decides conjunctions of linear constraints over integer variables:
@@ -251,9 +254,9 @@ class LiaSolver:
 
         ba = BoundsAnalysis(num_vars=len(self._names))
         for con in self._les:
-            ba.add_le(con.coeff_dict(), con.const, con.tag)
+            ba.add_le(con.coeffs, con.const, con.tag)
         for con in self._eqs:
-            ba.add_eq(con.coeff_dict(), con.const, con.tag)
+            ba.add_eq(con.coeffs, con.const, con.tag)
         core = ba.propagate()
         if core is None:
             return None
@@ -383,3 +386,69 @@ class LiaSolver:
                 pass
             core.append(t)
         return LiaResult(sat=False, core=core)
+
+
+# -- the from-scratch check_theory --------------------------------------------------
+# ``repro.solver.smt.check_theory`` before its literals were compiled once
+# per manager: every call re-normalizes every literal through ``add_*``.
+# ``lia_class`` is this module's ``LiaSolver`` or the live one.
+
+
+def reference_check_theory(tm, literals, lia_class=LiaSolver):
+    from repro.solver.budget import current_budget
+    from repro.solver.terms import Kind
+
+    budget = current_budget()
+    lia = lia_class(
+        max_branches=budget.max_branches, max_pivots=budget.max_pivots
+    )
+    var_ids = {}
+    new_var = lia.new_var
+
+    for atom, pol in literals:
+        if atom.kind is Kind.CONST_BOOL:
+            if bool(atom.value) != pol:
+                return False, [(atom, pol)], {}
+            continue
+        pairs, offset = tm.linear_atom(atom)
+        coeffs = {}
+        for leaf, c in pairs:
+            idx = var_ids.get(leaf)
+            if idx is None:
+                idx = var_ids[leaf] = new_var(leaf.name or f"t{leaf.tid}")
+            coeffs[idx] = c
+        const = -offset
+        tag = (atom, pol)
+        if atom.kind is Kind.EQ:
+            if pol:
+                lia.add_eq(coeffs, const, tag)
+            else:
+                lia.add_diseq(coeffs, const, tag)
+        elif atom.kind is Kind.LE:
+            if pol:
+                lia.add_le(coeffs, const, tag)
+            else:
+                lia.add_gt(coeffs, const, tag)
+        elif pol:
+            lia.add_lt(coeffs, const, tag)
+        else:
+            lia.add_ge(coeffs, const, tag)
+
+    result = lia.check()
+    if result.sat:
+        model = {
+            v.name or f"t{v.tid}": result.model.get(idx, 0)
+            for v, idx in var_ids.items()
+        }
+        return True, [], model
+    core = [t for t in result.core if isinstance(t, tuple) and len(t) == 2]
+    if not core:
+        core = list(literals)
+    return False, core, {}
+
+
+def reference_check_theory_live(tm, literals):
+    """:func:`reference_check_theory` on the live ``LiaSolver``."""
+    from repro.solver.lia import LiaSolver as LiveLiaSolver
+
+    return reference_check_theory(tm, literals, LiveLiaSolver)

@@ -20,32 +20,32 @@ def _solvers():
 class TestBoundsAnalysis:
     def test_unit_upper_bound(self):
         ba = BoundsAnalysis(num_vars=1)
-        ba.add_le({0: 1}, 5)
+        ba.add_le(((0, 1),), 5)
         assert ba.propagate() is None
         assert ba.interval(0) == (None, 5)
 
     def test_unit_lower_bound(self):
         ba = BoundsAnalysis(num_vars=1)
-        ba.add_le({0: -1}, -3)  # x >= 3
+        ba.add_le(((0, -1),), -3)  # x >= 3
         assert ba.propagate() is None
         assert ba.interval(0) == (3, None)
 
     def test_coefficient_division_floors(self):
         ba = BoundsAnalysis(num_vars=1)
-        ba.add_le({0: 2}, 7)  # 2x <= 7 -> x <= 3
+        ba.add_le(((0, 2),), 7)  # 2x <= 7 -> x <= 3
         ba.propagate()
         assert ba.interval(0) == (None, 3)
 
     def test_negative_coefficient_ceils(self):
         ba = BoundsAnalysis(num_vars=1)
-        ba.add_le({0: -2}, -7)  # -2x <= -7 -> x >= 4
+        ba.add_le(((0, -2),), -7)  # -2x <= -7 -> x >= 4
         ba.propagate()
         assert ba.interval(0) == (4, None)
 
     def test_direct_conflict(self):
         ba = BoundsAnalysis(num_vars=1)
-        ba.add_le({0: 1}, 2, tag="hi")
-        ba.add_le({0: -1}, -5, tag="lo")  # x >= 5
+        ba.add_le(((0, 1),), 2, tag="hi")
+        ba.add_le(((0, -1),), -5, tag="lo")  # x >= 5
         core = ba.propagate()
         assert core is not None
         assert set(core) == {"hi", "lo"}
@@ -53,9 +53,9 @@ class TestBoundsAnalysis:
     def test_transitive_propagation(self):
         # x <= 3, y >= x ... encoded: y - x >= 0 is -(x - y) <= 0
         ba = BoundsAnalysis(num_vars=2)
-        ba.add_le({0: 1}, 3, tag="x<=3")
-        ba.add_le({1: -1, 0: 1}, 0, tag="x<=y")   # x - y <= 0
-        ba.add_le({1: 1}, 1, tag="y<=1")
+        ba.add_le(((0, 1),), 3, tag="x<=3")
+        ba.add_le(((1, -1), (0, 1)), 0, tag="x<=y")   # x - y <= 0
+        ba.add_le(((1, 1),), 1, tag="y<=1")
         # no conflict: x <= y? wait x <= 3 and y <= 1 and x <= y is fine (x=0,y=1)
         assert ba.propagate() is None
         lo, hi = ba.interval(0)
@@ -64,9 +64,9 @@ class TestBoundsAnalysis:
     def test_chain_conflict_with_provenance(self):
         # x >= 10, y >= x, y <= 5: conflict involving all three
         ba = BoundsAnalysis(num_vars=2)
-        ba.add_le({0: -1}, -10, tag="x>=10")
-        ba.add_le({0: 1, 1: -1}, 0, tag="x<=y")
-        ba.add_le({1: 1}, 5, tag="y<=5")
+        ba.add_le(((0, -1),), -10, tag="x>=10")
+        ba.add_le(((0, 1), (1, -1)), 0, tag="x<=y")
+        ba.add_le(((1, 1),), 5, tag="y<=5")
         core = ba.propagate()
         assert core is not None
         assert "y<=5" in core
@@ -74,20 +74,20 @@ class TestBoundsAnalysis:
 
     def test_equality_bounds_both_sides(self):
         ba = BoundsAnalysis(num_vars=1)
-        ba.add_eq({0: 1}, 7, tag="eq")
+        ba.add_eq(((0, 1),), 7, tag="eq")
         ba.propagate()
         assert ba.interval(0) == (7, 7)
 
     def test_unbounded_vars_do_not_block(self):
         ba = BoundsAnalysis(num_vars=2)
-        ba.add_le({0: 1, 1: 1}, 10)  # neither var bounded alone
+        ba.add_le(((0, 1), (1, 1)), 10)  # neither var bounded alone
         assert ba.propagate() is None
         assert ba.interval(0) == (None, None)
 
     def test_bounded_vars_listing(self):
         ba = BoundsAnalysis(num_vars=3)
-        ba.add_le({0: 1}, 5)
-        ba.add_le({2: -1}, 0)
+        ba.add_le(((0, 1),), 5)
+        ba.add_le(((2, -1),), 0)
         ba.propagate()
         assert ba.bounded_vars() == [0, 2]
 

@@ -307,6 +307,28 @@ class TestServiceEndToEnd:
         _serve_until_idle(str(tmp_path / "state"))
         assert handle.result().campaign_digest == baseline.campaign_digest
 
+    def test_restart_continues_the_dispatch_fault_plan(self, tmp_path):
+        # the pool break fires at the first lease; the service site stops
+        # the server at the second.  The restarted server restores the
+        # saved counters, so the break does not fire again: one retried
+        # job, as in an uninterrupted run
+        spec = _spec(max_runs=10)
+        state_dir = str(tmp_path / "state")
+        uninterrupted = str(tmp_path / "once")
+        ServiceClient(uninterrupted).submit(spec)
+        _serve_until_idle(uninterrupted, fault_plan="pool:at=1")
+        handle = ServiceClient(state_dir).submit(spec)
+        with pytest.raises(SearchInterrupted):
+            _serve_until_idle(state_dir, fault_plan="pool:at=1;service:at=2")
+        saved = ServiceState(state_dir).load_fault_state()
+        assert saved is not None and saved["plan"]["fired"] == {"pool": 1}
+        _serve_until_idle(state_dir, fault_plan="pool:at=1")
+        report = handle.result()
+        once = ServiceClient(uninterrupted).submit(spec).result()
+        assert report.campaign_digest == once.campaign_digest
+        assert [j.attempts for j in report.jobs] == [j.attempts for j in once.jobs]
+        assert sum(j.attempts > 1 for j in report.jobs) == 1
+
 
 # -- per-job deadlines on a served fleet --------------------------------------
 

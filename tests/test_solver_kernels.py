@@ -6,8 +6,8 @@
 - The integer-first simplex must give the verdicts, models, cores and
   pivot counts of the all-``Fraction`` simplex it replaced
   (``tests/_fraction_simplex.py``), and ``check_theory`` must answer as
-  it did on the ``LiaSolver`` built on that simplex
-  (``tests/_fraction_lia.py``).
+  the from-scratch ``check_theory`` did on the ``LiaSolver`` built on
+  that simplex (``tests/_fraction_lia.py``).
 """
 
 import random
@@ -324,34 +324,32 @@ def _random_literals(tm, rng, xs):
     return literals
 
 
-def _theory_outcome(tm, literals):
+def _theory_outcome(check, tm, literals):
     try:
-        return repr(check_theory(tm, literals))
+        return repr(check(tm, literals))
     except ResourceLimitError as exc:
         return repr(exc)
 
 
-def _compare_theory(monkeypatch, tm, literals):
-    got = _theory_outcome(tm, literals)
-    with monkeypatch.context() as m:
-        m.setattr("repro.solver.smt.LiaSolver", _fraction_lia.LiaSolver)
-        want = _theory_outcome(tm, literals)
+def _compare_theory(tm, literals):
+    got = _theory_outcome(check_theory, tm, literals)
+    want = _theory_outcome(_fraction_lia.reference_check_theory, tm, literals)
     assert got == want
     return got
 
 
 class TestCheckTheory:
-    def test_random_literal_sets(self, monkeypatch):
+    def test_random_literal_sets(self):
         tm = TermManager()
         xs = [tm.mk_var(f"x{i}") for i in range(4)]
         verdicts = set()
         for seed in range(300):
             rng = random.Random(seed)
-            got = _compare_theory(monkeypatch, tm, _random_literals(tm, rng, xs))
+            got = _compare_theory(tm, _random_literals(tm, rng, xs))
             verdicts.add(got[:6])
         assert {"(True,", "(False"} <= verdicts
 
-    def test_branch_and_bound(self, monkeypatch):
+    def test_branch_and_bound(self):
         # 3x - 2y = 1 with 0 <= x, y <= 5: the relaxation is fractional
         tm = TermManager()
         x, y = tm.mk_var("x"), tm.mk_var("y")
@@ -364,26 +362,26 @@ class TestCheckTheory:
             (tm.mk_le(y, tm.mk_int(5)), True),
             (tm.mk_le(tm.mk_add(x, y), tm.mk_int(2)), False),
         ]
-        assert _compare_theory(monkeypatch, tm, literals).startswith("(True,")
+        assert _compare_theory(tm, literals).startswith("(True,")
 
-    def test_disequality_batch_repair(self, monkeypatch):
+    def test_disequality_batch_repair(self):
         tm = TermManager()
         xs = [tm.mk_var(f"d{i}") for i in range(4)]
         zero = tm.mk_int(0)
         repaired = [(tm.mk_eq(x, zero), False) for x in xs]
-        assert _compare_theory(monkeypatch, tm, repaired).startswith("(True,")
+        assert _compare_theory(tm, repaired).startswith("(True,")
         # the batch's all-below guess fails on x + y = 0; fall back to splits
         fallback = repaired[:2] + [
             (tm.mk_eq(tm.mk_add(xs[0], xs[1]), zero), True),
         ]
-        assert _compare_theory(monkeypatch, tm, fallback).startswith("(True,")
+        assert _compare_theory(tm, fallback).startswith("(True,")
 
-    def test_resource_limit(self, monkeypatch):
+    def test_resource_limit(self):
         tm = TermManager()
         xs = [tm.mk_var(f"r{i}") for i in range(6)]
         zero = tm.mk_int(0)
         literals = [(tm.mk_eq(x, zero), False) for x in xs]
         literals += [(tm.mk_eq(tm.mk_add(*xs), zero), True)]
         with use_budget(DEFAULT_BUDGET.with_(max_branches=2)):
-            got = _compare_theory(monkeypatch, tm, literals)
+            got = _compare_theory(tm, literals)
         assert "ResourceLimitError" in got

@@ -8,13 +8,15 @@ variable numbering), check that a warm memo answers exactly like a cold
 one, and keep solver walks over deep linear terms free of recursion.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.errors import SortError
+from repro.errors import ResourceLimitError, SortError
 from repro.solver import (
+    LiaSolver,
     Kind,
     Solver,
     Sort,
@@ -23,7 +25,9 @@ from repro.solver import (
     evaluate,
     evaluate_with_oracle,
 )
+from repro.solver.lia import normalize_constraint
 from repro.solver.smt import check_theory, eliminate_int_ite
+from tests import _fraction_lia
 
 LEAVES = ("x", "y", "z", "hx")
 
@@ -287,3 +291,179 @@ class TestWalkOrder:
         conj = tm.mk_and(tm.mk_eq(fx, zero), tm.mk_eq(gx, tm.mk_int(1)))
         assert evaluate_with_oracle(conj, {"x": 4}, oracle) is False
         assert calls == ["f"]
+
+
+# -- compiled literals (TermManager.lia_literal) --------------------------------------
+
+
+def _outcome(check, tm, literals):
+    try:
+        return repr(check(tm, literals))
+    except ResourceLimitError as exc:
+        return repr(exc)
+
+
+def _random_literals(tm, rng):
+    """Literals over x0..x2 and h(x0): every (kind, polarity), common
+    coefficient factors (GCD-tightened and GCD-refuted equalities),
+    partly and wholly cancelled sides, and constant booleans."""
+    x = [tm.mk_var(f"x{i}") for i in range(3)]
+    leaves = x + [tm.mk_app(tm.mk_function("h", 1), [x[0]])]
+    literals = []
+    for _ in range(rng.randint(1, 7)):
+        if rng.random() < 0.08:
+            literals.append((rng.choice([tm.true_, tm.false_]), rng.random() < 0.5))
+            continue
+        factor = rng.choice([1, 1, 2, 3])
+        terms = [
+            tm.mk_mul(tm.mk_int(factor * rng.choice([-2, -1, 1, 2])), leaf)
+            for leaf in rng.sample(leaves, rng.randint(1, 3))
+        ]
+        lhs = tm.mk_add(*terms) if len(terms) > 1 else terms[0]
+        const = tm.mk_int(rng.randint(-7, 7))
+        shape = rng.random()
+        if shape < 0.15:  # every leaf cancels
+            rhs = tm.mk_add(lhs, const)
+        elif shape < 0.35:  # the first leaf cancels
+            rhs = tm.mk_add(terms[0], rng.choice(leaves), const)
+        else:
+            rhs = const
+        atom = rng.choice([tm.mk_eq, tm.mk_le, tm.mk_lt])(lhs, rhs)
+        literals.append((atom, rng.random() < 0.5))
+    for v in x:
+        literals.append((tm.mk_le(v, tm.mk_int(12)), True))
+        literals.append((tm.mk_le(tm.mk_int(-12), v), True))
+    return literals
+
+
+def _rows(lia):
+    return [
+        (c.coeffs, c.op, int(c.const), c.tag)
+        for c in lia._les + lia._eqs + lia._diseqs
+    ]
+
+
+class TestCompiledLiterals:
+    def test_matches_from_scratch_reference_cold_and_warm(self):
+        seen_ops = set()
+        for seed in range(400):
+            tm = TermManager()
+            literals = _random_literals(tm, random.Random(seed))
+            live = _outcome(_fraction_lia.reference_check_theory_live, tm, literals)
+            fraction = _outcome(_fraction_lia.reference_check_theory, tm, literals)
+            assert tm._lia_literals == {}
+            cold = _outcome(check_theory, tm, literals)
+            warm = _outcome(check_theory, tm, literals)
+            assert cold == warm == live == fraction, seed
+            for (atom, pol), (leaves, op, pairs, const, tag) in tm._lia_literals.items():
+                assert tag == (atom, pol)
+                assert [tid for tid, _ in leaves] == [
+                    leaf.tid for leaf, _ in tm.linear_atom(atom)[0]
+                ]
+                seen_ops.add((atom.kind, pol, op))
+                by_tid = {leaf.tid: c for leaf, c in tm.linear_atom(atom)[0]}
+                if 0 in by_tid.values():
+                    seen_ops.add("cancelled")
+                if op == "=" and any(by_tid[tid] != c for tid, c in pairs):
+                    seen_ops.add("gcd-tightened")
+                if (atom.kind, pol, op) == (Kind.EQ, True, "false") and any(
+                    by_tid.values()
+                ):
+                    seen_ops.add("gcd-refuted")
+        forms = [o for o in seen_ops if isinstance(o, tuple)]
+        assert {(k, p) for k, p, _ in forms} == {
+            (k, p) for k in (Kind.EQ, Kind.LE, Kind.LT) for p in (True, False)
+        }
+        ops = {op for _, _, op in forms}
+        assert ops == {"<=", "=", "!=", "true", "false"}
+        assert {"cancelled", "gcd-tightened", "gcd-refuted"} <= seen_ops
+
+    def test_constant_boolean_literals(self):
+        tm = TermManager()
+        x = tm.mk_var("x")
+        bound = (tm.mk_le(x, tm.mk_int(3)), True)
+        assert check_theory(tm, [(tm.true_, True), bound])[0]
+        assert check_theory(tm, [(tm.false_, False), bound])[0]
+        assert check_theory(tm, [bound, (tm.false_, True)]) == (
+            False, [(tm.false_, True)], {}
+        )
+        assert (tm.false_, True) not in tm._lia_literals
+
+    def test_normal_forms_match_the_reference_intake(self):
+        ops = {"le": "<=", "ge": ">=", "lt": "<", "gt": ">", "eq": "=", "diseq": "!="}
+        for seed in range(600):
+            rng = random.Random(seed)
+            coeffs = {v: rng.choice([0, -6, -3, -2, 1, 2, 3, 4, 6])
+                      for v in range(3) if rng.random() < 0.8}
+            const = rng.randint(-9, 9)
+            name = rng.choice(sorted(ops))
+            live, ref = LiaSolver(), _fraction_lia.LiaSolver()
+            for lia in (live, ref):
+                getattr(lia, f"add_{name}")(coeffs, const, tag="t")
+            assert _rows(live) == _rows(ref), (name, coeffs, const)
+            assert live._trivially_unsat == ref._trivially_unsat
+            op = normalize_constraint(ops[name], coeffs.items(), const)[0]
+            assert (op in ("true", "false")) == (not _rows(live))
+
+    def test_managers_never_share_compiled_literals(self):
+        tm1, tm2 = TermManager(), TermManager()
+        lits1 = _random_literals(tm1, random.Random(3))
+        check_theory(tm1, lits1)
+        assert tm1._lia_literals and tm2._lia_literals == {}
+        lits2 = _random_literals(tm2, random.Random(3))
+        assert _outcome(check_theory, tm2, lits2) == _outcome(check_theory, tm1, lits1)
+        assert not set(map(id, tm1._lia_literals.values())) & set(
+            map(id, tm2._lia_literals.values())
+        )
+        assert all(key not in tm2._lia_literals for key in tm1._lia_literals)
+
+
+class _ParentPathSession(SolverSession):
+    """Asserts functional-consistency constraints the long way, through
+    ITE elimination and purification, as sessions used to."""
+
+    def _assert_pure(self, frame, formula):
+        self._assert_into(frame, formula)
+
+
+def _sample_heavy_session(cls):
+    """A sample antecedent ``h(7i) = 13i mod 50`` plus a probe that
+    applies ``h`` to symbolic arguments; the frames and the answer."""
+    tm = TermManager()
+    h = tm.mk_function("h", 1)
+    x, y = tm.mk_var("x"), tm.mk_var("y")
+    samples = [
+        tm.mk_eq(tm.mk_app(h, [tm.mk_int(7 * i)]), tm.mk_int(13 * i % 50))
+        for i in range(24)
+    ]
+    hx = tm.mk_app(h, [x])
+    probe = tm.mk_and(
+        tm.mk_eq(hx, tm.mk_add(y, tm.mk_int(1))),
+        tm.mk_le(tm.mk_app(h, [tm.mk_add(y, tm.mk_int(3))]), tm.mk_int(20)),
+        tm.mk_le(tm.mk_ite(tm.mk_le(x, y), x, y), tm.mk_int(60)),
+    )
+    session = cls(tm)
+    session.assert_base(tm.mk_and(*samples))
+    session.push()
+    session.assert_term(probe)
+    result = session.check(tm.mk_le(tm.mk_int(10), x))
+    frames = [
+        (
+            [t.tid for t in frame.original],
+            list(frame.int_vars),
+            sorted(t.tid for t in frame.atoms),
+        )
+        for frame in [session._base] + session._scopes
+    ]
+    return frames, session._sat.num_vars(), tm.num_terms, result.sat, str(result.model)
+
+
+class TestDirectConsistencyConstraints:
+    def test_same_frames_sat_variables_and_terms_as_the_long_path(self):
+        direct = _sample_heavy_session(SolverSession)
+        assert direct == _sample_heavy_session(_ParentPathSession)
+        frames, _, _, sat, _ = direct
+        assert sat
+        # the probe frame: two ITE side conditions, h(x) against the 24
+        # samples, h(y + 3) against them and h(x), then the probe
+        assert len(frames[1][0]) == 2 + 24 + 25 + 1
