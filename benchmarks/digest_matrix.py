@@ -23,7 +23,11 @@ The table covers every pair of axis values; the pairs the CLI cannot
 express are listed in :data:`EXCLUDED` with the reason, and every cell
 covers some pair no other cell does.  Three fixed single runs
 (:data:`CHAOS_ROWS`) pin the degradation ladder and the escalated retry
-under :data:`CHAOS_PLAN`.
+under :data:`CHAOS_PLAN`.  The app rows (:data:`APP_ROWS`) pin the
+solver-heavy searches of ``benchmarks/solver_answers.py`` (lexer,
+CRC protocol and tinyvm requests, whose queries are many and
+uncached): each runs that app's requests through the script's
+``run_requests`` in this process and checks their suite digests.
 
 Each cell checks its campaign digest (and, under dfs, every per-job
 suite digest) against the pin file, 0 failed and 0 quarantined jobs,
@@ -52,6 +56,7 @@ Exits 1, naming every failing cell, when any check fails.
 from __future__ import annotations
 
 import glob
+import importlib.util
 import json
 import os
 import re
@@ -65,6 +70,7 @@ from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PINS_PATH = os.path.join(REPO, "benchmarks", "paper_suite_digests.json")
+ANSWERS_PATH = os.path.join(REPO, "benchmarks", "solver_answers.py")
 ENV = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
 
 HANG_POOL = "hang:at=2;pool:at=1"
@@ -118,6 +124,9 @@ CELLS = (
 #: `repro run examples/programs/<name>.minic` under CHAOS_PLAN
 CHAOS_ROWS = ("foo", "chain3", "div_guard")
 
+#: apps whose `solver_answers.run_requests` searches are pinned
+APP_ROWS = ("lexer", "protocol", "tinyvm")
+
 PinKey = Tuple[str, str]
 
 
@@ -131,6 +140,12 @@ def cell_pins(cell: Cell, pins: Dict) -> List[PinKey]:
 
 def chaos_pins(name: str) -> List[PinKey]:
     return [("chaos_runs", name)]
+
+
+def app_pins(app: str, pins: Dict) -> List[PinKey]:
+    """The ``solver_searches`` pins of one app's requests."""
+    return [("solver_searches", name) for name in pins["solver_searches"]
+            if name.split("/")[0] == app]
 
 
 class CheckFailed(Exception):
@@ -326,6 +341,18 @@ def run_chaos_row(name: str, work: str) -> Dict[PinKey, str]:
     return {("chaos_runs", name): found.group(1) if found else None}
 
 
+def run_app_row(keys: List[PinKey]) -> Dict[PinKey, str]:
+    spec = importlib.util.spec_from_file_location("solver_answers", ANSWERS_PATH)
+    answers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(answers)
+    try:
+        digests = answers.run_requests(answers.Recorder(),
+                                       [name for _, name in keys])
+    except Exception as exc:
+        raise CheckFailed(f"{type(exc).__name__}: {exc}") from None
+    return {("solver_searches", name): d for name, d in digests.items()}
+
+
 def main() -> int:
     with open(PINS_PATH, "r", encoding="utf-8") as handle:
         pins = json.load(handle)
@@ -342,6 +369,10 @@ def main() -> int:
             (f"chaos {name} under {CHAOS_PLAN}", chaos_pins(name),
              partial(run_chaos_row, name, work))
             for name in CHAOS_ROWS
+        ] + [
+            (f"app {app} solver_answers searches", app_pins(app, pins),
+             partial(run_app_row, app_pins(app, pins)))
+            for app in APP_ROWS
         ]
         for label, keys, run in rows:
             row_start = time.perf_counter()
@@ -358,7 +389,8 @@ def main() -> int:
                 continue
             print(f"{label}  {digests[keys[0]]}  ok "
                   f"({time.perf_counter() - row_start:.1f}s)", flush=True)
-    print(f"{len(CELLS)} cells + {len(CHAOS_ROWS)} chaos rows in "
+    print(f"{len(CELLS)} cells + {len(CHAOS_ROWS)} chaos rows + "
+          f"{len(APP_ROWS)} app rows in "
           f"{time.perf_counter() - start:.1f}s")
     for failure in failures:
         print(f"FAIL {failure}")

@@ -26,9 +26,16 @@ Usage::
     PYTHONPATH=src python benchmarks/solver_answers.py
     PYTHONPATH=src python benchmarks/solver_answers.py --json answers.json
 
-It prints one line per record kind (its count) and then ``answers
-digest: <sha256>``.  ``--json PATH`` also writes the counts and the
-digest as JSON.  The digest must not depend on ``PYTHONHASHSEED``.
+It prints one line per record kind (its count and the SHA-256 of that
+kind's records alone, so a change that moves solver internals but no
+suite shows which kinds moved) and then ``answers digest: <sha256>``
+over every record.  ``--json PATH`` also writes the counts, the
+per-kind digests, each search's suite digest by name and the combined
+digest as JSON.  No digest may depend on ``PYTHONHASHSEED``.
+
+``benchmarks/digest_matrix.py`` reuses :func:`run_requests` to check
+the searches' suite digests against the ``solver_searches`` pins of
+``benchmarks/paper_suite_digests.json``.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import os
 import random
 import sys
 from collections import Counter
-from typing import Callable, Dict, List
+from typing import Callable, Collection, Dict, List, Optional
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -86,16 +93,23 @@ class Recorder:
     def __init__(self) -> None:
         self.counts: Counter = Counter()
         self._sha = hashlib.sha256()
+        self._kind_sha: Dict[str, "hashlib._Hash"] = {}
 
     def record(self, kind: str, payload: object) -> None:
         self.counts[kind] += 1
         line = json.dumps([kind, _plain(payload)], separators=(",", ":"))
-        self._sha.update(line.encode())
-        self._sha.update(b"\n")
+        data = line.encode() + b"\n"
+        self._sha.update(data)
+        self._kind_sha.setdefault(kind, hashlib.sha256()).update(data)
 
     @property
     def digest(self) -> str:
         return self._sha.hexdigest()
+
+    def kind_digests(self) -> Dict[str, str]:
+        """One digest per record kind, over that kind's records alone."""
+        return {kind: sha.hexdigest()
+                for kind, sha in sorted(self._kind_sha.items())}
 
     def _call(self, kind: str, run: Callable[[], object],
               render: Callable[[object], object]) -> object:
@@ -184,22 +198,33 @@ def _search(app, inputs: Dict[str, int], max_runs: int, scheduler: str):
         )
 
 
-def run_requests(recorder: Recorder) -> List[str]:
-    """Run the fixed requests; returns their suite digests."""
+def run_requests(recorder: Recorder,
+                 names: Optional[Collection[str]] = None) -> Dict[str, str]:
+    """Run the fixed requests; their suite digests by name.
+
+    Names are ``lexer/<index>`` and ``protocol/<index>`` for the
+    :data:`LEXER_REQUESTS` and ``tinyvm``.  ``names`` runs only those
+    requests (each search has its own query cache, so a subset answers
+    as it does in the full run).
+    """
     lexer, protocol = build_lexer_program(), build_protocol_app()
     tinyvm = build_tinyvm_app()
-    digests = []
+    requests = []
     for index in LEXER_REQUESTS:
         word = lexer_word(index)
-        results = [
-            _search(lexer, lexer.initial_inputs(word), 120, "dfs"),
-            _search(protocol, protocol.initial_inputs(), 80, "dfs"),
+        requests += [
+            (f"lexer/{index}", lexer, lexer.initial_inputs(word), 120, "dfs"),
+            (f"protocol/{index}", protocol, protocol.initial_inputs(), 80,
+             "dfs"),
         ]
-        digests.extend(api.suite_digest(r) for r in results)
-    digests.append(api.suite_digest(_search(
-        tinyvm, tinyvm.initial_inputs(TINYVM_OPCODES), 100, "generational"
-    )))
-    for digest in digests:
+    requests.append(("tinyvm", tinyvm, tinyvm.initial_inputs(TINYVM_OPCODES),
+                     100, "generational"))
+    digests = {
+        name: api.suite_digest(_search(app, inputs, max_runs, scheduler))
+        for name, app, inputs, max_runs, scheduler in requests
+        if names is None or name in names
+    }
+    for digest in digests.values():
         recorder.record("search", digest)
     return digests
 
@@ -212,15 +237,17 @@ def main(argv: List[str] = None) -> int:
     recorder = Recorder()
     undo = recorder.install()
     try:
-        run_requests(recorder)
+        searches = run_requests(recorder)
     finally:
         undo()
+    kinds = recorder.kind_digests()
     for kind in sorted(recorder.counts):
-        print(f"{kind:8s} {recorder.counts[kind]}")
+        print(f"{kind:8s} {recorder.counts[kind]:6d} {kinds[kind]}")
     print(f"answers digest: {recorder.digest}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"counts": dict(sorted(recorder.counts.items())),
+                       "kinds": kinds, "searches": searches,
                        "digest": recorder.digest}, fh, indent=2)
             fh.write("\n")
     return 0

@@ -83,4 +83,6 @@ class TestMatrixTable:
             checked.update(matrix.cell_pins(cell, pins))
         for name in matrix.CHAOS_ROWS:
             checked.update(matrix.chaos_pins(name))
+        for app in matrix.APP_ROWS:
+            checked.update(matrix.app_pins(app, pins))
         assert checked == all_pins
