@@ -27,7 +27,7 @@ __getattr__, __dir__ = lazy_exports(
             "QueryCache", "default_cache", "set_default_cache", "use_cache",
         ],
         ".session": ["PrefixSession", "SolverSession"],
-        ".smt": ["Solver", "Model", "CheckResult", "ackermannize"],
+        ".smt": ["Solver", "Model", "CheckResult"],
         ".evalmodel": ["evaluate", "evaluate_with_oracle"],
         ".nnf": ["atoms_of", "conjunctive_branches", "to_nnf"],
         ".printer": [
@@ -70,7 +70,6 @@ __all__ = [
     "Solver",
     "Model",
     "CheckResult",
-    "ackermannize",
     "evaluate",
     "QueryCache",
     "default_cache",

@@ -12,9 +12,9 @@ queries from any other.
 
 Determinism contract
 --------------------
-Only **stateless** solves are cached: a fresh :class:`~repro.solver.smt.Solver`
-re-encodes its query from scratch, so its answer is a pure function of the
-canonical key.  A hit therefore returns exactly what a cold solve would
+Only **stateless** solves are cached: each :class:`~repro.solver.smt.Solver`
+miss solves its query on a fresh :class:`~repro.solver.session.SolverSession`
+with no history, so its answer is a pure function of the canonical key.  A hit therefore returns exactly what a cold solve would
 have computed, which makes cache *population order* unobservable — the
 property campaigns rely on for reproducible output regardless of worker
 count and of what a shared disk cache already holds.  Incremental sessions

@@ -23,8 +23,9 @@ class CnfConverter:
 
     Each distinct theory atom (``=``, ``<=``, ``<`` nodes and boolean
     variables) is assigned one SAT variable.  Internal connectives get
-    Tseitin definition variables.  Asserting a formula adds its definition
-    clauses plus a unit clause for its root literal.
+    Tseitin definition variables.  :meth:`literal_for` adds a formula's
+    definition clauses and returns its root literal; the caller asserts
+    it (unguarded, or guarded by a session frame's activation literal).
     """
 
     def __init__(self, manager: TermManager, sat: SatSolver) -> None:
@@ -44,13 +45,6 @@ class CnfConverter:
     def atom_of(self, svar: int) -> Optional[Term]:
         """The theory atom encoded by SAT variable ``svar``, if any."""
         return self._svar_to_atom.get(svar)
-
-    def assert_formula(self, formula: Term) -> None:
-        """Encode ``formula`` and assert it as true."""
-        if formula.sort is not Sort.BOOL:
-            raise SolverError(f"cannot assert non-boolean term {formula}")
-        lit = self._encode(formula)
-        self._sat.add_clause([lit])
 
     def literal_for(self, formula: Term) -> int:
         """Encode ``formula`` and return a literal equivalent to its truth."""

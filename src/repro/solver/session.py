@@ -1,14 +1,12 @@
-"""Incremental solver sessions: one SAT solver reused across related queries.
+"""Solver sessions: the one DPLL(T) engine, one SAT solver per session.
 
-The from-scratch :class:`~repro.solver.smt.Solver` re-encodes every query,
-which is robust but wasteful when one caller asks many related questions:
-a validity check verifies several candidate strategies against one
-antecedent, and sibling branch flips share almost their entire
-path-constraint prefix.  A :class:`SolverSession` keeps the CDCL solver,
-the Tseitin encoding, the integer-ITE eliminations and the Ackermann
-reduction alive across checks, so each new query only pays for its
-delta — and theory lemmas learned by earlier queries keep pruning later
-ones.
+A :class:`SolverSession` encodes its assertions once and keeps the CDCL
+solver, the Tseitin encoding, the integer-ITE eliminations and the
+Ackermann reduction alive across checks, so each new query only pays for
+its delta — and theory lemmas learned by earlier queries keep pruning
+later ones.  It is the only encoder: a stateless
+:class:`~repro.solver.smt.Solver` check that misses the query cache
+solves its whole goal as the base frame of one fresh session.
 
 Scoping uses the standard activation-literal technique: each pushed frame
 gets a fresh SAT variable ``act`` and all its root clauses are guarded as
@@ -24,9 +22,9 @@ What does survive pops: Tseitin definitions (pure definitions, globally
 satisfiable) and theory-conflict lemmas (valid facts about arithmetic) —
 that retention is the point of the exercise.
 
-The session runs the same lazy DPLL(T) loop and model builder as the
-stateless solver (:func:`~repro.solver.smt.solve_lazily`,
-:func:`~repro.solver.smt.build_model`): its live frames' activation
+A check runs the one lazy DPLL(T) loop and model builder
+(:func:`~repro.solver.smt.solve_lazily`,
+:func:`~repro.solver.smt.build_model`): the live frames' activation
 literals are the assumptions, their theory atoms the live-atom set, and
 every SAT answer is verified against all live assertions, extras
 included.
@@ -38,18 +36,20 @@ are checked against it as deltas.
 Because the answer to an incremental check depends on session history
 (learned lemmas steer which model comes back first), sessions are *not*
 routed through the normalized query cache in :mod:`repro.solver.cache`;
-only stateless :class:`~repro.solver.smt.Solver` checks are.  See
+only stateless :class:`~repro.solver.smt.Solver` checks are, and each of
+their misses solves on a session with no history.  See
 ``docs/PERFORMANCE.md`` for the determinism argument.
 
 Session activity is counted in the default metrics registry as
 ``solver.session.push`` / ``solver.session.pop`` / ``solver.session.checks``
-plus the ``solver.session.reuse_depth`` histogram maintained by
+(calls of :meth:`SolverSession.check`) plus the
+``solver.session.reuse_depth`` histogram maintained by
 :class:`PrefixSession`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SolverError
 from ..faults import current_fault_plan
@@ -57,17 +57,67 @@ from ..obs.metrics import default_registry
 from .budget import current_budget
 from .cnf import CnfConverter
 from .sat import SatSolver
-from .smt import (
-    CheckResult,
-    Model,
-    eliminate_int_ite,
-    int_var_names,
-    observe_check,
-    solve_lazily,
-)
+from .smt import CheckResult, Model, observe_check, solve_lazily
 from .terms import FunctionSymbol, Kind, Sort, Term, TermManager
 
 __all__ = ["SolverSession", "PrefixSession"]
+
+def eliminate_int_ite(
+    tm: TermManager, term: Term, cache: Dict[Term, Term], owned: List[Term]
+) -> Tuple[Term, List[Term]]:
+    """Pull integer-sorted ITE nodes out of ``term``.
+
+    Each ``ite(c, a, b) : Int`` becomes a fresh variable ``v`` with side
+    conditions ``c => v = a`` and ``not c => v = b``.  Returns the rewritten
+    term and the side conditions (which the caller must also assert).
+    ``cache`` is the session-wide rewrite memo; the subterms this call
+    rewrites to something other than themselves are appended to ``owned``.
+    """
+    sides: List[Term] = []
+    # explicit stack, so depth is unbounded; children are rewritten before
+    # parents and left to right, the order that numbers the fresh variables
+    stack: List[Tuple[Term, bool]] = [(term, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            new_args = tuple(cache[a] for a in t.args)
+            if t.kind is Kind.ITE and t.sort is Sort.INT:
+                cond, then_t, else_t = new_args
+                result = tm.fresh_var("_ite")
+                sides.append(tm.mk_implies(cond, tm.mk_eq(result, then_t)))
+                sides.append(
+                    tm.mk_implies(tm.mk_not(cond), tm.mk_eq(result, else_t))
+                )
+            elif new_args == t.args:
+                result = t
+            else:
+                result = tm._rebuild(t, new_args)
+            cache[t] = result
+            if result is not t:
+                owned.append(t)
+        elif t not in cache:
+            if not t.args:
+                cache[t] = t
+                continue
+            stack.append((t, True))
+            for child in reversed(t.args):
+                if child not in cache:
+                    stack.append((child, False))
+    return cache[term], sides
+
+
+def int_var_names(formulas: Iterable[Term]) -> Iterator[str]:
+    """Names of the named integer variables of ``formulas``.
+
+    In one :meth:`~repro.solver.terms.Term.iter_dag` walk shared by the
+    formulas, so each name comes once, in the order the model lists it.
+    """
+    seen: Set[int] = set()
+    for f in formulas:
+        for t in f.iter_dag(seen):
+            if t.kind is Kind.VAR and t.sort is Sort.INT and t.name is not None:
+                yield t.name
+
 
 #: atom kinds the lazy loop hands to the theory solver
 _THEORY_KINDS = frozenset({Kind.EQ, Kind.LE, Kind.LT, Kind.DISTINCT})
@@ -143,10 +193,11 @@ class SolverSession:
 
     Base assertions are only allowed at depth 0 (a base formula added above
     a live scope could capture that scope's rewrite definitions, which die
-    with it).  Unlike :class:`~repro.solver.smt.Solver`, answers may depend
-    on what was solved earlier in the session (learned lemmas bias model
-    search), so results are reproducible only when the sequence of session
-    operations is itself reproducible.
+    with it).  Answers may depend on what was solved earlier in the
+    session (learned lemmas bias model search), so results are
+    reproducible only when the sequence of session operations is itself
+    reproducible; a :class:`~repro.solver.smt.Solver` miss, one base
+    frame solved once, has no such history.
     """
 
     def __init__(self, manager: Optional[TermManager] = None) -> None:
@@ -265,13 +316,20 @@ class SolverSession:
         self._sat.add_clause([-frame.act, lit] if frame.act else [lit])
 
     def _ackermannize(self, frame: _Frame, term: Term, apps: List[Term]) -> Term:
-        """Register ``term``'s new UF applications and purify ``term``.
+        """Ackermann's reduction: register ``term``'s new UF applications
+        and purify ``term``.
 
         ``apps`` holds every application in ``term``.  New ones get fresh
         variables plus functional-consistency constraints against every live
-        application of the same symbol; the constraints are owned by
-        ``frame`` (the newer of the two frames involved in any pair), so
-        they die no earlier than either endpoint.
+        application of the same symbol::
+
+            (arg1 = arg1' and ... and argN = argN') => a_i = a_j
+
+        Applications are registered innermost first (by term id: children
+        are always older), so the arguments of ``h(h(x))`` and the
+        constraints compare the inner application's variable.  The
+        constraints are owned by ``frame`` (the newer of the two frames
+        involved in any pair), so they die no earlier than either endpoint.
         """
         if not apps:
             return term  # nothing to register or replace
@@ -281,7 +339,8 @@ class SolverSession:
         )
         constraints: List[Term] = []
         # an application's arguments hold only applications mapped before
-        # it, so one memo serves the arguments and ``term`` (see ackermannize)
+        # it, so one memo serves the arguments and ``term``: no memo entry
+        # is ever computed against an incomplete mapping
         memo: Dict[Term, Term] = {}
         for app in new_apps:
             assert app.fn is not None

@@ -7,18 +7,22 @@ library:
 - :mod:`.terms` — hash-consed formula representation,
 - :mod:`.cnf` + :mod:`.sat` — boolean reasoning (CDCL),
 - :mod:`.lia` — conjunctive linear integer arithmetic,
-- Ackermann's reduction — uninterpreted functions become fresh integer
-  variables plus functional-consistency constraints, a classical complete
-  encoding of EUF into equality logic for quantifier-free formulas.
+- :mod:`.session` — the one encoder: integer-ITE elimination, Ackermann's
+  reduction (uninterpreted functions become fresh integer variables plus
+  functional-consistency constraints, a classical complete encoding of
+  EUF into equality logic for quantifier-free formulas) and Tseitin
+  encoding, frame by frame.
 
 The check loop is *lazy SMT*: the SAT solver proposes boolean models, the
 LIA solver refutes theory-inconsistent ones with blocking clauses built from
 conflict cores, until either a theory-consistent model emerges or the
 boolean abstraction is exhausted.  There is one such loop,
-:func:`solve_lazily`, and one model builder, :func:`build_model`; the
-stateless :class:`Solver` and the incremental
-:class:`~repro.solver.session.SolverSession` both call them, and both
-record their checks through :func:`observe_check`.
+:func:`solve_lazily`, and one model builder, :func:`build_model`, both
+run by :class:`~repro.solver.session.SolverSession`.  The stateless
+:class:`Solver` is a front over the normalized query cache: a miss solves
+its whole goal as the base frame of one fresh session, so its answer is a
+pure function of the goal.  Both record their checks through
+:func:`observe_check`, a :class:`Solver` check once, as ``"smt"``.
 
 Every satisfiable answer is *verified* by evaluating the whole goal under
 the constructed model (see :mod:`.evalmodel`): the assertions and the
@@ -29,18 +33,15 @@ wrong test input.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Container,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -50,7 +51,7 @@ from ..errors import ResourceLimitError, SolverError
 from ..faults import current_fault_plan
 from ..obs.journal import current_journal
 from ..obs.metrics import default_registry
-from .budget import current_budget
+from .budget import current_budget, use_budget
 from .cache import CachedResult, default_cache
 from .cnf import CnfConverter
 from .lia import LiaSolver
@@ -65,7 +66,7 @@ from .terms import (
     canonical_query,
 )
 
-__all__ = ["Solver", "Model", "CheckResult", "ackermannize", "check_theory"]
+__all__ = ["Solver", "Model", "CheckResult", "check_theory"]
 
 
 @dataclass
@@ -112,122 +113,6 @@ class CheckResult:
     model: Optional[Model] = None
     #: Number of lazy-loop iterations (SAT models proposed).
     iterations: int = 0
-
-
-def eliminate_int_ite(
-    tm: TermManager,
-    term: Term,
-    cache: Optional[Dict[Term, Term]] = None,
-    owned: Optional[List[Term]] = None,
-) -> Tuple[Term, List[Term]]:
-    """Pull integer-sorted ITE nodes out of ``term``.
-
-    Each ``ite(c, a, b) : Int`` becomes a fresh variable ``v`` with side
-    conditions ``c => v = a`` and ``not c => v = b``.  Returns the rewritten
-    term and the side conditions (which the caller must also assert).
-    ``cache`` may be shared across calls (an incremental session keeps one);
-    when ``owned`` is given, the subterms this call rewrites to something
-    other than themselves are appended to it.
-    """
-    sides: List[Term] = []
-    if cache is None:
-        cache = {}
-    # explicit stack, so depth is unbounded; children are rewritten before
-    # parents and left to right, the order that numbers the fresh variables
-    stack: List[Tuple[Term, bool]] = [(term, False)]
-    while stack:
-        t, expanded = stack.pop()
-        if expanded:
-            new_args = tuple(cache[a] for a in t.args)
-            if t.kind is Kind.ITE and t.sort is Sort.INT:
-                cond, then_t, else_t = new_args
-                result = tm.fresh_var("_ite")
-                sides.append(tm.mk_implies(cond, tm.mk_eq(result, then_t)))
-                sides.append(
-                    tm.mk_implies(tm.mk_not(cond), tm.mk_eq(result, else_t))
-                )
-            elif new_args == t.args:
-                result = t
-            else:
-                result = tm._rebuild(t, new_args)
-            cache[t] = result
-            if owned is not None and result is not t:
-                owned.append(t)
-        elif t not in cache:
-            if not t.args:
-                cache[t] = t
-                continue
-            stack.append((t, True))
-            for child in reversed(t.args):
-                if child not in cache:
-                    stack.append((child, False))
-    return cache[term], sides
-
-
-def ackermannize(
-    tm: TermManager, formulas: Sequence[Term]
-) -> Tuple[List[Term], Dict[Term, Term], List[Term]]:
-    """Ackermann's reduction: replace UF applications by fresh variables.
-
-    Returns ``(rewritten_formulas, app_to_var, consistency_constraints)``.
-    Applications are processed innermost-first so that nested applications
-    like ``h(h(x))`` are handled correctly: the outer application's argument
-    list refers to the *rewritten* inner application variable, and the
-    functional-consistency constraints compare rewritten arguments.
-
-    For every pair of applications of the same symbol::
-
-        (arg1 = arg1' and ... and argN = argN') => a_i = a_j
-    """
-    # Collect all applications across all formulas in one DAG walk,
-    # innermost first (by the manager's creation order: children always
-    # have smaller ids).
-    seen: Set[int] = set()
-    apps = [t for f in formulas for t in f.iter_dag(seen) if t.is_app]
-    apps.sort(key=lambda t: t.tid)
-
-    app_to_var: Dict[Term, Term] = {}
-    rewritten_args: Dict[Term, Tuple[Term, ...]] = {}
-    mapping: Dict[Term, Term] = {}
-    # one rewrite memo for the arguments and the formulas: an application's
-    # arguments hold only older applications, all mapped before it, so no
-    # memo entry is ever computed against an incomplete mapping
-    memo: Dict[Term, Term] = {}
-    for app in apps:
-        new_args = tuple(tm.substitute(a, mapping, memo) for a in app.args)
-        assert app.fn is not None
-        var = tm.fresh_var(f"_app_{app.fn.name}_")
-        app_to_var[app] = var
-        rewritten_args[app] = new_args
-        mapping[app] = var
-
-    constraints: List[Term] = []
-    by_fn: Dict[FunctionSymbol, List[Term]] = {}
-    for app in apps:
-        assert app.fn is not None
-        by_fn.setdefault(app.fn, []).append(app)
-    for fn, fn_apps in by_fn.items():
-        for a1, a2 in itertools.combinations(fn_apps, 2):
-            args1, args2 = rewritten_args[a1], rewritten_args[a2]
-            if any(
-                x is not y and x.is_const and y.is_const
-                for x, y in zip(args1, args2)
-            ):
-                # Some argument position holds two distinct constants, so the
-                # implication's antecedent folds to false and the constraint
-                # is vacuously true — skip building it.  Recorded samples
-                # apply functions to concrete points, so almost every pair is
-                # of this shape.
-                continue
-            arg_eqs = [tm.mk_eq(x, y) for x, y in zip(args1, args2)]
-            constraints.append(
-                tm.mk_implies(
-                    tm.mk_and(*arg_eqs), tm.mk_eq(app_to_var[a1], app_to_var[a2])
-                )
-            )
-
-    new_formulas = [tm.substitute(f, mapping, memo) for f in formulas]
-    return new_formulas, app_to_var, constraints
 
 
 def check_theory(
@@ -289,7 +174,7 @@ def solve_lazily(
     int_vars: Iterable[str],
     goal: Sequence[Term],
 ) -> CheckResult:
-    """The lazy DPLL(T) loop of :class:`Solver` and the session.
+    """The lazy DPLL(T) loop of :class:`~repro.solver.session.SolverSession`.
 
     The SAT solver proposes a boolean model under ``assumptions``;
     :func:`check_theory` either accepts its arithmetic literals among
@@ -337,19 +222,6 @@ def solve_lazily(
         sat.add_clause(blocking)
 
 
-def int_var_names(formulas: Iterable[Term]) -> Iterator[str]:
-    """Names of the named integer variables of ``formulas``.
-
-    In one :meth:`~repro.solver.terms.Term.iter_dag` walk shared by the
-    formulas, so each name comes once, in the order the model lists it.
-    """
-    seen: Set[int] = set()
-    for f in formulas:
-        for t in f.iter_dag(seen):
-            if t.kind is Kind.VAR and t.sort is Sort.INT and t.name is not None:
-                yield t.name
-
-
 def build_model(
     sat_model: Dict[int, bool],
     cnf: CnfConverter,
@@ -361,8 +233,9 @@ def build_model(
     """The user-facing model of a theory-consistent SAT answer.
 
     Integer values cover every name of ``int_vars`` (the named integer
-    variables of the ITE-free formulas, in :func:`int_var_names` order)
-    and then the rest of ``int_model``; each ``(application, Ackermann variable)`` pair of ``app_vars`` becomes
+    variables of the ITE-free formulas, in the order the session's frames
+    recorded them) and then the rest of ``int_model``; each
+    ``(application, Ackermann variable)`` pair of ``app_vars`` becomes
     a UF table entry.  Every formula of ``goal`` is evaluated under the
     model while the ``_app_``/``_ite``/``_t`` helpers are still in it (a
     failure raises :class:`~repro.errors.SolverError`); then they are
@@ -485,7 +358,7 @@ def cache_entry_to_result(entry: CachedResult, cq: CanonicalQuery) -> CheckResul
 
 
 class Solver:
-    """Incremental-feeling SMT solver for QF linear integer arithmetic + EUF.
+    """SMT solver for QF linear integer arithmetic + EUF.
 
     Usage::
 
@@ -497,26 +370,16 @@ class Solver:
         result = s.check()
         assert result.sat
 
-    ``push``/``pop`` provide assertion scoping; each :meth:`check` call
-    re-encodes from scratch (simple and robust at this project's scale).
-    Iteration and conflict limits come from the ambient
+    A front over the normalized query cache: each miss solves its goal
+    on one fresh :class:`~repro.solver.session.SolverSession`.  Iteration
+    and conflict limits come from the
     :func:`~repro.solver.budget.current_budget` at construction.
     """
 
-    def __init__(
-        self,
-        manager: Optional[TermManager] = None,
-        verify_models: bool = True,
-    ) -> None:
-        budget = current_budget()
+    def __init__(self, manager: Optional[TermManager] = None) -> None:
         self.tm = manager if manager is not None else TermManager()
         self._assertions: List[Term] = []
-        self._scopes: List[int] = []
-        self._max_iterations = budget.max_iterations
-        self._max_conflicts = budget.max_conflicts
-        self._verify_models = verify_models
-
-    # -- assertion management ---------------------------------------------------
+        self._budget = current_budget()
 
     def add(self, *formulas: Term) -> None:
         """Assert one or more boolean terms."""
@@ -524,18 +387,6 @@ class Solver:
             if f.sort is not Sort.BOOL:
                 raise SolverError(f"cannot assert non-boolean term {f}")
             self._assertions.append(f)
-
-    def push(self) -> None:
-        """Open an assertion scope."""
-        self._scopes.append(len(self._assertions))
-
-    def pop(self) -> None:
-        """Close the innermost assertion scope."""
-        if not self._scopes:
-            raise SolverError("pop without matching push")
-        del self._assertions[self._scopes.pop():]
-
-    # -- solving -----------------------------------------------------------------
 
     def check(self, *extra: Term) -> CheckResult:
         """Decide the conjunction of all assertions (plus ``extra``).
@@ -548,7 +399,7 @@ class Solver:
     def _check_cached(self, goal: List[Term]) -> CheckResult:
         """Answer from the normalized query cache when possible.
 
-        Safe because every :meth:`_check` re-encodes from scratch: the
+        Safe because every :meth:`_check` solves on a fresh session: the
         answer is a pure function of the goal.  ``use_cache(None)``
         (:mod:`repro.solver.cache`) turns the cache off.
         """
@@ -566,31 +417,12 @@ class Solver:
         return result
 
     def _check(self, goal: List[Term]) -> CheckResult:
-        tm = self.tm
+        from .session import SolverSession  # local import to avoid a cycle
+
         # fault-injection site: a forced ResourceLimitError here behaves
         # exactly like real budget exhaustion mid-query
         current_fault_plan().fire("solver")
-
-        # 1) eliminate integer ITEs
-        flat: List[Term] = []
-        for f in goal:
-            rewritten, sides = eliminate_int_ite(tm, f)
-            flat.append(rewritten)
-            flat.extend(sides)
-
-        # 2) Ackermannize UF applications
-        pure, app_to_var, consistency = ackermannize(tm, flat)
-        all_formulas = pure + consistency
-
-        # 3) boolean encoding
-        sat = SatSolver(max_conflicts=self._max_conflicts)
-        cnf = CnfConverter(tm, sat)
-        for f in all_formulas:
-            cnf.assert_formula(f)
-
-        # 4) lazy theory loop, over every atom this check encoded
-        return solve_lazily(
-            tm, sat, cnf, (), cnf.atoms, self._max_iterations,
-            app_to_var.items(), int_var_names(flat),
-            goal if self._verify_models else (),
-        )
+        with use_budget(self._budget):
+            session = SolverSession(self.tm)
+        session.assert_base(*goal)
+        return session._solve(None)

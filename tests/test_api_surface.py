@@ -322,6 +322,23 @@ class TestSurfaceContracts:
         assert excinfo.value.code == 2
         assert error in capsys.readouterr().err
 
+    def test_removed_solver_spellings(self):
+        import repro.solver
+        from repro.solver import Solver, smt
+        from repro.solver.cnf import CnfConverter
+
+        # one Ackermannization (SolverSession._ackermannize), one encoder
+        for module in (repro.solver, smt):
+            with pytest.raises(AttributeError):
+                module.ackermannize
+        assert "ackermannize" not in repro.solver.__all__
+        assert not hasattr(CnfConverter, "assert_formula")
+        # assertion scopes live on SolverSession; Solver has none
+        assert not hasattr(Solver, "push") and not hasattr(Solver, "pop")
+        # model verification always runs
+        with pytest.raises(TypeError, match="verify_models"):
+            Solver(verify_models=False)
+
     def test_client_rejects_removed_cache_dir(self, tmp_path):
         with pytest.raises(TypeError, match="cache_dir"):
             api.Client(cache_dir=str(tmp_path / "cache"))

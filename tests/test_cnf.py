@@ -8,10 +8,8 @@ the formula evaluates true.
 
 import itertools
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SolverError
 from repro.solver import Model, SatSolver, Sort, TermManager, evaluate
 from repro.solver.cnf import CnfConverter
 
@@ -48,7 +46,7 @@ class TestTseitinEquisatisfiability:
         formula = random_formula(tm, data.draw, data.draw(st.integers(1, 3)))
         sat = SatSolver()
         cnf = CnfConverter(tm, sat)
-        cnf.assert_formula(formula)
+        sat.add_clause([cnf.literal_for(formula)])
 
         atom_vars = {}
         for name in ("p", "q", "r"):
@@ -88,17 +86,11 @@ class TestTseitinEquisatisfiability:
         x = tm.mk_var("x")
         a1 = tm.mk_gt(x, tm.mk_int(0))
         a2 = tm.mk_lt(x, tm.mk_int(9))
-        cnf.assert_formula(tm.mk_and(a1, a2))
+        sat.add_clause([cnf.literal_for(tm.mk_and(a1, a2))])
         result = sat.solve()
         assert result.sat
         lits = dict(cnf.model_literals(result.model))
         assert lits[a1] is True and lits[a2] is True
-
-    def test_non_boolean_assert_rejected(self):
-        tm = TermManager()
-        cnf = CnfConverter(tm, SatSolver())
-        with pytest.raises(SolverError):
-            cnf.assert_formula(tm.mk_int(1))
 
     def test_boolean_iff_encoded(self):
         tm = TermManager()
@@ -106,8 +98,8 @@ class TestTseitinEquisatisfiability:
         cnf = CnfConverter(tm, sat)
         p = tm.mk_var("p", Sort.BOOL)
         q = tm.mk_var("q", Sort.BOOL)
-        cnf.assert_formula(tm.mk_eq(p, q))
-        cnf.assert_formula(p)
+        sat.add_clause([cnf.literal_for(tm.mk_eq(p, q))])
+        sat.add_clause([cnf.literal_for(p)])
         result = sat.solve()
         assert result.sat
         assert result.model[cnf.atoms[q]] is True

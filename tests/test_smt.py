@@ -1,11 +1,15 @@
 """Unit and property tests for the SMT facade (LIA + EUF via Ackermann)."""
 
+import io
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
-from repro.solver import Solver, TermManager, ackermannize, evaluate, smt
-from repro.solver.cache import use_cache
+from repro.obs.journal import RunJournal, install_journal
+from repro.solver import Solver, TermManager, evaluate, session, smt
+from repro.solver.cache import QueryCache, use_cache
 from repro.solver.session import SolverSession
 
 
@@ -181,7 +185,7 @@ class TestUninterpretedFunctions:
 class TestModelQuality:
     def test_model_verification_catches_everything(self, tm):
         # a broad sanity pass: verified models never raise
-        solver = Solver(tm, verify_models=True)
+        solver = Solver(tm)
         x, y = tm.mk_var("x"), tm.mk_var("y")
         h = tm.mk_function("h", 1)
         solver.add(
@@ -234,18 +238,21 @@ class TestModelQuality:
 
 
 class TestPushPop:
-    def test_scoped_assertions(self, tm, solver):
-        x = tm.mk_var("x")
-        solver.add(tm.mk_gt(x, tm.mk_int(0)))
-        solver.push()
-        solver.add(tm.mk_lt(x, tm.mk_int(0)))
-        assert not solver.check().sat
-        solver.pop()
-        assert solver.check().sat
+    """Assertion scopes live on `SolverSession`; `Solver` has none."""
 
-    def test_pop_without_push_raises(self, solver):
+    def test_scoped_assertions(self, tm):
+        x = tm.mk_var("x")
+        scoped = SolverSession(tm)
+        scoped.assert_base(tm.mk_gt(x, tm.mk_int(0)))
+        scoped.push()
+        scoped.assert_term(tm.mk_lt(x, tm.mk_int(0)))
+        assert not scoped.check().sat
+        scoped.pop()
+        assert scoped.check().sat
+
+    def test_pop_without_push_raises(self, tm):
         with pytest.raises(SolverError):
-            solver.pop()
+            SolverSession(tm).pop()
 
     def test_check_with_extra(self, tm, solver):
         x = tm.mk_var("x")
@@ -253,31 +260,99 @@ class TestPushPop:
         assert not solver.check(tm.mk_lt(x, tm.mk_int(0))).sat
         assert solver.check().sat  # extra did not persist
 
+    def test_session_check_with_extra(self, tm):
+        x = tm.mk_var("x")
+        scoped = SolverSession(tm)
+        scoped.assert_base(tm.mk_gt(x, tm.mk_int(0)))
+        assert not scoped.check(tm.mk_lt(x, tm.mk_int(0))).sat
+        assert scoped.check().sat  # extra did not persist
+
+    def test_non_boolean_assertions_rejected(self, tm, solver):
+        with pytest.raises(SolverError, match="non-boolean"):
+            solver.add(tm.mk_int(1))
+        with pytest.raises(SolverError, match="non-boolean"):
+            SolverSession(tm).assert_base(tm.mk_int(1))
+
+
+class TestStatelessCheck:
+    """A `Solver` check is a query-cache front over one fresh session."""
+
+    def _count_sessions(self, monkeypatch):
+        built = []
+        init = session.SolverSession.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(session.SolverSession, "__init__", counting)
+        return built
+
+    def test_miss_builds_one_session_and_a_hit_none(self, tm, monkeypatch):
+        built = self._count_sessions(monkeypatch)
+        x = tm.mk_var("x")
+        goal = [tm.mk_gt(x, tm.mk_int(3)), tm.mk_lt(x, tm.mk_int(9))]
+        with use_cache(QueryCache()):
+            first = Solver(tm).check(*goal)
+            assert len(built) == 1
+            again = Solver(tm).check(*goal)
+            assert len(built) == 1
+        assert first.sat and again.sat
+        assert first.model.ints == again.model.ints
+
+    def test_emits_one_solver_query_event(self, tm):
+        x = tm.mk_var("x")
+        solver = Solver(tm)
+        solver.add(tm.mk_gt(x, tm.mk_int(3)))
+        sink = io.StringIO()
+        with use_cache(None), RunJournal(sink) as journal, \
+                install_journal(journal):
+            assert solver.check(tm.mk_lt(x, tm.mk_int(9))).sat
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        queries = [e for e in events if e["kind"] == "solver_query"]
+        assert [(e["solver"], e["assertions"]) for e in queries] == [("smt", 2)]
+
 
 class TestAckermannization:
+    """The session's Ackermann reduction (the only one)."""
+
     def test_rewrites_remove_applications(self, tm):
         h = tm.mk_function("h", 1)
         x = tm.mk_var("x")
-        f = tm.mk_eq(tm.mk_app(h, [x]), tm.mk_int(1))
-        rewritten, app_map, constraints = ackermannize(tm, [f])
-        assert len(app_map) == 1
-        assert not any(t.is_app for t in rewritten[0].iter_dag())
+        scoped = SolverSession(tm)
+        scoped.assert_base(tm.mk_eq(tm.mk_app(h, [x]), tm.mk_int(1)))
+        assert len(scoped._app_mapping) == 1
+        assert scoped._base.atoms
+        for atom in scoped._base.atoms:
+            assert not any(t.is_app for t in atom.iter_dag())
 
     def test_pairwise_constraints_count(self, tm):
         h = tm.mk_function("h", 1)
         xs = [tm.mk_var(f"k{i}") for i in range(4)]
         fs = [tm.mk_eq(tm.mk_app(h, [x]), tm.mk_int(0)) for x in xs]
-        _, app_map, constraints = ackermannize(tm, fs)
-        assert len(app_map) == 4
-        assert len(constraints) == 6  # C(4,2)
+        scoped = SolverSession(tm)
+        scoped.assert_base(*fs)
+        assert len(scoped._app_mapping) == 4
+        # the four formulas, then one constraint per pair: C(4,2)
+        assert len(scoped._base.original) - len(fs) == 6
 
     def test_nested_apps_use_inner_var(self, tm):
         h = tm.mk_function("h", 1)
         x = tm.mk_var("x")
-        hhx = tm.mk_app(h, [tm.mk_app(h, [x])])
-        rewritten, app_map, _ = ackermannize(tm, [tm.mk_eq(hhx, tm.mk_int(0))])
-        # no APP nodes survive anywhere
-        assert not any(t.is_app for t in rewritten[0].iter_dag())
+        hx = tm.mk_app(h, [x])
+        hhx = tm.mk_app(h, [hx])
+        goal = tm.mk_eq(hhx, tm.mk_int(0))
+        scoped = SolverSession(tm)
+        scoped.assert_base(goal)
+        assert scoped._app_args[hhx] == (scoped._app_mapping[hx],)
+        # no APP nodes survive anywhere: not in the consistency
+        # constraint, not in the encoded atoms
+        constraints = [f for f in scoped._base.original if f is not goal]
+        assert len(constraints) == 1
+        for formula in constraints:
+            assert not any(t.is_app for t in formula.iter_dag())
+        for atom in scoped._base.atoms:
+            assert not any(t.is_app for t in atom.iter_dag())
 
 
 @st.composite
@@ -320,7 +395,7 @@ class TestPropertySat:
         tm = TermManager()
         holder = {"tm": tm}
         formula = data.draw(arith_formula(holder))
-        solver = Solver(tm, verify_models=True)
+        solver = Solver(tm)
         solver.add(formula)
         # bound the search space to keep branch&bound snappy
         x, y = tm.mk_var("x"), tm.mk_var("y")

@@ -26,7 +26,8 @@ from repro.solver import (
     evaluate_with_oracle,
 )
 from repro.solver.lia import normalize_constraint
-from repro.solver.smt import check_theory, eliminate_int_ite
+from repro.solver.session import eliminate_int_ite
+from repro.solver.smt import check_theory
 from tests import _fraction_lia
 
 LEAVES = ("x", "y", "z", "hx")
@@ -249,7 +250,7 @@ class TestDeepTerms:
     def test_linearize_substitute_and_ite_elimination(self):
         tm = TermManager()
         term = deep_term(tm, DEPTH)
-        rewritten, sides = eliminate_int_ite(tm, term)
+        rewritten, sides = eliminate_int_ite(tm, term, {}, [])
         assert len(sides) == 2
         coeffs, const = tm.linearize(rewritten)
         assert all(type(c) is int for c in coeffs.values())
@@ -264,7 +265,9 @@ class TestWalkOrder:
         x, y = tm.mk_var("x"), tm.mk_var("y")
         first = tm.mk_ite(tm.mk_le(x, tm.mk_int(0)), x, tm.mk_int(1))
         second = tm.mk_ite(tm.mk_le(y, tm.mk_int(0)), y, tm.mk_int(2))
-        rewritten, sides = eliminate_int_ite(tm, tm.mk_add(first, second))
+        rewritten, sides = eliminate_int_ite(
+            tm, tm.mk_add(first, second), {}, []
+        )
         fresh = [a for a in rewritten.args if a.is_var]
         assert [v.name for v in fresh] == ["_ite2", "_ite3"]
         assert sides[0].args[0] is first.args[0]
