@@ -70,20 +70,11 @@ class SampleStore:
         """The samples as a lookup table (copy)."""
         return dict(self._table)
 
-    def for_function(self, fn: FunctionSymbol) -> List[Sample]:
-        return [s for s in self._order if s.fn is fn]
-
     def has(self, fn: FunctionSymbol, args: Tuple[int, ...]) -> bool:
         return (fn, args) in self._table
 
     def value(self, fn: FunctionSymbol, args: Tuple[int, ...]) -> Optional[int]:
         return self._table.get((fn, args))
-
-    def preimages(self, fn: FunctionSymbol, value: int) -> List[Tuple[int, ...]]:
-        """All recorded argument tuples mapping to ``value`` (hash inversion)."""
-        return [
-            args for (f, args), v in self._table.items() if f is fn and v == value
-        ]
 
     # -- persistence (cross-session learning, paper §7) -----------------------
 

@@ -15,11 +15,13 @@ recovery ladder, cheapest reclaim first:
 2. **watchdog** — the parent reclaims a non-cooperative worker: it tails
    the telemetry shards' ``run_executed`` heartbeats and declares a job
    *stalled* after ``stall_timeout`` seconds of silence, plus a
-   defensive per-future timeout of ``2 × deadline + grace`` for workers
-   wedged past even that.  Both clocks start when the job starts
-   running in a worker, never while it waits in the pool's queue;
+   defensive per-future timeout of ``2 × deadline +``
+   :data:`DEADLINE_GRACE` for workers wedged past even that.  Both
+   clocks start when the job starts running in a worker, never while it
+   waits in the pool's queue;
 3. **retry** — a deadline-blown/killed/stalled attempt is retried up to
-   ``max_attempts`` with deterministic (no-jitter) backoff.  Every
+   ``max_attempts`` with deterministic (no-jitter) backoff of
+   :data:`RETRY_BACKOFF` seconds per earlier attempt.  Every
    failed attempt is persisted to the campaign checkpoint's attempt
    ledger, so a killed-and-resumed campaign continues the count instead
    of re-firing spent attempts.  Retries are **answer-preserving**: the
@@ -35,7 +37,7 @@ recovery ladder, cheapest reclaim first:
    ``repro stats`` instead of taking the campaign down.
 
 A broken pool (:class:`BrokenProcessPool`, a wedged worker the watchdog
-had to kill) is **rebuilt** up to ``max_pool_rebuilds`` times — every
+had to kill) is **rebuilt** up to :data:`MAX_POOL_REBUILDS` times — every
 job in flight on the old pool is an innocent bystander (which job
 poisoned a genuinely broken pool is unknowable) and is re-dispatched
 without spending attempts; only the *injected* ``pool`` fault, decided
@@ -63,7 +65,7 @@ watchdog tails every in-flight lease's telemetry directory through one
 
 Shutdown: the loop polls the process-wide interrupt flag
 (:mod:`repro.interrupt`) between dispatches.  On SIGINT/SIGTERM it
-drains in-flight jobs for ``drain_timeout`` seconds (completed results
+drains in-flight jobs for :data:`DRAIN_TIMEOUT` seconds (completed results
 are checkpointed), hands un-run leases back to the source
 (:meth:`JobLeaseSource.released`), and raises
 :class:`~repro.errors.SearchInterrupted` so the CLI exits 3 with a
@@ -99,6 +101,21 @@ __all__ = [
     "JobLeaseSource",
 ]
 
+#: seconds slept before attempt N: ``RETRY_BACKOFF * (N - 1)``
+#: (deterministic, no jitter — jitter would make campaign wall time a
+#: random variable for nothing: jobs never thundering-herd a shared
+#: resource the way clients of one server do)
+RETRY_BACKOFF = 0.05
+#: slack added to the defensive parent-side future timeout
+#: (``2 * job_deadline + DEADLINE_GRACE``, from each job's own deadline)
+#: so a worker that is merely slow to reach its cooperative check is not
+#: shot
+DEADLINE_GRACE = 5.0
+#: broken/wedged pools rebuilt before downgrading to in-process
+MAX_POOL_REBUILDS = 1
+#: seconds granted to in-flight jobs when a shutdown is requested
+DRAIN_TIMEOUT = 5.0
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
@@ -106,46 +123,20 @@ class SupervisorConfig:
 
     #: attempts per job before quarantine (1 = never retry)
     max_attempts: int = 2
-    #: seconds slept before attempt N: ``retry_backoff * (N - 1)``
-    #: (deterministic, no jitter — jitter would make campaign wall time
-    #: a random variable for nothing: jobs never thundering-herd a
-    #: shared resource the way clients of one server do)
-    retry_backoff: float = 0.05
-    #: slack added to the defensive parent-side future timeout
-    #: (``2 * job_deadline + deadline_grace``, from each job's own
-    #: deadline) so a worker that is merely slow to reach its
-    #: cooperative check is not shot
-    deadline_grace: float = 5.0
     #: heartbeat silence (seconds) before the watchdog declares a worker
     #: stalled; 0 disables.  Needs telemetry shards to tail, and should
     #: comfortably exceed one shard flush interval (shards buffer
     #: :data:`~repro.obs.shipper.SHARD_FLUSH_EVERY` events)
     stall_timeout: float = 0.0
-    #: broken/wedged pools rebuilt before downgrading to in-process
-    max_pool_rebuilds: int = 1
-    #: seconds granted to in-flight jobs when a shutdown is requested
-    drain_timeout: float = 5.0
     #: event-loop wait quantum (watchdog resolution)
     poll_interval: float = 0.2
 
     def validate(self) -> "SupervisorConfig":
         if self.max_attempts < 1:
             raise ReproError(f"max_attempts must be >= 1 (got {self.max_attempts})")
-        if self.retry_backoff < 0:
-            raise ReproError(
-                f"retry_backoff must be >= 0 (got {self.retry_backoff})"
-            )
         if self.stall_timeout < 0:
             raise ReproError(
                 f"stall_timeout must be >= 0 (got {self.stall_timeout})"
-            )
-        if self.max_pool_rebuilds < 0:
-            raise ReproError(
-                f"max_pool_rebuilds must be >= 0 (got {self.max_pool_rebuilds})"
-            )
-        if self.drain_timeout < 0:
-            raise ReproError(
-                f"drain_timeout must be >= 0 (got {self.drain_timeout})"
             )
         if self.poll_interval <= 0:
             raise ReproError(
@@ -731,7 +722,7 @@ class CampaignSupervisor:
         queue.extend(inflight.values())
         inflight.clear()
         self._teardown_pool()
-        if self.pool_rebuilds >= self.config.max_pool_rebuilds:
+        if self.pool_rebuilds >= MAX_POOL_REBUILDS:
             # rebuild budget exhausted: the rest of the campaign runs
             # in-process — same results, slower wall clock
             self._serial_only = True
@@ -889,12 +880,12 @@ class CampaignSupervisor:
         raise SearchInterrupted(message, checkpoint_dir=directory)
 
     def _drain(self, inflight: Dict[object, _JobState]) -> None:
-        """Give in-flight jobs ``drain_timeout`` seconds to land."""
+        """Give in-flight jobs :data:`DRAIN_TIMEOUT` seconds to land."""
         if not inflight:
             return
         from concurrent.futures import FIRST_COMPLETED, wait
 
-        deadline = time.monotonic() + self.config.drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         while inflight and time.monotonic() < deadline:
             done, _ = wait(
                 list(inflight), timeout=0.1, return_when=FIRST_COMPLETED
@@ -926,11 +917,11 @@ class CampaignSupervisor:
 
     def _time_limit(self, state: _JobState) -> float:
         """The defensive timeout of a running attempt (deadline > 0)."""
-        return 2.0 * state.deadline + self.config.deadline_grace
+        return 2.0 * state.deadline + DEADLINE_GRACE
 
     def _backoff(self, attempt: int) -> None:
-        if attempt > 1 and self.config.retry_backoff > 0:
-            time.sleep(self.config.retry_backoff * (attempt - 1))
+        if attempt > 1:
+            time.sleep(RETRY_BACKOFF * (attempt - 1))
 
     def _count(self, name: str) -> None:
         registry = default_registry()

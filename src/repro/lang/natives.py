@@ -100,6 +100,3 @@ class NativeRegistry:
         result = native(*args)
         self.call_log.append((name, tuple(args), result))
         return result
-
-    def clear_log(self) -> None:
-        self.call_log.clear()

@@ -59,8 +59,8 @@ class RunJournal:
     ``flush_every`` batches flushes: the handle is flushed every N-th
     event rather than on each one (campaign worker shards use a small
     batch so the parent's live tail stays fresh without paying one
-    ``flush`` syscall per event).  ``autoflush=True`` with the default
-    ``flush_every=1`` preserves the original flush-per-event behaviour.
+    ``flush`` syscall per event).  The default ``flush_every=1`` flushes
+    every event.
     """
 
     enabled = True
@@ -68,7 +68,6 @@ class RunJournal:
     def __init__(
         self,
         target: Union[str, TextIO],
-        autoflush: bool = True,
         clock: Callable[[], float] = time.time,
         mono_clock: Callable[[], float] = time.perf_counter,
         flush_every: int = 1,
@@ -79,7 +78,6 @@ class RunJournal:
         else:
             self._handle = target
             self._owns_handle = False
-        self._autoflush = autoflush
         self._clock = clock
         self._mono_clock = mono_clock
         self._flush_every = max(1, int(flush_every))
@@ -106,7 +104,7 @@ class RunJournal:
             try:
                 current_fault_plan().fire("journal")
                 self._handle.write(_ENCODE(event) + "\n")
-                if self._autoflush and self._seq % self._flush_every == 0:
+                if self._seq % self._flush_every == 0:
                     self._handle.flush()
             except OSError as exc:
                 self._disable(exc)

@@ -18,7 +18,6 @@ __getattr__, __dir__ = lazy_exports(
             "SearchConfig", "SearchResult",
         ],
         ".kernel": ["SearchKernel", "SearchState"],
-        ".minimize": ["MinimizationResult", "minimize_error_inputs"],
         ".report": ["render_report", "suite_digest"],
         ".scheduler": [
             "CoverageScheduler", "DfsScheduler", "FrontierItem",
@@ -45,8 +44,6 @@ __all__ = [
     "CorpusEntry",
     "ReplayReport",
     "TestCorpus",
-    "MinimizationResult",
-    "minimize_error_inputs",
     "ExistentialBackend",
     "GeneratedTest",
     "GenerationRequest",

@@ -77,10 +77,6 @@ class SearchConfig:
     stop_on_first_error: bool = False
     #: per-strategy budget of intermediate multi-step runs
     max_multistep_probes: int = 4
-    #: skip generating an input vector that was already executed
-    dedupe_inputs: bool = True
-    #: give up expanding a single run beyond this many conditions
-    max_conditions_per_run: int = 64
     #: frontier scheduler (see :mod:`repro.search.scheduler`): "dfs"
     #: (classic generational order, the reproducibility baseline),
     #: "generational" (SAGE-style: expand the run that covered the most
@@ -94,8 +90,6 @@ class SearchConfig:
     checkpoint_every: int = 20
     #: checkpoint directory to resume from (replays its decision log)
     resume_from: Optional[str] = None
-    #: budget multiplier for the end-of-search retry of deferred flips
-    defer_scale: float = 4.0
     #: wall-clock budget (seconds) for one search session; 0 disables.
     #: Enforced cooperatively at the kernel's run boundaries: on expiry
     #: the session raises :class:`~repro.errors.DeadlineExceeded` (a
@@ -143,17 +137,10 @@ class SearchConfig:
             raise ReproError(
                 f"checkpoint_every must be >= 1 (got {self.checkpoint_every})"
             )
-        if self.max_conditions_per_run < 1:
-            raise ReproError(
-                "max_conditions_per_run must be >= 1 "
-                f"(got {self.max_conditions_per_run})"
-            )
         if self.max_multistep_probes < 0:
             raise ReproError(
                 f"max_multistep_probes must be >= 0 (got {self.max_multistep_probes})"
             )
-        if self.defer_scale <= 0:
-            raise ReproError(f"defer_scale must be > 0 (got {self.defer_scale})")
         if self.job_deadline < 0:
             raise ReproError(
                 f"job_deadline must be >= 0 (got {self.job_deadline})"

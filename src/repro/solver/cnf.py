@@ -9,7 +9,7 @@ sets of theory literals.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import SolverError
 from .sat import SatSolver
@@ -41,10 +41,6 @@ class CnfConverter:
     def atoms(self) -> Dict[Term, int]:
         """Mapping from theory atoms to their SAT variables."""
         return dict(self._atom_to_svar)
-
-    def atom_of(self, svar: int) -> Optional[Term]:
-        """The theory atom encoded by SAT variable ``svar``, if any."""
-        return self._svar_to_atom.get(svar)
 
     def literal_for(self, formula: Term) -> int:
         """Encode ``formula`` and return a literal equivalent to its truth."""

@@ -138,11 +138,3 @@ class BoundsAnalysis:
         lo = self._lower[var].value if self._lower[var] is not None else None
         hi = self._upper[var].value if self._upper[var] is not None else None
         return lo, hi
-
-    def bounded_vars(self) -> List[int]:
-        """Variables with at least one derived bound."""
-        return [
-            v
-            for v in range(self.num_vars)
-            if self._lower[v] is not None or self._upper[v] is not None
-        ]

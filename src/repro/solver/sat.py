@@ -538,7 +538,3 @@ class SatSolver:
         if failed is not None and failed not in core:
             core.append(failed)
         return core
-
-    def simplify_ok(self) -> bool:
-        """True while no top-level conflict has been derived."""
-        return self._ok

@@ -168,9 +168,6 @@ class ConcolicResult:
     def path_key(self) -> Tuple[Tuple[int, bool], ...]:
         return tuple(self.path)
 
-    def constraint_terms(self) -> List[Term]:
-        return [pc.term for pc in self.path_conditions]
-
 
 #: comparison operator -> (concrete test, term constructor)
 _COMPARISONS = {

@@ -289,10 +289,42 @@ class TestSurfaceContracts:
         with pytest.raises(TypeError, match="not_an_option"):
             SearchConfig.from_options(not_an_option=1)
 
-    @pytest.mark.parametrize("option", ["jobs", "exec_backend", "threads"])
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "jobs", "exec_backend", "threads",
+            # fixed at kernel constants: inputs are always deduplicated,
+            # MAX_CONDITIONS_PER_RUN = 64, DEFER_SCALE = 4.0
+            "dedupe_inputs", "max_conditions_per_run", "defer_scale",
+        ],
+    )
     def test_from_options_rejects_removed_options(self, option):
         with pytest.raises(TypeError, match=option):
             SearchConfig.from_options(**{option: 2})
+
+    def test_removed_module_and_knob_spellings(self):
+        import io
+
+        from repro.engine import SupervisorConfig
+        from repro.obs.journal import RunJournal
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.search.minimize")
+        search = importlib.import_module("repro.search")
+        for name in ("minimize_error_inputs", "MinimizationResult"):
+            with pytest.raises(AttributeError):
+                getattr(search, name)
+        # RETRY_BACKOFF, DEADLINE_GRACE, MAX_POOL_REBUILDS and
+        # DRAIN_TIMEOUT are module constants of repro.engine.supervisor
+        for knob in (
+            "retry_backoff", "deadline_grace", "max_pool_rebuilds",
+            "drain_timeout",
+        ):
+            with pytest.raises(TypeError, match=knob):
+                SupervisorConfig(**{knob: 1})
+        # a journal always flushes every flush_every-th event
+        with pytest.raises(TypeError, match="autoflush"):
+            RunJournal(io.StringIO(), autoflush=False)
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -397,7 +429,6 @@ class TestLazyExports:
             "repro.engine.supervisor",
             "repro.apps.lexer_app",
             "repro.lang.randprog",
-            "repro.search.minimize",
             "repro.solver.certificates",
         ):
             assert unused not in loaded, unused

@@ -77,7 +77,7 @@ class TestTseitinEquisatisfiability:
         lit1 = cnf.literal_for(atom)
         lit2 = cnf.literal_for(atom)
         assert lit1 == lit2
-        assert cnf.atom_of(abs(lit1)) is atom
+        assert cnf.atoms[atom] == abs(lit1)
 
     def test_model_literals_roundtrip(self):
         tm = TermManager()
