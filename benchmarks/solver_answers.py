@@ -5,8 +5,9 @@ A change that claims to leave the solver's answers untouched (a faster
 kernel, a memo, a cheaper walk) is checked by running this script on
 both sides and comparing the printed digest.  It runs five seed-0
 lexer-protocol requests (the §7 lexer, then the CRC-guarded protocol
-parser; one warm-up word and four more, drawn as the standing
-benchmark draws them) and one generational tinyvm request, all built
+parser, from a packet drawn per request; one warm-up word and four
+more, drawn as the standing benchmark draws them) and one generational
+tinyvm request, all built
 from :mod:`repro.apps`, and records:
 
 - every ``SatSolver.solve``: assumptions, verdict, model, assumption
@@ -186,6 +187,19 @@ def lexer_word(index: int, seed: int = LEXER_SEED) -> str:
             return word
 
 
+def protocol_inputs(index: int, seed: int = LEXER_SEED) -> Dict[str, int]:
+    """The protocol request's seed packet for request ``index``.
+
+    ``kind``, ``a`` and ``b`` are drawn from ``f"{seed}/protocol/{index}"``
+    (``checksum`` stays 0), so the five protocol searches start from
+    different packets and are different searches.
+    """
+    rng = random.Random(f"{seed}/protocol/{index}")
+    return build_protocol_app().initial_inputs(
+        kind=rng.randrange(10), a=rng.randrange(5000), b=rng.randrange(5000)
+    )
+
+
 def _search(app, inputs: Dict[str, int], max_runs: int, scheduler: str):
     with use_cache(QueryCache()):
         return api.generate_tests(
@@ -214,7 +228,7 @@ def run_requests(recorder: Recorder,
         word = lexer_word(index)
         requests += [
             (f"lexer/{index}", lexer, lexer.initial_inputs(word), 120, "dfs"),
-            (f"protocol/{index}", protocol, protocol.initial_inputs(), 80,
+            (f"protocol/{index}", protocol, protocol_inputs(index), 80,
              "dfs"),
         ]
     requests.append(("tinyvm", tinyvm, tinyvm.initial_inputs(TINYVM_OPCODES),
