@@ -112,6 +112,44 @@ class TestDirectedSearchBasics:
         vectors = [tuple(sorted(r.result.inputs.items())) for r in res.executions]
         assert len(vectors) == len(set(vectors))
 
+    def test_duplicate_seed_corpus_vectors_run_once(self):
+        seed = {"x": 0, "y": 0}
+        cfg = SearchConfig(
+            max_runs=50, seed_corpus=[dict(seed), {"x": 20, "y": -5}, dict(seed)]
+        )
+        search = DirectedSearch.for_mode(
+            parse_program(LINEAR), "f", NativeRegistry(),
+            ConcretizationMode.SOUND, cfg,
+        )
+        res = search.run(dict(seed))
+        inputs = [r.result.inputs for r in res.executions]
+        assert inputs.count(seed) == 1
+        assert inputs.count({"x": 20, "y": -5}) == 1
+
+    def test_flips_capped_at_max_conditions_per_run(self):
+        from repro.search.kernel import MAX_CONDITIONS_PER_RUN
+
+        src = """
+        int f(int n) {
+            int i = 0;
+            while (i < n) { i = i + 1; }
+            return i;
+        }
+        """
+        search = DirectedSearch.for_mode(
+            parse_program(src), "f", NativeRegistry(),
+            ConcretizationMode.SOUND, SearchConfig(max_runs=120),
+        )
+        res = search.run({"n": 100})
+        first = res.executions[0]
+        assert len(first.result.path_conditions) > MAX_CONDITIONS_PER_RUN
+        # the budget outlasts every capped flip of the first run, so its
+        # children stop exactly at the cap
+        flipped = sorted(
+            r.flipped_index for r in res.executions if r.parent == first.index
+        )
+        assert flipped == list(range(MAX_CONDITIONS_PER_RUN))
+
     def test_unconstrained_inputs_keep_previous_values(self):
         src = "int f(int x, int y) { if (x == 5) { return 1; } return 0; }"
         search = DirectedSearch.for_mode(

@@ -86,6 +86,26 @@ class TestJournalMono:
         assert monos == sorted(monos)
         assert [e["ts"] for e in events] == [100.0, 50.0, 75.0]
 
+    def test_default_journal_flushes_every_event(self):
+        class CountingSink(io.StringIO):
+            flushes = 0
+
+            def flush(self):
+                self.flushes += 1
+                super().flush()
+
+        sink = CountingSink()
+        journal = RunJournal(sink)
+        for i in range(3):
+            journal.emit("tick", i=i)
+            # each event is on the sink's flushed side before the next
+            assert sink.flushes == i + 1
+        batched = CountingSink()
+        journal = RunJournal(batched, flush_every=2)
+        for i in range(4):
+            journal.emit("tick", i=i)
+        assert batched.flushes == 2
+
     def test_flush_batching_still_writes_every_event(self):
         sink = io.StringIO()
         journal = RunJournal(sink, flush_every=16)
